@@ -42,14 +42,18 @@ class _Failure(Exception):
 
 def _resolve_eps(args) -> float:
     if getattr(args, "eps", None) is not None:
-        return args.eps
-    env = os.environ.get("QUASILOCAL_EPS")
-    if env:
+        eps, source = args.eps, "--eps"
+    else:
+        env = os.environ.get("QUASILOCAL_EPS")
+        if not env:
+            return model.DEFAULT_EPS
         try:
-            return float(env)
+            eps, source = float(env), "QUASILOCAL_EPS"
         except ValueError:
             raise _Failure(EXIT_USAGE, f"QUASILOCAL_EPS is not a number: {env!r}") from None
-    return model.DEFAULT_EPS
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise _Failure(EXIT_USAGE, f"{source} must be a finite number >= 0, got {eps!r}")
+    return eps
 
 
 def _read_text(path: str | None) -> str:
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("A1", "A2", "B1", "B2"), default=None,
                        help="x-z plane angles in degrees for a1 a2 b1 b2")
     group.add_argument("--maximize", action="store_true",
-                       help="grid-search directions maximizing |CHSH|")
+                       help="grid-search x-z-plane directions maximizing |CHSH|")
     qm.add_argument("--resolution", type=float, default=5.0,
                     help="grid step in degrees for --maximize (default 5)")
     qm.add_argument("--format", choices=("text", "json"), default="text")

@@ -80,11 +80,25 @@ def _maybe_json(text: str) -> dict | None:
         return None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer literal over 4300 digits
         raise ParseError(f"invalid JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("JSON document must be an object")
     return doc
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON value that must be a finite number: true and false are not,
+    though bool is a subclass of int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} has non-numeric value {value!r}")
+    # also rejects NaN, infinities and integers too large for a float
+    if not abs(value) <= _FLOAT_MAX:
+        raise ParseError(f"{what} has non-finite value {value!r}")
+    return float(value)
 
 
 def _fill(values: dict[int, float], kind: str, labels) -> np.ndarray:
@@ -127,9 +141,7 @@ def parse_box(text: str) -> np.ndarray:
             idx = _box_label_index(str(label))
             if idx in values:
                 raise ParseError(f"duplicate probability entry {PROB_LABELS[idx]!r}")
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
-                raise ParseError(f"probability {label!r} has non-numeric value {value!r}")
-            values[idx] = float(value)
+            values[idx] = _json_number(value, f"probability {label!r}")
         return _fill(values, "box", PROB_LABELS)
 
     count = 0
@@ -195,9 +207,7 @@ def parse_measures(text: str) -> np.ndarray:
             idx = _pattern_strategy(str(pattern))
             if idx in values:
                 raise ParseError(f"duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
-                raise ParseError(f"pattern {pattern!r} has non-numeric value {value!r}")
-            values[idx] = float(value)
+            values[idx] = _json_number(value, f"pattern {pattern!r}")
         return _fill(values, "measure", STRATEGY_PATTERNS)
 
     count = 0

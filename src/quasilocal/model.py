@@ -343,7 +343,13 @@ def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolati
 
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
-    """All consistency checks keyed by name; empty lists everywhere means consistent."""
+    """All consistency checks keyed by name; empty lists everywhere means consistent.
+
+    eps must be finite and nonnegative: a NaN eps would pass every check and
+    an infinite one would accept any box.
+    """
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
     return {
         "range": check_range(p, eps),
         "normalization": check_normalization(p, eps),

@@ -174,11 +174,16 @@ class ChshSearchResult:
     """Best |CHSH| found by the coplanar grid search.
 
     directions holds (a1, a2, b1, b2); angles_deg the matching x-z plane
-    angles.  best_delta is the largest |CHSH sum| over all 8 sign variants.
+    angles.  best_delta is the largest |CHSH sum| over all 8 sign variants
+    that these directions reach.
     """
     best_delta: float
     directions: tuple[MeasurementDirection, ...]
     angles_deg: tuple[float, float, float, float]
+
+
+#: Grid values this close to the maximum count as ties in maximize_chsh.
+TIE_TOL = 1e-12
 
 
 def _pair_correlation(state: TwoQubitState,
@@ -191,48 +196,53 @@ def _pair_correlation(state: TwoQubitState,
 
 
 def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSearchResult:
-    """Grid search for the directions maximizing |CHSH| over all variants.
+    """Grid search for the x-z plane directions maximizing |CHSH| over all variants.
 
     All four directions range over the x-z plane, angles 0 <= theta < 360 in
-    steps of resolution_deg (which must lie in (0, 45]).  Optimal CHSH
-    directions for a pure two-qubit state can always be chosen coplanar, so
-    the restriction costs nothing.  The scan is deterministic: ties keep the
+    steps of resolution_deg (which must lie in (0, 45]).  The plane is a real
+    limitation: states whose optimal directions leave it fall short of the
+    quantum maximum.  For example (|00> + i|11>)/sqrt(2) reports 2 (up to
+    rounding), not 2*sqrt(2); the full 3-D closed form is ROADMAP item 1.
+    Grid values within TIE_TOL of the maximum are ties, and ties keep the
     lexicographically smallest (a1, a2, b1, b2) angle tuple.
+
+    The correlation is bilinear in the two Bloch vectors, E(a, b) = a^T T b
+    with T the correlation tensor (Horodecki, Horodecki & Horodecki, Phys.
+    Lett. A 200, 340 (1995)), so the grid's correlation table needs only the
+    x-z block of T.  For fixed (a1, a2) with table rows u and v the best
+    |CHSH| over (b1, b2) and all variants is max|u + v| + max|u - v|, which
+    makes the search O(n^3) in time and O(n^2) in memory for n grid angles.
     """
     if not 0.0 < resolution_deg <= 45.0:
         raise ValueError(f"resolution must be in (0, 45] degrees, got {resolution_deg!r}")
     angles = np.arange(0.0, 360.0, float(resolution_deg))
-    dirs = [MeasurementDirection.from_xz_angle(t) for t in angles]
-    n = len(angles)
+    radians = np.radians(angles)
+    grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)   # (x, z) per angle
+    axes = (MeasurementDirection(1.0, 0.0, 0.0), MeasurementDirection(0.0, 0.0, 1.0))
+    block = np.array([[_pair_correlation(state, da, db) for db in axes] for da in axes])
+    corr = grid @ block @ grid.T
 
-    corr = np.empty((n, n))
-    for ia in range(n):
-        for ib in range(n):
-            corr[ia, ib] = _pair_correlation(state, dirs[ia], dirs[ib])
+    # pair_best[i1, i2]: best |CHSH| with a1 = i1, a2 = i2, one a1 row at a
+    # time.  Swapping a1 and a2 only flips the sign of u - v, so the table is
+    # symmetric and each row needs only i2 >= i1.
+    pair_best = np.zeros_like(corr)
+    for i1, u in enumerate(corr):
+        rest = corr[i1:]
+        pair_best[i1, i1:] = np.abs(u + rest).max(axis=1) + np.abs(u - rest).max(axis=1)
+    pair_best = np.maximum(pair_best, pair_best.T)
+    threshold = pair_best.max() - TIE_TOL
+    i1, i2 = np.argwhere(pair_best >= threshold)[0]
 
-    best = -np.inf
-    best_idx = (0, 0, 0, 0)
-    for i1 in range(n):
-        u = corr[i1]
-        for i2 in range(n):
-            v = corr[i2]
-            s, d = u + v, u - v
-            # |CHSH| over (b1, b2) for each choice of the negated setting pair;
-            # the overall sign cannot change the absolute value.
-            candidates = np.abs(np.add.outer(s, d))       # minus on (a2, b2)
-            np.maximum(candidates, np.abs(np.add.outer(d, s)), out=candidates)
-            np.maximum(candidates, np.abs(np.add.outer(s, -d)), out=candidates)
-            np.maximum(candidates, np.abs(np.add.outer(-d, s)), out=candidates)
-            local_best = float(candidates.max())
-            if local_best > best:
-                ib1, ib2 = np.unravel_index(int(np.argmax(candidates)), candidates.shape)
-                best = local_best
-                best_idx = (i1, i2, int(ib1), int(ib2))
+    # With s = u + v and d = u - v, the variants negating an (a, b2) term are
+    # s_b1 +- d_b2 and those negating an (a, b1) term are s_b2 +- d_b1; the
+    # larger absolute value of each pair is |s| + |d|, also after rounding.
+    s, d = np.abs(corr[i1] + corr[i2]), np.abs(corr[i1] - corr[i2])
+    candidates = np.maximum(np.add.outer(s, d), np.add.outer(d, s))
+    ib1, ib2 = np.argwhere(candidates >= threshold)[0]
 
-    i1, i2, ib1, ib2 = best_idx
+    chosen = tuple(float(angles[i]) for i in (i1, i2, ib1, ib2))
     return ChshSearchResult(
-        best_delta=best,
-        directions=(dirs[i1], dirs[i2], dirs[ib1], dirs[ib2]),
-        angles_deg=(float(angles[i1]), float(angles[i2]),
-                    float(angles[ib1]), float(angles[ib2])),
+        best_delta=float(candidates[ib1, ib2]),
+        directions=tuple(MeasurementDirection.from_xz_angle(t) for t in chosen),
+        angles_deg=chosen,
     )

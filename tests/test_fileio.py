@@ -94,6 +94,9 @@ def test_line_order_is_free():
     ("a1 + b1 + inf\n" * 16, "not finite"),
     ('{"wrong": {}}', "probabilities"),
     ('{"probabilities": {"a1+b1+": "x"}}', "non-numeric"),
+    ('{"probabilities": {"a1+b1+": true}}', "non-numeric"),
+    ('{"probabilities": {"a1+b1+": 1' + "0" * 400 + '}}', "non-finite"),
+    ('{"probabilities": {"a1+b1+": 1' + "0" * 5000 + '}}', "invalid JSON"),
     ('{not json', "invalid JSON"),
 ])
 def test_box_parse_errors(text, fragment):
@@ -107,6 +110,7 @@ def test_box_parse_errors(text, fragment):
     ("++*+ 0.5\n" * 16, "bad pattern"),
     (format_measures(np.full(16, 1 / 16)) + "++++ 0\n", "duplicate"),
     ('{"measures": {"++++": 1.0}}', "missing entries"),
+    ('{"measures": {"++++": false}}', "non-numeric"),
 ])
 def test_measures_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):

@@ -220,6 +220,17 @@ def test_require_consistent_raises_with_violations():
     assert err.value.violations
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-9])
+def test_check_consistency_rejects_bad_eps(eps):
+    # a NaN eps passed every check and an infinite one accepted signalling boxes
+    signalling = ql.uniform_box()
+    signalling[[0, 1]] = [0.4, 0.1]
+    with pytest.raises(ValueError, match="eps"):
+        ql.check_consistency(signalling, eps)
+    with pytest.raises(ValueError, match="eps"):
+        ql.is_consistent(signalling, eps)
+
+
 def test_check_range():
     p = ql.uniform_box()
     assert ql.check_range(p) == []

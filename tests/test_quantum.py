@@ -195,6 +195,80 @@ def test_flip_is_an_involution_and_preserves_consistency():
 # maximize_chsh
 # ---------------------------------------------------------------------------
 
+def reference_maximize(state, resolution_deg):
+    """The O(n^4) grid search over x-z plane directions, Born rule per pair;
+    returns the best |CHSH| and its (a1, a2, b1, b2) angle indices."""
+    angles = np.arange(0.0, 360.0, float(resolution_deg))
+    dirs = [ql.MeasurementDirection.from_xz_angle(t) for t in angles]
+    n = len(angles)
+
+    corr = np.empty((n, n))
+    for ia in range(n):
+        for ib in range(n):
+            corr[ia, ib] = sum(
+                oa * ob * ql.born_probability(state, dirs[ia], oa, dirs[ib], ob)
+                for oa in (1, -1) for ob in (1, -1))
+
+    best = -np.inf
+    best_idx = (0, 0, 0, 0)
+    for i1 in range(n):
+        u = corr[i1]
+        for i2 in range(n):
+            v = corr[i2]
+            s, d = u + v, u - v
+            # |CHSH| over (b1, b2) for each choice of the negated setting pair;
+            # the overall sign cannot change the absolute value.
+            candidates = np.abs(np.add.outer(s, d))       # minus on (a2, b2)
+            np.maximum(candidates, np.abs(np.add.outer(d, s)), out=candidates)
+            np.maximum(candidates, np.abs(np.add.outer(s, -d)), out=candidates)
+            np.maximum(candidates, np.abs(np.add.outer(-d, s)), out=candidates)
+            local_best = float(candidates.max())
+            if local_best > best:
+                ib1, ib2 = np.unravel_index(int(np.argmax(candidates)), candidates.shape)
+                best = local_best
+                best_idx = (i1, i2, int(ib1), int(ib2))
+    return best, best_idx
+
+
+def random_real_state(rng):
+    amps = rng.normal(size=4)
+    return ql.TwoQubitState(tuple(amps / np.linalg.norm(amps)))
+
+
+@pytest.mark.parametrize("resolution", [15.0, 20.0, 45.0])
+@pytest.mark.parametrize("make_state", [random_real_state, random_state])
+def test_maximize_matches_reference_grid(resolution, make_state):
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        state = make_state(rng)
+        result = ql.maximize_chsh(state, resolution)
+        best, _ = reference_maximize(state, resolution)
+        assert result.best_delta == pytest.approx(best, abs=1e-12)
+        p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
+        assert ql.max_abs_chsh(p) == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("amplitudes, resolution, angles", [
+    # (0, 90, 45, 135) reaches 2*sqrt(2) and no smaller tuple does
+    ((0.0, 1 / RT2, -1 / RT2, 0.0), 5.0, (0.0, 90.0, 45.0, 135.0)),
+    # (0, 88, 136, 226) is the exact floating-point maximum, 4e-16 above
+    # (0, 88, 46, 136): round-off must not break the tie
+    ((0.0, 1 / RT2, 1 / RT2, 0.0), 2.0, (0.0, 88.0, 46.0, 136.0)),
+])
+def test_maximize_ties_keep_the_smallest_angles(amplitudes, resolution, angles):
+    state = ql.TwoQubitState(amplitudes)
+    result = ql.maximize_chsh(state, resolution)
+    assert result.angles_deg == angles
+    p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
+    assert ql.max_abs_chsh(p) == pytest.approx(result.best_delta, abs=1e-9)
+
+
+def test_maximize_is_confined_to_the_xz_plane():
+    # the optimum of this maximally entangled state needs y components
+    state = ql.TwoQubitState((1 / RT2, 0.0, 0.0, 1j / RT2))
+    assert ql.maximize_chsh(state, 5.0).best_delta == pytest.approx(2.0, abs=1e-12)
+
+
 def test_maximize_singlet_reaches_quantum_ceiling():
     result = ql.maximize_chsh(ql.singlet(), 5.0)
     assert result.best_delta >= 2 * RT2 - 0.05
