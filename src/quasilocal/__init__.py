@@ -4,13 +4,15 @@ The library models a two-party, two-setting, two-outcome correlation
 experiment through signed weight vectors over the 16 deterministic local
 strategies.  It validates probability sets, computes every CHSH sign
 variant, constructs the full 7-parameter family of weight vectors
-reproducing a consistent box, and minimizes total negativity over that
-family, exhibiting constructively that negative weights are required
-exactly when CHSH is violated.
+reproducing a consistent box, and gives the least total negativity of any
+model of a box in closed form, max(0, (|delta| - 2) / 4), with a witness
+model that attains it: negative weights are required exactly when CHSH is
+violated.
 """
 
 from .model import (
     CANONICAL_VARIANT,
+    CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
     DEPENDENT_INDICES,
@@ -71,18 +73,12 @@ from .solver import (
     independent_probs,
     perfect_correlation_solution,
     reconstruct_probs,
-    solution_affine_map,
     solve,
 )
 from .negativity import (
-    DegenerateSystemError,
-    LinearProgram,
-    LpSolution,
     NegativityResult,
-    build_negativity_lp,
     chsh_lower_bound,
     min_negativity,
-    solve_lp,
 )
 from .quantum import (
     ChshSearchResult,
@@ -103,6 +99,7 @@ from .fileio import (
     format_measures,
     measures_object,
     parse_box,
+    parse_free_parameters,
     parse_measures,
 )
 

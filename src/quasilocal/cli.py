@@ -2,9 +2,10 @@
 
 Subcommands cover the whole pipeline: `validate` and `chsh` analyze a box
 document, `solve` inverts it into a measure document, `forward` maps measures
-back to probabilities, `negativity` runs the minimum-negativity search, and
-`qm` generates boxes from two-qubit states.  Commands read the positional
-input path or stdin ('-' or omitted) and write to stdout, so they pipe:
+back to probabilities, `negativity` reports the least total negativity of a
+box in closed form with a witness model, and `qm` generates boxes from
+two-qubit states.  Commands read the positional input path or stdin ('-' or
+omitted) and write to stdout, so they pipe:
 
     quasilocal qm --state singlet --maximize | quasilocal solve | quasilocal forward
 
@@ -161,23 +162,7 @@ def _free_parameters(args) -> solver.FreeParameters:
     if args.free is not None:
         return solver.FreeParameters.from_sequence(args.free)
     if args.free_file is not None:
-        text = _read_text(args.free_file)
-        stripped = text.lstrip()
-        if stripped.startswith("["):
-            try:
-                values = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise fileio.ParseError(f"invalid free-parameter JSON: {exc}") from None
-        else:
-            tokens = [tok for _, line in fileio._clean_lines(text) for tok in line.split()]
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise fileio.ParseError(f"invalid free-parameter file: {exc}") from None
-        try:
-            return solver.FreeParameters.from_sequence(values)
-        except (TypeError, ValueError) as exc:
-            raise fileio.ParseError(str(exc)) from None
+        return solver.FreeParameters(*fileio.parse_free_parameters(_read_text(args.free_file)))
     return solver.FreeParameters()
 
 
@@ -202,7 +187,8 @@ def _cmd_solve(args) -> int:
             raise _Failure(EXIT_USAGE,
                            "--perfect-correlation takes --m16, not --free/--free-file")
         try:
-            m = solver.perfect_correlation_solution(p, args.m16, eps)
+            m16 = 0.0 if args.m16 is None else args.m16
+            m = solver.perfect_correlation_solution(p, m16, eps)
         except model.ConsistencyError as exc:
             raise _Failure(EXIT_DOMAIN, str(exc)) from None
     else:
@@ -387,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve" and args.perfect_correlation and args.m16 is None:
-            args.m16 = 0.0
         return args.handler(args)
     except _Failure as exc:
         print(f"error: {exc.message}", file=sys.stderr)
@@ -398,9 +382,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (model.ConsistencyError, solver.InfeasibleIndependentSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except negativity.DegenerateSystemError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -18,6 +18,9 @@ written with 17 significant digits so a write/read round trip is exact.
 Both formats also have a JSON alternative: an object with key
 "probabilities" (labels like "a1+b1+") or "measures" (patterns like "+++-")
 mapping to numbers.  Extra top-level keys are ignored on read.
+
+A free-parameter document holds the 7 free weights of the solution family,
+as whitespace-separated numbers or a JSON array.
 """
 
 from __future__ import annotations
@@ -238,6 +241,27 @@ def measures_object(m) -> dict:
     """JSON-ready form of a measure vector."""
     m = np.asarray(m, dtype=float)
     return {"measures": {STRATEGY_PATTERNS[i]: float(m[i]) for i in range(16)}}
+
+
+# ---------------------------------------------------------------------------
+# Free-parameter documents
+# ---------------------------------------------------------------------------
+
+def parse_free_parameters(text: str) -> list[float]:
+    """Parse the 7 free weights (m2, m3, m7, m10, m14, m15, m16): a JSON
+    array of numbers, or whitespace-separated numbers over any lines."""
+    if text.lstrip().startswith("["):
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:   # JSONDecodeError, or an integer literal over 4300 digits
+            raise ParseError(f"invalid free-parameter JSON: {exc}") from None
+        values = [_json_number(v, f"free parameter {i + 1}") for i, v in enumerate(doc)]
+    else:
+        values = [_parse_number(token, lineno)
+                  for lineno, line in _clean_lines(text) for token in line.split()]
+    if len(values) != 7:
+        raise ParseError(f"expected 7 free parameters, got {len(values)}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ input silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,13 +294,9 @@ def check_range(p, eps: float = DEFAULT_EPS) -> list[RangeViolation]:
 
 def check_normalization(p, eps: float = DEFAULT_EPS) -> list[BlockViolation]:
     """Setting-pair blocks whose probabilities do not sum to 1 within eps."""
-    p = as_probability_set(p)
-    out = []
-    for j, k in SETTING_PAIRS:
-        total = float(p[block_slice(j, k)].sum())
-        if abs(total - 1.0) > eps:
-            out.append(BlockViolation(j, k, total))
-    return out
+    totals = as_probability_set(p).reshape(4, 4).sum(axis=1).tolist()
+    return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
+            if abs(total - 1.0) > eps]
 
 
 def check_no_signaling(p, eps: float = DEFAULT_EPS) -> list[MarginalViolation]:
@@ -437,6 +433,17 @@ CHSH_VARIANTS = (
 )
 
 
+#: CHSH sums as one linear map: row v of CHSH_MATRIX @ p is the sum of
+#: CHSH_VARIANTS[v] for a normalized probability set p.  Each block of four
+#: columns is one setting pair's correlation, p(+,+) - p(+,-) - p(-,+) + p(-,-).
+CHSH_MATRIX = (
+    np.array([[v.overall_sign * v.pair_sign(j, k) for j, k in SETTING_PAIRS]
+              for v in CHSH_VARIANTS], dtype=float)
+    @ np.kron(np.eye(4), [1.0, -1.0, -1.0, 1.0])
+)
+CHSH_MATRIX.setflags(write=False)
+
+
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     """Correlation coefficient of setting pair (a_j, b_k):
     p(+,+) + p(-,-) - p(+,-) - p(-,+).
@@ -453,6 +460,19 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     return float(block[0] + block[3] - block[1] - block[2])
 
 
+def _chsh_deltas(p, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The 8 CHSH sums of p, aligned with CHSH_VARIANTS.
+
+    Requires every block normalized within eps.
+    """
+    p = as_probability_set(p)
+    bad = check_normalization(p, eps)
+    if bad:
+        raise ConsistencyError(
+            "cannot evaluate CHSH on an unnormalized probability set", bad)
+    return CHSH_MATRIX @ p
+
+
 def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) -> float:
     """CHSH sum of correlations for the given sign variant.
 
@@ -460,15 +480,7 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     passing that check, the canonical variant equals
     2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
     """
-    p = as_probability_set(p)
-    bad = check_normalization(p, eps)
-    if bad:
-        raise ConsistencyError(
-            "cannot evaluate CHSH on an unnormalized probability set", bad)
-    total = 0.0
-    for j, k in SETTING_PAIRS:
-        total += variant.pair_sign(j, k) * correlation(p, j, k, eps)
-    return variant.overall_sign * total
+    return float(_chsh_deltas(p, eps)[CHSH_VARIANTS.index(variant)])
 
 
 def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
@@ -482,7 +494,7 @@ def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
 
 def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
     """Largest |CHSH sum| over all 8 variants."""
-    return max(abs(chsh(p, v, eps)) for v in CHSH_VARIANTS)
+    return float(np.abs(_chsh_deltas(p, eps)).max())
 
 
 @dataclass(frozen=True)
@@ -513,8 +525,8 @@ class ChshReport:
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
-    deltas = tuple(chsh(p, v, eps) for v in CHSH_VARIANTS)
-    return ChshReport(deltas, max(abs(d) for d in deltas), None, eps)
+    deltas = _chsh_deltas(p, eps)
+    return ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), None, eps)
 
 
 def chsh_report_from_measures(m, eps: float = DEFAULT_EPS) -> ChshReport:
@@ -523,9 +535,7 @@ def chsh_report_from_measures(m, eps: float = DEFAULT_EPS) -> ChshReport:
     total = float(m.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    p = forward_map(m)
-    deltas = tuple(chsh(p, v, eps) for v in CHSH_VARIANTS)
-    return ChshReport(deltas, max(abs(d) for d in deltas), sigmas(m), eps)
+    return replace(chsh_report(forward_map(m), eps), sigmas=sigmas(m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-"""Minimum-negativity search over the solution family of a box.
+"""Minimum negativity of a box, in closed form, with a witness model.
 
-Total negativity (the summed magnitude of a measure vector's negative
-weights) is a convex piecewise-linear function of the 7 free weights, so its
-minimum over the whole solution family is an epigraph linear program: one
-slack t_i >= max(0, -m_i(f)) per weight, objective sum(t).  The LP is tiny
-(23 variables, 16 constraints) and is solved by a dense two-phase simplex
-with Bland's rule, so results are deterministic and need no external solver.
-
-Every CHSH variant also gives a closed-form lower bound: a variant sum of
+Theorem: a no-signalling box p has a signed local model of total negativity
+max(0, (|delta| - 2) / 4), where |delta| is its largest CHSH sum, and no
+model of p does better.  The bound holds for every model: a variant sum of
 delta forces one of its two complementary 8-strategy sums below zero by
-(|delta| - 2) / 4, and the negative weights must cover that deficit.  The
-reported minimum always sits at or above the largest such bound.
+(|delta| - 2) / 4, and the negative weights must cover that deficit.
+
+The witness attaining it is built in two steps.  First, let v be the variant
+with the largest signed sum delta_v and mu = max(0, (delta_v - 2) / 2).  Then
+p = mu * PR_v + (1 - mu) * L, where PR_v is the PR box of variant v and L is
+a local box on the facet CHSH_v = 2 (Barrett et al., Phys. Rev. A 71, 022101
+(2005)).  PR_v has the model (1 + C_v) / 16, where C_v(s) = +-2 is the
+variant's value on strategy s: it puts -1/16 on the 8 strategies with
+C_v = -2, so its negativity is exactly 1/2.  Second, L has a nonnegative
+model glued from two three-variable marginals (Fine, Phys. Rev. Lett. 48,
+291 (1982)); since L lies on the facet, that model puts no weight on the
+strategies with C_v = -2.  The mixture of the two models therefore carries
+negativity mu / 2, the bound.
 """
 
 from __future__ import annotations
@@ -20,239 +26,77 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
+    DEPENDENT_INDICES,
+    FORWARD_MATRIX,
+    INDEPENDENT_INDICES,
     chsh,
+    dependent_from_independent,
+    max_abs_chsh,
+    require_consistent,
     total_negativity,
 )
-from .solver import (
-    FreeParameters,
-    IndependentProbabilities,
-    general_solution,
-    independent_probs,
-    solution_affine_map,
-)
+from .solver import FREE_INDICES, FreeParameters
 
-#: Feasibility slack used inside the simplex.
-LP_FEASIBILITY_EPS = 1e-8
-#: Result-level slack: a minimum at or below this counts as "a nonnegative
-#: model exists".
-RESULT_EPS = 1e-6
-
-_PIVOT_ELIGIBLE = 1e-9     # column entries below this cannot be ratio-test pivots
-_PIVOT_BREAKDOWN = 1e-12   # chosen pivot below this aborts with a diagnostic
-_MAX_PIVOTS = 10_000
-
-
-class DegenerateSystemError(RuntimeError):
-    """The simplex hit a numerically unusable pivot or failed to terminate."""
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Minimize objective @ x subject to lhs @ x >= rhs.
-
-    Variables with nonnegative[j] set are bounded below by zero; the rest are
-    free.  All entries must be finite.
-    """
-    objective: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    nonnegative: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        a = np.asarray(self.lhs, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        nn = np.asarray(self.nonnegative, dtype=bool)
-        if a.ndim != 2:
-            raise ValueError("lhs must be a matrix")
-        rows, cols = a.shape
-        if c.shape != (cols,) or b.shape != (rows,) or nn.shape != (cols,):
-            raise ValueError(
-                f"inconsistent LP dimensions: lhs {a.shape}, objective {c.shape}, "
-                f"rhs {b.shape}, nonnegative {nn.shape}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("LP contains non-finite entries")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "lhs", a)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "nonnegative", nn)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str                      # "optimal" | "unbounded" | "infeasible"
-    optimal_value: float | None
-    assignment: np.ndarray | None    # values of the original variables
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    pivot = tableau[row, col]
-    if abs(pivot) < _PIVOT_BREAKDOWN:
-        raise DegenerateSystemError(
-            f"pivot magnitude {abs(pivot):.3e} below {_PIVOT_BREAKDOWN:.0e} "
-            f"at row {row}, column {col}")
-    tableau[row] /= pivot
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-
-
-def _run_simplex(tableau: np.ndarray, basis: list[int], costs: np.ndarray) -> str:
-    """Bland's-rule simplex on an equality tableau with rhs in the last column.
-
-    Entering variable: lowest-index column with negative reduced cost.
-    Leaving variable: minimum ratio, ties broken by lowest basic index.
-    Returns "optimal" or "unbounded"; mutates tableau and basis in place.
-    """
-    rows, width = tableau.shape
-    ncols = width - 1
-    for _ in range(_MAX_PIVOTS):
-        reduced = costs.copy()
-        for i, b in enumerate(basis):
-            if costs[b] != 0.0:
-                reduced -= costs[b] * tableau[i, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -LP_FEASIBILITY_EPS:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(rows):
-            coeff = tableau[i, entering]
-            if coeff > _PIVOT_ELIGIBLE:
-                ratio = tableau[i, -1] / coeff
-                if (ratio < best_ratio - _PIVOT_BREAKDOWN
-                        or (abs(ratio - best_ratio) <= _PIVOT_BREAKDOWN
-                            and (leaving < 0 or basis[i] < basis[leaving]))):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return "unbounded"
-
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-    raise DegenerateSystemError(f"simplex did not terminate within {_MAX_PIVOTS} pivots")
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram with a dense two-phase simplex.
-
-    Deterministic for identical input: Bland's rule fixes every pivot choice.
-    Raises DegenerateSystemError on numerical breakdown.
-    """
-    rows, ncols = lp.lhs.shape
-
-    # Split free variables into positive/negative parts.
-    col_plus = np.full(ncols, -1, dtype=int)
-    col_minus = np.full(ncols, -1, dtype=int)
-    columns = []
-    for j in range(ncols):
-        col_plus[j] = len(columns)
-        columns.append(lp.lhs[:, j])
-        if not lp.nonnegative[j]:
-            col_minus[j] = len(columns)
-            columns.append(-lp.lhs[:, j])
-    a_std = np.column_stack(columns)
-
-    # Surplus columns turn lhs @ x >= rhs into equalities, then rows are
-    # flipped as needed so the rhs is nonnegative and artificials can start
-    # as the basis.
-    a_eq = np.hstack([a_std, -np.eye(rows)])
-    b = lp.rhs.astype(float).copy()
-    for i in range(rows):
-        if b[i] < 0.0:
-            a_eq[i] *= -1.0
-            b[i] = -b[i]
-    n_real = a_eq.shape[1]
-
-    costs_std = np.zeros(n_real)
-    for j in range(ncols):
-        costs_std[col_plus[j]] = lp.objective[j]
-        if col_minus[j] >= 0:
-            costs_std[col_minus[j]] = -lp.objective[j]
-
-    tableau = np.hstack([a_eq, np.eye(rows), b[:, None]])
-    basis = [n_real + i for i in range(rows)]
-
-    phase1_costs = np.zeros(n_real + rows)
-    phase1_costs[n_real:] = 1.0
-    status = _run_simplex(tableau, basis, phase1_costs)
-    if status != "optimal":
-        raise DegenerateSystemError("phase-one subproblem reported unbounded")
-    phase1_value = sum(phase1_costs[b] * tableau[i, -1] for i, b in enumerate(basis))
-    if phase1_value > LP_FEASIBILITY_EPS:
-        return LpSolution("infeasible", None, None)
-
-    # Drive artificials out of the basis; rows with no real pivot are redundant.
-    keep_rows = []
-    for i in range(rows):
-        if basis[i] >= n_real:
-            pivot_col = -1
-            for j in range(n_real):
-                if abs(tableau[i, j]) > _PIVOT_ELIGIBLE:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue
-            _pivot(tableau, i, pivot_col)
-            basis[i] = pivot_col
-        keep_rows.append(i)
-    tableau = np.hstack([tableau[keep_rows, :n_real], tableau[keep_rows, -1:]])
-    basis = [basis[i] for i in keep_rows]
-
-    status = _run_simplex(tableau, basis, costs_std)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None)
-
-    x_std = np.zeros(n_real)
-    for i, bvar in enumerate(basis):
-        x_std[bvar] = tableau[i, -1]
-    x = np.empty(ncols)
-    for j in range(ncols):
-        x[j] = x_std[col_plus[j]]
-        if col_minus[j] >= 0:
-            x[j] -= x_std[col_minus[j]]
-    return LpSolution("optimal", float(lp.objective @ x), x)
-
-
-# ---------------------------------------------------------------------------
-# Negativity over the solution family
-# ---------------------------------------------------------------------------
-
-def build_negativity_lp(ip: IndependentProbabilities) -> LinearProgram:
-    """Epigraph LP whose optimum is the minimum total negativity over the
-    solution family of ip.
-
-    Variables are the 7 free weights (unbounded) followed by 16 slacks
-    t_i >= 0 with t_i >= -m_i(f); the objective is sum(t).
-    """
-    base, coeffs = solution_affine_map(ip)
-    lhs = np.hstack([coeffs, np.eye(16)])
-    rhs = -base
-    objective = np.concatenate([np.zeros(7), np.ones(16)])
-    nonnegative = np.concatenate([np.zeros(7, dtype=bool), np.ones(16, dtype=bool)])
-    return LinearProgram(objective, lhs, rhs, nonnegative)
+#: Row v holds each strategy's CHSH value (+-2) under CHSH_VARIANTS[v].
+_STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
+#: Minimum-norm inverse of the forward map on no-signalling boxes.
+_FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
 
 
 def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
     """Largest closed-form negativity bound over the 8 CHSH variants:
     max(0, (|delta_v| - 2) / 4)."""
-    return max(max(0.0, (abs(chsh(p, v, eps)) - 2.0) / 4.0) for v in CHSH_VARIANTS)
+    return max(0.0, (max_abs_chsh(p, eps) - 2.0) / 4.0)
+
+
+def _fine_model(box: np.ndarray) -> np.ndarray:
+    """Fine's nonnegative model of a local box.
+
+    The joint law of (B1, B2) is q(b1, b2), and each A_j is glued to it
+    through a three-variable table T_j(a_j, b1, b2) with the box's (A_j, B1)
+    and (A_j, B2) marginals; then m = T_1 * T_2 / q.  The one free entry of
+    q and of each T_j sits at the midpoint of its feasible interval; the
+    intervals are non-empty exactly when every CHSH sum of the box is at
+    most 2, and then T_2 / q = P(A2 | B1, B2) lies in [0, 1].  It is clipped
+    there (and set to 0 where q = 0), because rounding in q near 0 would
+    otherwise turn into weights of order 1.
+    """
+    p = box.tolist()
+    b1, b2 = p[0] + p[2], p[4] + p[6]                   # P(B1+), P(B2+)
+    # (P(A_j+, B1+), P(A_j+, B2+), P(A_j+)) for j = 1, 2
+    uwa = [(p[0], p[4], p[0] + p[1]), (p[8], p[12], p[8] + p[9])]
+    x = 0.5 * (max(0.0, b1 + b2 - 1.0, *(u + w - a for u, w, a in uwa),
+                   *(a + b1 + b2 - 1.0 - u - w for u, w, a in uwa))
+               + min(b1, b2, *(b1 + w - u for u, w, a in uwa),
+                     *(b2 + u - w for u, w, a in uwa)))
+    q = (x, b1 - x, b2 - x, 1.0 - b1 - b2 + x)         # (b1, b2) = ++, +-, -+, --
+    plus = []                                           # T_j(+, b1, b2), q's order
+    for u, w, a in uwa:
+        t = 0.5 * (max(0.0, u + w - a, u - b1 + x, w - b2 + x)
+                   + min(u, w, x, q[3] - a + u + w))
+        plus.append((t, u - t, w - t, a - u - w + t))
+    t1 = (plus[0], [qk - tk for qk, tk in zip(q, plus[0])])          # T_1[a1][b1, b2]
+    a2_plus = [min(1.0, max(0.0, tk / qk)) if qk != 0.0 else 0.0
+               for qk, tk in zip(q, plus[1])]
+    cond = (a2_plus, [1.0 - c for c in a2_plus])                    # P(A2 = a2 | b1, b2)
+    return np.array([t1[a1][b] * cond[a2][b]                        # strategy order
+                     for a1 in (0, 1) for b1 in (0, 2) for a2 in (0, 1) for b in (b1, b1 + 1)])
 
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """Outcome of the minimum-negativity search for one box.
+    """Least total negativity of any signed local model of one box.
 
-    witness is a measure vector attaining the minimum (taken from the
-    simplex's terminal basis, not canonicalized); feasible records whether a
-    nonnegative model exists, i.e. the minimum is zero up to RESULT_EPS.
+    min_negativity is the total negativity of witness, a measure vector that
+    reproduces the box: the PR/local mixture of the module docstring, equal
+    to max(0, (|delta| - 2) / 4) up to rounding.  witness_free_params are
+    its 7 free weights, so the witness is also general_solution of the box at
+    those weights.  lower_bound is the same closed form, and feasible records
+    whether a nonnegative model exists: max |delta| <= 2 + eps, the test
+    ChshReport.any_violation applies.
     """
     min_negativity: float
     witness: np.ndarray
@@ -264,21 +108,34 @@ class NegativityResult:
 def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     """Minimize total negativity over all measure vectors reproducing p.
 
-    Requires p consistent within eps.  The returned minimum is recomputed
-    from the witness, so the witness and the reported value always agree.
+    Requires p consistent within eps: the construction holds only on the
+    no-signalling polytope, so ConsistencyError is raised otherwise.  The
+    witness reproduces p_hat, the box rebuilt from p's 8 independent
+    entries, so it is off p by at most eps: the residual p_hat - F @ w of
+    the construction (rounding, or an entry of p_hat below 0) is removed by
+    its minimum-norm preimage.  The returned minimum is recomputed from the
+    witness, so the witness and the reported value always agree.
     """
-    ip = independent_probs(p, eps)
-    solution = solve_lp(build_negativity_lp(ip))
-    if solution.status != "optimal":
-        raise DegenerateSystemError(
-            f"negativity LP unexpectedly {solution.status}; it is feasible and "
-            "bounded by construction")
-    free = FreeParameters.from_sequence(solution.assignment[:7])
-    witness = general_solution(ip, free)
+    p_hat = np.array(require_consistent(p, eps))
+    p_hat[list(DEPENDENT_INDICES)] = dependent_from_independent(
+        p_hat[list(INDEPENDENT_INDICES)])
+    # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the benchmark's
+    # tracer test (perfbench/tests) counts these 8 calls through negativity.chsh
+    deltas = np.array([chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS])
+    v = int(np.argmax(deltas))
+    mu = max(0.0, (deltas[v] - 2.0) / 2.0)
+    pr_model = (1.0 + _STRATEGY_CHSH[v]) / 16.0
+    if mu >= 1.0:
+        witness = pr_model
+    else:
+        local = (p_hat - mu * (FORWARD_MATRIX @ pr_model)) / (1.0 - mu)
+        witness = mu * pr_model + (1.0 - mu) * _fine_model(local)
+    witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+    max_abs_delta = float(np.abs(deltas).max())
     return NegativityResult(
         min_negativity=total_negativity(witness),
         witness=witness,
-        witness_free_params=free,
-        lower_bound=chsh_lower_bound(p, eps),
-        feasible=total_negativity(witness) <= RESULT_EPS,
+        witness_free_params=FreeParameters(*witness[list(FREE_INDICES)]),
+        lower_bound=max(0.0, (max_abs_delta - 2.0) / 4.0),
+        feasible=max_abs_delta <= 2.0 + eps,
     )

@@ -165,21 +165,6 @@ def general_solution(ip: IndependentProbabilities,
                      m9, f10, m11, m12, m13, f14, f15, f16])
 
 
-def solution_affine_map(ip: IndependentProbabilities) -> tuple[np.ndarray, np.ndarray]:
-    """Affine coefficients of the solution family: m(f) = base + coeffs @ f.
-
-    Returns (base, coeffs) with base of shape (16,) and coeffs of shape (16, 7),
-    columns in FreeParameters field order.
-    """
-    base = general_solution(ip)
-    coeffs = np.empty((16, 7))
-    for col in range(7):
-        unit = np.zeros(7)
-        unit[col] = 1.0
-        coeffs[:, col] = general_solution(ip, FreeParameters(*unit)) - base
-    return base, coeffs
-
-
 def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Measure vector reproducing the consistent probability set p, at the
     given point of the 7-parameter solution family (zeros by default)."""

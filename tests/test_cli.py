@@ -30,6 +30,10 @@ def born_box(state_text, angles):
     return ql.generate_probability_set(ql.QubitScenario(state, *dirs))
 
 
+def box_object_text(p):
+    return json.dumps(box_object(p))
+
+
 def comment_field(text, prefix):
     return next(line[len(prefix):] for line in text.splitlines() if line.startswith(prefix))
 
@@ -117,3 +121,44 @@ def test_json_booleans_are_parse_errors(run, command, document, key):
     assert code == 2
     assert out == ""
     assert "non-numeric value True" in err
+
+
+@pytest.mark.parametrize("document, message", [
+    ("[true, 0, 0, 0, 0, 0, 0.0]", "free parameter 1 has non-numeric value True"),
+    ('[0, 0, 0, 0, 0, 0, "0.0"]', "free parameter 7 has non-numeric value '0.0'"),
+    ('{"m2": 0}', "line 1: '{\"m2\":' is not a number"),
+    ("[0, 0, 0", "invalid free-parameter JSON"),
+    ("0 0 0\n# comment\n0 0 x 0\n", "line 3: 'x' is not a number"),
+    ("0 0 0 0 0 0 nan\n", "line 1: value 'nan' is not finite"),
+    ("0 0 0 0 0 0\n", "expected 7 free parameters, got 6"),
+])
+def test_bad_free_parameter_files_are_parse_errors(run, tmp_path, document, message):
+    path = tmp_path / "free"
+    path.write_text(document)
+    code, out, err = run(["solve", "--free-file", str(path)], box_object_text(ql.uniform_box()))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("document", ["[0.5, 0, 0, 0, 0, 0, -0.25]",
+                                      "0.5 0 0  # m2 m3 m7\n0 0 0 -0.25\n"])
+def test_free_parameter_file_matches_free(run, tmp_path, document):
+    path = tmp_path / "free"
+    path.write_text(document)
+    box = box_object_text(ql.tsirelson_box())
+    code, from_file, _ = run(["solve", "--free-file", str(path)], box)
+    assert code == 0
+    _, from_flag, _ = run(["solve", "--free", "0.5", "0", "0", "0", "0", "0", "-0.25"], box)
+    assert from_file == from_flag
+
+
+def test_perfect_correlation_defaults_m16_to_zero(run):
+    code, out, _ = run(["solve", "--perfect-correlation", "--format", "json"],
+                       box_object_text(ql.pr_box()))
+    assert code == 0
+    m = ql.parse_measures(out)
+    assert np.array_equal(m, ql.perfect_correlation_solution(ql.pr_box(), 0.0))
+    code, _, err = run(["solve", "--m16", "0"], box_object_text(ql.pr_box()))
+    assert code == 2
+    assert "--m16 is only meaningful with --perfect-correlation" in err

@@ -314,6 +314,35 @@ def test_chsh_report():
     assert not quiet.any_violation
 
 
+def loop_chsh(p, variant):
+    """A CHSH sum from the four correlations: the reference for CHSH_MATRIX."""
+    return variant.overall_sign * sum(
+        variant.pair_sign(j, k) * ql.correlation(p, j, k)
+        for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+@given(st.lists(st.floats(1e-3, 1.0), min_size=16, max_size=16))
+def test_chsh_matrix_matches_the_per_variant_loop(values):
+    blocks = np.array(values).reshape(4, 4)
+    p = (blocks / blocks.sum(axis=1, keepdims=True)).reshape(16)
+    loop = np.array([loop_chsh(p, v) for v in ql.CHSH_VARIANTS])
+    # two sums of 16 terms in different orders
+    tol = 16 * np.finfo(float).eps * np.abs(p).sum()
+    assert np.abs(np.array(ql.chsh_report(p).deltas) - loop).max() <= tol
+    assert np.abs(np.array([ql.chsh(p, v) for v in ql.CHSH_VARIANTS]) - loop).max() <= tol
+    assert abs(ql.max_abs_chsh(p) - np.abs(loop).max()) <= tol
+    assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
+
+
+@pytest.mark.parametrize("evaluate", [ql.chsh, ql.chsh_report, ql.max_abs_chsh,
+                                      ql.chsh_lower_bound])
+def test_chsh_functions_reject_unnormalized_boxes(evaluate):
+    p = ql.uniform_box()
+    p[0] = 0.5
+    with pytest.raises(ql.ConsistencyError, match="unnormalized"):
+        evaluate(p)
+
+
 # ---------------------------------------------------------------------------
 # Sigma sums and the necessity of negative weights
 # ---------------------------------------------------------------------------

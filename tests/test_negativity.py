@@ -1,10 +1,10 @@
-"""LP solver and minimum-negativity tests.
+"""Minimum-negativity tests.
 
-The independent oracle for the optimization is a random-restart coordinate
-descent with exact piecewise-linear line search: the objective along any one
-free weight is convex piecewise linear, so its exact minimizer sits at a
-breakpoint where some model weight crosses zero.  scipy's LP solver is used
-as a second cross-check of the simplex itself.
+The closed form max(0, (|delta| - 2) / 4) and its witness are checked against
+two independent oracles: scipy's linprog over the 16 weights directly, and a
+random-restart coordinate descent with exact piecewise-linear line search.
+The objective along any one free weight is convex piecewise linear, so its
+exact minimizer sits at a breakpoint where some model weight crosses zero.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ def descent_min_negativity(p, restarts=6, seed=0, max_sweeps=120):
     frame (the axes first, then random rotations, which stops the nonsmooth
     objective from pinning the iterate at an axis-aligned corner).  The
     affine expansion of the family is recovered by probing general_solution,
-    so the oracle shares no code path with the simplex.
+    so the oracle shares no code path with the closed form.
     """
     rng = np.random.default_rng(seed)
     ip = ql.independent_probs(p)
@@ -64,101 +64,118 @@ def descent_min_negativity(p, restarts=6, seed=0, max_sweeps=120):
     return best
 
 
+F = ql.FORWARD_MATRIX
+#: Each strategy's CHSH value (+-2) per variant, and the PR boxes' models.
+STRATEGY_CHSH = ql.CHSH_MATRIX @ F
+PR_MODELS = (1.0 + STRATEGY_CHSH) / 16.0
+#: The 24 vertices of the no-signalling polytope: 16 deterministic boxes and
+#: the 8 PR boxes.
+VERTICES = np.vstack([F.T, PR_MODELS @ F.T])
+
+
+def closed_form(p):
+    return max(0.0, (np.abs(ql.CHSH_MATRIX @ p).max() - 2.0) / 4.0)
+
+
+def linprog_min_negativity(p):
+    """min sum(t) over (m, t) subject to F m = p, t >= -m, t >= 0."""
+    eye = np.eye(16)
+    result = linprog(
+        c=np.concatenate([np.zeros(16), np.ones(16)]),
+        A_ub=np.hstack([-eye, -eye]), b_ub=np.zeros(16),
+        A_eq=np.hstack([F, np.zeros((16, 16))]), b_eq=p,
+        bounds=[(None, None)] * 16 + [(0, None)] * 16, method="highs")
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def assert_closed_form(p, result):
+    """The witness reproduces p, sums to 1 and carries exactly the closed
+    form, which lower_bound and feasible follow too."""
+    assert np.abs(F @ result.witness - p).max() <= 1e-12
+    assert abs(result.witness.sum() - 1.0) <= 1e-12
+    assert abs(result.min_negativity - closed_form(p)) <= 1e-12
+    assert abs(result.lower_bound - closed_form(p)) <= 1e-12
+    assert result.feasible == (np.abs(ql.CHSH_MATRIX @ p).max() <= 2.0 + ql.DEFAULT_EPS)
+
+
+def vertex_mixture(rng):
+    """Random convex mixture of 1 to 5 of the 24 no-signalling vertices."""
+    k = rng.integers(1, 6)
+    return rng.dirichlet(np.ones(k)) @ VERTICES[rng.choice(24, k, replace=False)]
+
+
 # ---------------------------------------------------------------------------
-# LP construction and the simplex
+# The closed form and its witness
 # ---------------------------------------------------------------------------
 
-def test_linear_program_validation():
-    with pytest.raises(ValueError):
-        ql.LinearProgram(np.ones(2), np.ones((3, 3)), np.ones(3), np.ones(3, dtype=bool))
-    with pytest.raises(ValueError):
-        ql.LinearProgram(np.array([np.inf]), np.ones((1, 1)), np.ones(1),
-                         np.ones(1, dtype=bool))
-
-
-def test_solve_lp_single_variable():
-    # min x subject to x >= 3
-    lp = ql.LinearProgram(np.ones(1), np.ones((1, 1)), np.array([3.0]),
-                          np.array([True]))
-    sol = ql.solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.optimal_value == pytest.approx(3.0, abs=1e-9)
-    assert sol.assignment[0] == pytest.approx(3.0, abs=1e-9)
-
-
-def test_solve_lp_free_variable():
-    # min x subject to x >= -5, x unrestricted in sign
-    lp = ql.LinearProgram(np.ones(1), np.ones((1, 1)), np.array([-5.0]),
-                          np.array([False]))
-    sol = ql.solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.optimal_value == pytest.approx(-5.0, abs=1e-9)
-
-
-def test_solve_lp_two_variables():
-    # min -x - y subject to x + y <= 4 (as -x - y >= -4), x, y >= 0
-    lp = ql.LinearProgram(np.array([-1.0, -1.0]), np.array([[-1.0, -1.0]]),
-                          np.array([-4.0]), np.array([True, True]))
-    sol = ql.solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.optimal_value == pytest.approx(-4.0, abs=1e-9)
-
-
-def test_solve_lp_infeasible():
-    # x >= 1 and -x >= 0 cannot both hold for x >= 0
-    lp = ql.LinearProgram(np.ones(1), np.array([[1.0], [-1.0]]),
-                          np.array([1.0, 0.0]), np.array([True]))
-    assert ql.solve_lp(lp).status == "infeasible"
-
-
-def test_solve_lp_unbounded():
-    # min -x subject to x >= 1
-    lp = ql.LinearProgram(np.array([-1.0]), np.ones((1, 1)), np.array([1.0]),
-                          np.array([True]))
-    assert ql.solve_lp(lp).status == "unbounded"
-
-
-def test_solve_lp_deterministic():
-    lp = ql.build_negativity_lp(ql.independent_probs(ql.tsirelson_box()))
-    first = ql.solve_lp(lp)
-    second = ql.solve_lp(lp)
-    assert first.optimal_value == second.optimal_value
-    assert np.array_equal(first.assignment, second.assignment)
-
-
-def test_solve_lp_against_scipy_random_programs():
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        rows, cols = rng.integers(2, 7), rng.integers(2, 6)
-        a = rng.normal(size=(rows, cols))
-        x0 = rng.uniform(0.0, 2.0, cols)
-        b = a @ x0 - rng.uniform(0.0, 1.0, rows)  # x0 strictly feasible
-        c = rng.uniform(0.1, 2.0, cols)           # bounded below on x >= 0
-        lp = ql.LinearProgram(c, a, b, np.ones(cols, dtype=bool))
-        mine = ql.solve_lp(lp)
-        ref = linprog(c, A_ub=-a, b_ub=-b, bounds=[(0, None)] * cols, method="highs")
-        assert mine.status == "optimal" and ref.status == 0
-        assert mine.optimal_value == pytest.approx(ref.fun, abs=1e-7)
-
-
-def test_negativity_lp_shape_and_scipy_agreement():
+def test_min_negativity_matches_scipy_and_the_closed_form_on_vertex_mixtures():
     rng = np.random.default_rng(43)
-    for _ in range(20):
-        lp = ql.build_negativity_lp(ql.independent_probs(random_mixture_box(rng)))
-        assert lp.lhs.shape == (16, 23)
-        assert lp.objective.sum() == 16.0
-        assert not lp.nonnegative[:7].any() and lp.nonnegative[7:].all()
-        mine = ql.solve_lp(lp)
-        bounds = [(0, None) if nn else (None, None) for nn in lp.nonnegative]
-        ref = linprog(lp.objective, A_ub=-lp.lhs, b_ub=-lp.rhs, bounds=bounds,
-                      method="highs")
-        assert mine.optimal_value == pytest.approx(ref.fun, abs=1e-8)
+    for _ in range(2000):
+        p = vertex_mixture(rng)
+        result = ql.min_negativity(p)
+        assert_closed_form(p, result)
+        assert result.min_negativity == pytest.approx(linprog_min_negativity(p), abs=1e-9)
 
 
-def test_negativity_lp_uniform_is_zero():
-    sol = ql.solve_lp(ql.build_negativity_lp(ql.independent_probs(ql.uniform_box())))
-    assert sol.status == "optimal"
-    assert sol.optimal_value == pytest.approx(0.0, abs=1e-9)
+def test_every_no_signalling_vertex():
+    # deterministic boxes take the local branch (mu = 0), PR boxes mu >= 1
+    for i, p in enumerate(VERTICES):
+        result = ql.min_negativity(p)
+        assert_closed_form(p, result)
+        assert result.min_negativity == (0.0 if i < 16 else 0.5)
+
+
+def test_pr_witness_has_minus_one_sixteenth_on_eight_strategies():
+    for v in range(8):
+        witness = ql.min_negativity(F @ PR_MODELS[v]).witness
+        assert np.array_equal(witness, PR_MODELS[v])
+        assert np.count_nonzero(witness == -1 / 16) == 8
+        assert np.array_equal(witness < 0, STRATEGY_CHSH[v] == -2)
+
+
+def test_min_negativity_is_deterministic():
+    p = random_mixture_box(np.random.default_rng(7))
+    first, second = ql.min_negativity(p), ql.min_negativity(p)
+    assert np.array_equal(first.witness, second.witness)
+    assert first.min_negativity == second.min_negativity
+
+
+def test_box_consistent_only_to_half_eps_is_reproduced_within_eps():
+    # noise on every entry leaves p_hat, the box rebuilt from p's independent
+    # entries, below 0 in places, where Fine's gluing is clipped
+    eps = 1e-9
+    rng = np.random.default_rng(67)
+    for _ in range(400):
+        p = vertex_mixture(rng) + rng.uniform(-0.1, 0.1, 16) * eps
+        assert ql.is_consistent(p, 0.5 * eps)
+        result = ql.min_negativity(p, eps)
+        p_hat = F @ ql.solve(p, eps=eps)
+        assert np.abs(F @ result.witness - p_hat).max() <= 1e-15
+        assert np.abs(F @ result.witness - p).max() <= eps
+        assert abs(result.witness.sum() - 1.0) <= 1e-12
+
+
+def test_facet_box_whose_delta_rounds_above_two():
+    # delta_v comes out about 2 + 1e-15, so mu is about 4e-16 and q has entries near
+    # 0: unclipped, Fine's T_2 / q turned rounding into weights of -0.25
+    p = np.array([0.8451938089115351, 0.15480619108846508]) @ VERTICES[[6, 14]]
+    assert_closed_form(p, ql.min_negativity(p))
+
+
+def test_out_of_range_box_that_satisfies_the_relations_is_rejected():
+    p = 1.5 * ql.pr_box() - 0.5 * ql.uniform_box()   # entries 0.625 and -0.125
+    assert ql.check_derived_relations(p) == []
+    with pytest.raises(ql.ConsistencyError):
+        ql.min_negativity(p)
+
+
+@pytest.mark.parametrize("excess, violated", [(1e-7, True), (0.5e-9, False)])
+def test_feasible_agrees_with_the_chsh_report(excess, violated):
+    lam = (2.0 + excess) / 4.0
+    p = lam * ql.pr_box() + (1.0 - lam) * ql.uniform_box()
+    assert ql.chsh_report(p).any_violation is violated
+    assert ql.min_negativity(p).feasible is not violated
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +190,7 @@ def test_chsh_lower_bound_values():
 
 def test_min_negativity_uniform():
     result = ql.min_negativity(ql.uniform_box())
+    assert_closed_form(ql.uniform_box(), result)
     assert result.min_negativity == pytest.approx(0.0, abs=1e-9)
     assert result.feasible
     assert result.lower_bound == 0.0
@@ -181,6 +199,7 @@ def test_min_negativity_uniform():
 
 def test_min_negativity_pr_box():
     result = ql.min_negativity(ql.pr_box())
+    assert_closed_form(ql.pr_box(), result)
     assert result.min_negativity == pytest.approx(0.5, abs=1e-9)
     assert not result.feasible
     assert result.lower_bound == pytest.approx(0.5, abs=1e-12)
@@ -189,8 +208,8 @@ def test_min_negativity_pr_box():
 
 def test_min_negativity_tsirelson():
     result = ql.min_negativity(ql.tsirelson_box())
+    assert_closed_form(ql.tsirelson_box(), result)
     assert result.min_negativity >= (RT2 - 1) / 2 - 1e-9
-    # empirically the bound is attained exactly here
     assert result.min_negativity == pytest.approx((RT2 - 1) / 2, abs=1e-8)
     assert not result.feasible
     assert np.allclose(ql.forward_map(result.witness), ql.tsirelson_box(), atol=1e-9)
@@ -208,6 +227,7 @@ def test_witness_is_from_the_family():
     for _ in range(20):
         p = random_mixture_box(rng)
         result = ql.min_negativity(p)
+        assert_closed_form(p, result)
         assert result.witness.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(ql.forward_map(result.witness), p, atol=1e-6)
         rebuilt = ql.general_solution(ql.independent_probs(p), result.witness_free_params)
@@ -221,6 +241,7 @@ def test_sandwich_bound_over_random_boxes():
     for i in range(500):
         p = random_consistent_box(rng) if i % 2 == 0 else random_mixture_box(rng)
         result = ql.min_negativity(p)
+        assert_closed_form(p, result)
         assert result.lower_bound <= result.min_negativity + 1e-6
 
 

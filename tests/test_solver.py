@@ -149,20 +149,6 @@ def test_sigma1_depends_only_on_the_box():
             assert ql.sigmas(ql.solve(p, f)).sigma1 == pytest.approx(expected, abs=1e-9)
 
 
-def test_solution_affine_map_matches_general_solution():
-    rng = np.random.default_rng(21)
-    ip = ql.independent_probs(random_consistent_box(rng))
-    base, coeffs = ql.solution_affine_map(ip)
-    for _ in range(10):
-        f = rng.uniform(-5, 5, 7)
-        direct = ql.general_solution(ip, ql.FreeParameters(*f))
-        assert np.allclose(base + coeffs @ f, direct, atol=1e-12)
-    # free coordinates embed as themselves
-    for col, idx in enumerate(ql.FREE_INDICES):
-        assert base[idx] == 0.0
-        assert coeffs[idx, col] == 1.0
-
-
 # ---------------------------------------------------------------------------
 # Perfect correlation
 # ---------------------------------------------------------------------------
