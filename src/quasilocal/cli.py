@@ -90,14 +90,6 @@ def _violation_json(violation) -> dict:
     return data
 
 
-def _require_consistent(p: np.ndarray, eps: float) -> None:
-    checks = model.check_consistency(p, eps)
-    bad = [v for vs in checks.values() for v in vs]
-    if bad:
-        lines = "\n".join("  " + v.describe() for v in bad)
-        raise _Failure(EXIT_DOMAIN, f"input box is not consistent (eps = {eps:g}):\n{lines}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -127,8 +119,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_chsh(args) -> int:
     eps = _resolve_eps(args)
-    p = _load_box(args)
-    _require_consistent(p, eps)
+    p = model.require_consistent(_load_box(args), eps)
     report = model.chsh_report(p, eps)
 
     if args.format == "json":
@@ -180,17 +171,13 @@ def _negative_summary(m: np.ndarray) -> list[str]:
 def _cmd_solve(args) -> int:
     eps = _resolve_eps(args)
     p = _load_box(args)
-    _require_consistent(p, eps)
 
     if args.perfect_correlation:
         if args.free is not None or args.free_file is not None:
             raise _Failure(EXIT_USAGE,
                            "--perfect-correlation takes --m16, not --free/--free-file")
-        try:
-            m16 = 0.0 if args.m16 is None else args.m16
-            m = solver.perfect_correlation_solution(p, m16, eps)
-        except model.ConsistencyError as exc:
-            raise _Failure(EXIT_DOMAIN, str(exc)) from None
+        m16 = 0.0 if args.m16 is None else args.m16
+        m = solver.perfect_correlation_solution(p, m16, eps)
     else:
         if args.m16 is not None:
             raise _Failure(EXIT_USAGE, "--m16 is only meaningful with --perfect-correlation")
@@ -224,9 +211,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_negativity(args) -> int:
     eps = _resolve_eps(args)
-    p = _load_box(args)
-    _require_consistent(p, eps)
-    result = negativity.min_negativity(p, eps)
+    result = negativity.min_negativity(_load_box(args), eps)
 
     if args.format == "json":
         _print_json({

@@ -15,6 +15,12 @@ machinery: correlation coefficients, the 8 CHSH sign variants, the
 complementary strategy-subset sums sigma1/sigma2, and the necessity verdict
 linking CHSH violation to negative weights.
 
+The encodings are decided in strategy_index and prob_index alone.
+FORWARD_MATRIX is built from them, and every other constant map is derived
+from it at import: the relation table DEPENDENT_SIGNS (a least-squares
+solution, rounded to the nearest half), the strategies' CHSH values and the
+sigma1/sigma2 split.
+
 Everything here is a pure function of immutable values.  Measure vectors and
 probability sets are plain length-16 float arrays in the canonical orders
 defined below; weights may be negative and probabilities produced from
@@ -33,9 +39,6 @@ DEFAULT_EPS = 1e-9
 PLUS = 1
 MINUS = -1
 OUTCOMES = (PLUS, MINUS)
-
-#: Slot order used for strategy patterns: outcomes for (a1, b1, a2, b2).
-STRATEGY_SLOTS = ("a1", "b1", "a2", "b2")
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -142,18 +145,19 @@ def prob_label(index: int) -> str:
 PROB_LABELS = tuple(prob_label(i) for i in range(16))
 
 
+#: prob_index(j, k, m, n) on axes (j, k, bit(m), bit(n)).
+_PROB_INDEX = np.array([[[[prob_index(j, k, m, n) for n in OUTCOMES] for m in OUTCOMES]
+                         for k in (1, 2)] for j in (1, 2)])
+
+
 def _build_forward_matrix() -> np.ndarray:
-    slot = {"a1": 3, "b1": 2, "a2": 1, "b2": 0}  # bit shift per setting
-    F = np.zeros((16, 16))
-    for j, k in SETTING_PAIRS:
-        for m in OUTCOMES:
-            for n in OUTCOMES:
-                row = prob_index(j, k, m, n)
-                for s in range(16):
-                    a_bit = (s >> slot[f"a{j}"]) & 1
-                    b_bit = (s >> slot[f"b{k}"]) & 1
-                    if a_bit == outcome_bit(m) and b_bit == outcome_bit(n):
-                        F[row, s] = 1.0
+    # one-hot outcome bits on axes (strategy, slot a1/b1/a2/b2, bit); entry
+    # p(a_j = m, b_k = n) counts a strategy when A's bit at a_j is bit(m) and
+    # B's bit at b_k is bit(n)
+    bits = [[outcome_bit(o) for o in strategy_outcomes(s)] for s in range(16)]
+    one_hot = np.eye(2)[bits]
+    F = np.empty((16, 16))
+    F[_PROB_INDEX] = np.einsum("sjm,skn->jkmns", one_hot[:, 0::2], one_hot[:, 1::2])
     return F
 
 
@@ -163,10 +167,20 @@ def _build_forward_matrix() -> np.ndarray:
 FORWARD_MATRIX = _build_forward_matrix()
 FORWARD_MATRIX.setflags(write=False)
 
-#: Strategies contributing to sigma1: those whose deterministic CHSH value
-#: (canonical sign choice) is -2.  The complementary 8 make up sigma2.
-SIGMA1_STRATEGIES = (3, 4, 5, 7, 8, 10, 11, 12)
-SIGMA2_STRATEGIES = (0, 1, 2, 6, 9, 13, 14, 15)
+
+def _half_integer_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution x of a @ x = b, rounded to the nearest half
+    (every relation of this system has half-integer coefficients); + 0.0
+    turns the -0.0 that rounding leaves into 0.0."""
+    return np.round(2.0 * np.linalg.lstsq(a, b, rcond=None)[0]) / 2.0 + 0.0
+
+
+def _embedding(strategies, coordinates) -> np.ndarray:
+    """E with p = E @ (sum(m), p[coordinates]) for every p = FORWARD_MATRIX @ m
+    with m supported on strategies."""
+    F = FORWARD_MATRIX[:, strategies]
+    basis = np.vstack([np.ones(F.shape[1]), F[list(coordinates)]])
+    return _half_integer_solve(basis.T, F.T).T
 
 
 def _vector16(values, name: str) -> np.ndarray:
@@ -261,20 +275,26 @@ class RelationViolation:
 INDEPENDENT_INDICES = (0, 3, 4, 7, 8, 11, 13, 14)
 DEPENDENT_INDICES = (1, 2, 5, 6, 9, 10, 12, 15)
 
+_INDEPENDENT = np.array(INDEPENDENT_INDICES)
+_DEPENDENT = np.array(DEPENDENT_INDICES)
+
+#: Maps (1, p_ind) to the full box, p_ind the entries at INDEPENDENT_INDICES.
+_BOX_EMBEDDING = _embedding(range(16), INDEPENDENT_INDICES)
+_BOX_EMBEDDING.setflags(write=False)
+
 #: Sign table expressing each dependent entry as
 #: p_dep = (1 + sum_i sign_i * p_ind_i) / 2.
 #: Rows follow DEPENDENT_INDICES, columns follow INDEPENDENT_INDICES.
-DEPENDENT_SIGNS = np.array([
-    [-1, -1, +1, -1, -1, +1, +1, -1],
-    [-1, -1, -1, +1, +1, -1, -1, +1],
-    [+1, -1, -1, -1, -1, +1, +1, -1],
-    [-1, +1, -1, -1, +1, -1, -1, +1],
-    [-1, +1, +1, -1, -1, -1, +1, -1],
-    [+1, -1, -1, +1, -1, -1, -1, +1],
-    [-1, +1, +1, -1, +1, -1, -1, -1],
-    [+1, -1, -1, +1, -1, +1, -1, -1],
-], dtype=float)
+DEPENDENT_SIGNS = 2.0 * _BOX_EMBEDDING[_DEPENDENT, 1:]
 DEPENDENT_SIGNS.setflags(write=False)
+
+#: The 8 marginal equalities, A's then B's in MarginalViolation order: (party,
+#: setting, outcome), and the two entries summed under the other party's
+#: setting 1 and under its setting 2.
+_MARGINAL_LABELS = tuple((party, setting, outcome) for party in "AB"
+                         for setting in (1, 2) for outcome in OUTCOMES)
+_MARGINAL_TERMS = np.concatenate([_PROB_INDEX.transpose(0, 2, 1, 3).reshape(4, 2, 2),
+                                  _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 2, 2)])
 
 
 def dependent_from_independent(independent) -> np.ndarray:
@@ -285,18 +305,39 @@ def dependent_from_independent(independent) -> np.ndarray:
     return 0.5 * (1.0 + DEPENDENT_SIGNS @ ind)
 
 
+def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
+    bad = np.flatnonzero((p < -eps) | (p > 1.0 + eps))
+    return [RangeViolation(int(i), float(p[i])) for i in bad]
+
+
+def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
+    totals = p.reshape(4, 4).sum(axis=1).tolist()
+    return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
+            if abs(total - 1.0) > eps]
+
+
+def _marginal_violations(p: np.ndarray, eps: float) -> list[MarginalViolation]:
+    marginals = p[_MARGINAL_TERMS].sum(axis=2)
+    bad = np.flatnonzero(np.abs(marginals[:, 0] - marginals[:, 1]) > eps)
+    return [MarginalViolation(*_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
+
+
+def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
+    expected = dependent_from_independent(p[_INDEPENDENT])
+    actual = p[_DEPENDENT]
+    bad = np.flatnonzero(np.abs(actual - expected) > eps)
+    return [RelationViolation(DEPENDENT_INDICES[r], float(expected[r]), float(actual[r]))
+            for r in bad]
+
+
 def check_range(p, eps: float = DEFAULT_EPS) -> list[RangeViolation]:
     """Entries that leave [0 - eps, 1 + eps]."""
-    p = as_probability_set(p)
-    return [RangeViolation(i, float(v)) for i, v in enumerate(p)
-            if v < -eps or v > 1.0 + eps]
+    return _range_violations(as_probability_set(p), eps)
 
 
 def check_normalization(p, eps: float = DEFAULT_EPS) -> list[BlockViolation]:
     """Setting-pair blocks whose probabilities do not sum to 1 within eps."""
-    totals = as_probability_set(p).reshape(4, 4).sum(axis=1).tolist()
-    return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
-            if abs(total - 1.0) > eps]
+    return _block_violations(as_probability_set(p), eps)
 
 
 def check_no_signaling(p, eps: float = DEFAULT_EPS) -> list[MarginalViolation]:
@@ -305,21 +346,7 @@ def check_no_signaling(p, eps: float = DEFAULT_EPS) -> list[MarginalViolation]:
     Checks all 8: for each A-setting and A-outcome, the A marginal must not
     depend on B's setting choice, and symmetrically for B.
     """
-    p = as_probability_set(p)
-    out = []
-    for j in (1, 2):
-        for m in OUTCOMES:
-            lhs = float(p[prob_index(j, 1, m, PLUS)] + p[prob_index(j, 1, m, MINUS)])
-            rhs = float(p[prob_index(j, 2, m, PLUS)] + p[prob_index(j, 2, m, MINUS)])
-            if abs(lhs - rhs) > eps:
-                out.append(MarginalViolation("A", j, m, lhs, rhs))
-    for k in (1, 2):
-        for n in OUTCOMES:
-            lhs = float(p[prob_index(1, k, PLUS, n)] + p[prob_index(1, k, MINUS, n)])
-            rhs = float(p[prob_index(2, k, PLUS, n)] + p[prob_index(2, k, MINUS, n)])
-            if abs(lhs - rhs) > eps:
-                out.append(MarginalViolation("B", k, n, lhs, rhs))
-    return out
+    return _marginal_violations(as_probability_set(p), eps)
 
 
 def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolation]:
@@ -329,13 +356,7 @@ def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolati
     check_no_signaling: the 8 relations checked here span exactly the same
     affine constraints as those two conditions combined.
     """
-    p = as_probability_set(p)
-    expected = dependent_from_independent(p[list(INDEPENDENT_INDICES)])
-    out = []
-    for row, idx in enumerate(DEPENDENT_INDICES):
-        if abs(p[idx] - expected[row]) > eps:
-            out.append(RelationViolation(idx, float(expected[row]), float(p[idx])))
-    return out
+    return _relation_violations(as_probability_set(p), eps)
 
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
@@ -346,11 +367,12 @@ def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     """
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
+    p = as_probability_set(p)
     return {
-        "range": check_range(p, eps),
-        "normalization": check_normalization(p, eps),
-        "no_signaling": check_no_signaling(p, eps),
-        "derived_relations": check_derived_relations(p, eps),
+        "range": _range_violations(p, eps),
+        "normalization": _block_violations(p, eps),
+        "no_signaling": _marginal_violations(p, eps),
+        "derived_relations": _relation_violations(p, eps),
     }
 
 
@@ -359,15 +381,14 @@ def is_consistent(p, eps: float = DEFAULT_EPS) -> bool:
 
 
 def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Return p as an array, raising ConsistencyError if any check fails."""
+    """Return p as an array, raising ConsistencyError that lists every
+    violation if any check fails at eps."""
     p = as_probability_set(p)
-    checks = check_consistency(p, eps)
-    violations = [v for vs in checks.values() for v in vs]
+    violations = [v for vs in check_consistency(p, eps).values() for v in vs]
     if violations:
-        lines = "; ".join(v.describe() for v in violations[:4])
-        if len(violations) > 4:
-            lines += f"; ... ({len(violations)} violations total)"
-        raise ConsistencyError(f"inconsistent probability set: {lines}", violations)
+        lines = "; ".join(v.describe() for v in violations)
+        raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
+                               violations)
     return p
 
 
@@ -442,6 +463,15 @@ CHSH_MATRIX = (
     @ np.kron(np.eye(4), [1.0, -1.0, -1.0, 1.0])
 )
 CHSH_MATRIX.setflags(write=False)
+
+#: Row v holds each strategy's CHSH value (+-2) under CHSH_VARIANTS[v].
+_STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
+_STRATEGY_CHSH.setflags(write=False)
+
+#: Strategies contributing to sigma1: those whose deterministic CHSH value
+#: under CANONICAL_VARIANT (row 0) is -2.  The complementary 8 make up sigma2.
+SIGMA1_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] < 0).tolist())
+SIGMA2_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] > 0).tolist())
 
 
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:

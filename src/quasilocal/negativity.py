@@ -26,22 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
-    DEPENDENT_INDICES,
     FORWARD_MATRIX,
-    INDEPENDENT_INDICES,
+    _BOX_EMBEDDING,
+    _INDEPENDENT,
+    _STRATEGY_CHSH,
     chsh,
-    dependent_from_independent,
     max_abs_chsh,
     require_consistent,
     total_negativity,
 )
 from .solver import FREE_INDICES, FreeParameters
 
-#: Row v holds each strategy's CHSH value (+-2) under CHSH_VARIANTS[v].
-_STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
 
@@ -116,9 +113,8 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     its minimum-norm preimage.  The returned minimum is recomputed from the
     witness, so the witness and the reported value always agree.
     """
-    p_hat = np.array(require_consistent(p, eps))
-    p_hat[list(DEPENDENT_INDICES)] = dependent_from_independent(
-        p_hat[list(INDEPENDENT_INDICES)])
+    p = require_consistent(p, eps)
+    p_hat = _BOX_EMBEDDING @ np.concatenate(([1.0], p[_INDEPENDENT]))
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the benchmark's
     # tracer test (perfbench/tests) counts these 8 calls through negativity.chsh
     deltas = np.array([chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS])

@@ -114,7 +114,8 @@ def born_probability(state: TwoQubitState,
                      direction_a: MeasurementDirection, outcome_a: int,
                      direction_b: MeasurementDirection, outcome_b: int) -> float:
     """Joint probability of (outcome_a, outcome_b) when party A measures spin
-    along direction_a and party B along direction_b."""
+    along direction_a and party B along direction_b.  Not clamped: rounding
+    can leave a zero probability a few 1e-17 below 0."""
     if outcome_a not in OUTCOMES or outcome_b not in OUTCOMES:
         raise ValueError(f"outcomes must be +1 or -1, got {outcome_a!r}, {outcome_b!r}")
     projected = _apply_second(_projector(direction_b, outcome_b),
@@ -123,7 +124,7 @@ def born_probability(state: TwoQubitState,
     value = sum(a.conjugate() * q for a, q in zip(state.amplitudes, projected))
     if abs(value.imag) > _UNIT_EPS:
         raise ValueError(f"probability has imaginary residue {value.imag!r}")
-    return min(1.0, max(0.0, value.real))
+    return value.real
 
 
 def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
@@ -154,19 +155,11 @@ def flip_outcomes(p, party: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (16,):
         raise ValueError(f"probability set must have 16 entries, got shape {p.shape}")
-    out = np.empty(16)
-    for j in (1, 2):
-        for k in (1, 2):
-            for m in OUTCOMES:
-                for n in OUTCOMES:
-                    if party == "A":
-                        src = prob_index(j, k, -m, n)
-                    elif party == "B":
-                        src = prob_index(j, k, m, -n)
-                    else:
-                        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-                    out[prob_index(j, k, m, n)] = p[src]
-    return out
+    # bit 1 of a probability index is A's outcome bit, bit 0 is B's (prob_index)
+    bit = {"A": 2, "B": 1}.get(party)
+    if bit is None:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    return p[np.arange(16) ^ bit]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,15 @@ the 16 measure weights are underdetermined: fixing the 7 weights
 resulting family is affine in the free weights, always sums to 1, and always
 reproduces the input box; its sigma1 value is pinned by the box alone.
 
+The family is the preimage of the box under FORWARD_MATRIX, derived from it
+at import: the 9 solved columns of F have rank 9, so solving them against the
+box embedding (1, p_ind) -> p and the free columns gives one constant matrix
+from (1, p_ind, free) to the solved weights, rounded to the nearest half.
+
 When one setting pair is perfectly correlated (p2 = p3 = 0) the 8 strategies
 that would produce a disagreeing outcome there can be dropped, leaving a
-one-parameter family in m16.
+one-parameter family in m16, derived the same way in the face's own
+coordinates (p4, p8, p9, p12, p14, p15), where its coefficients are unique.
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPS,
-    INDEPENDENT_INDICES,
-    ConsistencyError,
-    as_probability_set,
-    check_derived_relations,
-    dependent_from_independent,
     DEPENDENT_INDICES,
+    FORWARD_MATRIX,
+    ConsistencyError,
+    _BOX_EMBEDDING,
+    _INDEPENDENT,
+    _embedding,
+    _half_integer_solve,
+    require_consistent,
 )
 
 
@@ -97,19 +105,32 @@ FREE_INDICES = (1, 2, 6, 9, 13, 14, 15)
 #: 0-based strategy indices of the dependent weights (m1, m4, m5, m6, m8, m9, m11, m12, m13).
 SOLVED_INDICES = (0, 3, 4, 5, 7, 8, 10, 11, 12)
 
+_FREE = np.array(FREE_INDICES)
+_SOLVED = np.array(SOLVED_INDICES)
+
+#: Solved weights = _FAMILY @ (1, p_ind, free).
+_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _SOLVED],
+                              np.hstack([_BOX_EMBEDDING, -FORWARD_MATRIX[:, _FREE]]))
+
+#: The strategies that agree on (a1, b1), the only ones p2 = p3 = 0 allows.
+#: m16 is the free weight of that face and (p4, p8, p9, p12, p14, p15) are
+#: its coordinates: the other face weights = _FACE_FAMILY @ (1, coordinates, m16).
+_AGREE = np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0) == 0)
+_M16 = FREE_INDICES[-1]
+_FACE_SOLVED = _AGREE[_AGREE != _M16]
+_FACE_COORDINATES = np.array([3, 7, 8, 11, 13, 14])
+_FACE_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _FACE_SOLVED], np.column_stack(
+    [_embedding(_AGREE, _FACE_COORDINATES), -FORWARD_MATRIX[:, _M16]]))
+
 
 def independent_probs(p, eps: float = DEFAULT_EPS) -> IndependentProbabilities:
     """Extract the 8 independent entries of a consistent probability set.
 
-    Raises ConsistencyError listing the failed relations if the dependent
-    entries disagree with the independent ones beyond eps.
+    Raises ConsistencyError listing every violation if p fails a
+    consistency check at eps.
     """
-    p = as_probability_set(p)
-    bad = check_derived_relations(p, eps)
-    if bad:
-        lines = "; ".join(v.describe() for v in bad)
-        raise ConsistencyError(f"probability set is not consistent: {lines}", bad)
-    return IndependentProbabilities(*(float(p[i]) for i in INDEPENDENT_INDICES))
+    p = require_consistent(p, eps)
+    return IndependentProbabilities(*p[_INDEPENDENT].tolist())
 
 
 def reconstruct_probs(ip: IndependentProbabilities, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -119,17 +140,21 @@ def reconstruct_probs(ip: IndependentProbabilities, eps: float = DEFAULT_EPS) ->
     them leaves [0, 1] beyond eps the independent values do not describe a
     valid box and InfeasibleIndependentSetError is raised.
     """
-    derived = dependent_from_independent(ip.as_array())
-    bad = [(DEPENDENT_INDICES[row] + 1, float(v)) for row, v in enumerate(derived)
-           if v < -eps or v > 1.0 + eps]
+    p = _BOX_EMBEDDING @ np.concatenate(([1.0], ip.as_array()))
+    bad = [f"p{i + 1} = {float(p[i])!r}" for i in DEPENDENT_INDICES
+           if not -eps <= p[i] <= 1.0 + eps]
     if bad:
-        detail = ", ".join(f"p{i} = {v!r}" for i, v in bad)
         raise InfeasibleIndependentSetError(
-            f"independent probabilities do not extend to a valid box: {detail}")
-    p = np.empty(16)
-    p[list(INDEPENDENT_INDICES)] = ip.as_array()
-    p[list(DEPENDENT_INDICES)] = derived
+            f"independent probabilities do not extend to a valid box: {', '.join(bad)}")
     return p
+
+
+def _family_member(independent: np.ndarray, free: FreeParameters | None) -> np.ndarray:
+    free = np.zeros(7) if free is None else free.as_array()
+    m = np.empty(16)
+    m[_FREE] = free
+    m[_SOLVED] = _FAMILY @ np.concatenate(([1.0], independent, free))
+    return m
 
 
 def general_solution(ip: IndependentProbabilities,
@@ -142,33 +167,14 @@ def general_solution(ip: IndependentProbabilities,
     sigma1 equals (3 - sum of the independent probabilities) / 2 regardless
     of the free weights.
     """
-    if free is None:
-        free = FreeParameters()
-    p1, p4, p5, p8, p9, p12, p14, p15 = ip.as_array()
-    f2, f3, f7, f10, f14, f15, f16 = free.as_array()
-
-    m1 = 0.5 * (-1.0 - 2.0 * (f2 + f3 + f7 + f10 + f14 + f15 + f16)
-                + p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15)
-    m4 = 0.5 * (1.0 + 2.0 * (f7 + f10 + f14 + f15 + f16)
-                + p1 - p4 - p5 - p8 - p9 - p12 - p14 - p15)
-    m5 = 0.5 * (1.0 + 2.0 * (f2 + f10 + f14 + f15 + f16)
-                - p1 - p4 + p5 - p8 - p9 - p12 - p14 - p15)
-    m6 = -f2 - f10 - f14 + p14
-    m8 = -f7 - f15 - f16 + p12
-    m9 = 0.5 * (1.0 + 2.0 * (f3 + f7 + f14 + f15 + f16)
-                - p1 - p4 - p5 - p8 + p9 - p12 - p14 - p15)
-    m11 = -f3 - f7 - f15 + p15
-    m12 = -f10 - f14 - f16 + p8
-    m13 = -f14 - f15 - f16 + p4
-
-    return np.array([m1, f2, f3, m4, m5, m6, f7, m8,
-                     m9, f10, m11, m12, m13, f14, f15, f16])
+    return _family_member(ip.as_array(), free)
 
 
 def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Measure vector reproducing the consistent probability set p, at the
-    given point of the 7-parameter solution family (zeros by default)."""
-    return general_solution(independent_probs(p, eps), free)
+    given point of the 7-parameter solution family (zeros by default).
+    Raises ConsistencyError if p fails a consistency check at eps."""
+    return _family_member(require_consistent(p, eps)[_INDEPENDENT], free)
 
 
 def perfect_correlation_solution(p, m16: float = 0.0,
@@ -182,25 +188,13 @@ def perfect_correlation_solution(p, m16: float = 0.0,
     The pair sum m4 + m13 always equals 1 - p8 - p9 - p15, so whenever
     p8 + p9 + p15 > 1 (canonical CHSH above 2) one of the two is negative.
     """
-    p = as_probability_set(p)
-    bad = check_derived_relations(p, eps)
-    if bad:
-        lines = "; ".join(v.describe() for v in bad)
-        raise ConsistencyError(f"probability set is not consistent: {lines}", bad)
+    p = require_consistent(p, eps)
     if abs(p[1]) > eps or abs(p[2]) > eps:
         raise ConsistencyError(
             f"perfect correlation requires p2 = p3 = 0, got p2 = {p[1]!r}, p3 = {p[2]!r}")
     if not np.isfinite(m16):
         raise ValueError(f"m16 must be finite, got {m16!r}")
-
-    p4, p8, p9, p12, p14, p15 = (float(p[i]) for i in (3, 7, 8, 11, 13, 14))
     m = np.zeros(16)
-    m[0] = -m16 + p8 + p9 - p14
-    m[1] = m16 - p8 + p14
-    m[2] = m16 - p12 + p15
-    m[3] = 1.0 - m16 - p4 - p9 + p12 - p15
-    m[12] = m16 + p4 - p8 - p12
-    m[13] = -m16 + p8
-    m[14] = -m16 + p12
-    m[15] = m16
+    m[_FACE_SOLVED] = _FACE_FAMILY @ np.concatenate(([1.0], p[_FACE_COORDINATES], [m16]))
+    m[_M16] = m16
     return m

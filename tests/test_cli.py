@@ -162,3 +162,28 @@ def test_perfect_correlation_defaults_m16_to_zero(run):
     code, _, err = run(["solve", "--m16", "0"], box_object_text(ql.pr_box()))
     assert code == 2
     assert "--m16 is only meaningful with --perfect-correlation" in err
+
+
+def test_solve_range_checks_at_the_given_eps(run):
+    # F m with m(++++) = 1 + 5e-7 and m(----) = -5e-7: p1 = 1 + 5e-7 is in
+    # range at eps 1e-5 but not at the default eps
+    m = np.zeros(16)
+    m[0], m[15] = 1.0 + 5e-7, -5e-7
+    box = box_object_text(ql.forward_map(m))
+    code, out, err = run(["solve", "--eps", "1e-5"], box)
+    assert code == 0, err
+    assert np.abs(ql.forward_map(ql.parse_measures(out)) - ql.forward_map(m)).max() <= 1e-5
+    code, out, err = run(["solve"], box)
+    assert code == 1
+    assert out == ""
+    assert "p1 (a1+b1+) = 1.0000005" in err
+
+
+def test_inconsistent_box_reports_every_violation(run):
+    p = np.linspace(-0.5, 1.5, 16)
+    violations = [v for vs in ql.check_consistency(p).values() for v in vs]
+    for command in ("chsh", "solve", "negativity"):
+        code, out, err = run([command], box_object_text(p))
+        assert code == 1
+        assert out == ""
+        assert all(v.describe() in err for v in violations)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
+from quasilocal import model
 from conftest import random_consistent_box, random_nonnegative_measures, random_signed_measures
 
 RT2 = np.sqrt(2.0)
@@ -220,6 +221,16 @@ def test_require_consistent_raises_with_violations():
     assert err.value.violations
 
 
+def test_require_consistent_lists_every_violation():
+    p = np.linspace(-0.5, 1.5, 16)
+    violations = [v for vs in ql.check_consistency(p).values() for v in vs]
+    assert len(violations) > 4
+    with pytest.raises(ql.ConsistencyError) as err:
+        ql.require_consistent(p)
+    assert err.value.violations == tuple(violations)
+    assert all(v.describe() in str(err.value) for v in violations)
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-9])
 def test_check_consistency_rejects_bad_eps(eps):
     # a NaN eps passed every check and an infinite one accepted signalling boxes
@@ -236,6 +247,87 @@ def test_check_range():
     assert ql.check_range(p) == []
     p[3] = 1.2
     assert [v.index for v in ql.check_range(p)] == [3]
+
+
+# The relation table and the loop checks as they were typed out by hand: the
+# references for the versions derived from FORWARD_MATRIX.
+REFERENCE_DEPENDENT_SIGNS = np.array([
+    [-1, -1, +1, -1, -1, +1, +1, -1],
+    [-1, -1, -1, +1, +1, -1, -1, +1],
+    [+1, -1, -1, -1, -1, +1, +1, -1],
+    [-1, +1, -1, -1, +1, -1, -1, +1],
+    [-1, +1, +1, -1, -1, -1, +1, -1],
+    [+1, -1, -1, +1, -1, -1, -1, +1],
+    [-1, +1, +1, -1, +1, -1, -1, -1],
+    [+1, -1, -1, +1, -1, +1, -1, -1],
+], dtype=float)
+
+
+def reference_check_range(p, eps):
+    return [ql.RangeViolation(i, float(v)) for i, v in enumerate(p)
+            if v < -eps or v > 1.0 + eps]
+
+
+def reference_check_no_signaling(p, eps):
+    out = []
+    for j in (1, 2):
+        for m in (1, -1):
+            lhs = float(p[ql.prob_index(j, 1, m, 1)] + p[ql.prob_index(j, 1, m, -1)])
+            rhs = float(p[ql.prob_index(j, 2, m, 1)] + p[ql.prob_index(j, 2, m, -1)])
+            if abs(lhs - rhs) > eps:
+                out.append(ql.MarginalViolation("A", j, m, lhs, rhs))
+    for k in (1, 2):
+        for n in (1, -1):
+            lhs = float(p[ql.prob_index(1, k, 1, n)] + p[ql.prob_index(1, k, -1, n)])
+            rhs = float(p[ql.prob_index(2, k, 1, n)] + p[ql.prob_index(2, k, -1, n)])
+            if abs(lhs - rhs) > eps:
+                out.append(ql.MarginalViolation("B", k, n, lhs, rhs))
+    return out
+
+
+def reference_check_derived_relations(p, eps):
+    expected = 0.5 * (1.0 + REFERENCE_DEPENDENT_SIGNS @ p[list(ql.INDEPENDENT_INDICES)])
+    out = []
+    for row, idx in enumerate(ql.DEPENDENT_INDICES):
+        if abs(p[idx] - expected[row]) > eps:
+            out.append(ql.RelationViolation(idx, float(expected[row]), float(p[idx])))
+    return out
+
+
+def test_derived_constants_match_the_hand_tables():
+    assert np.array_equal(model.DEPENDENT_SIGNS, REFERENCE_DEPENDENT_SIGNS)
+    assert ql.SIGMA1_STRATEGIES == (3, 4, 5, 7, 8, 10, 11, 12)
+    assert ql.SIGMA2_STRATEGIES == (0, 1, 2, 6, 9, 13, 14, 15)
+    assert all(type(s) is int for s in ql.SIGMA1_STRATEGIES + ql.SIGMA2_STRATEGIES)
+
+
+def test_box_embedding_is_an_exact_half_integer_least_squares_solution():
+    F = ql.FORWARD_MATRIX
+    basis = np.vstack([np.ones(16), F[list(ql.INDEPENDENT_INDICES)]])
+    unrounded = (np.linalg.pinv(basis.T) @ F.T).T
+    assert np.abs(unrounded - model._BOX_EMBEDDING).max() < 1e-12
+    assert np.array_equal(model._BOX_EMBEDDING[list(ql.DEPENDENT_INDICES), 0], np.full(8, 0.5))
+    assert np.array_equal(model._BOX_EMBEDDING @ basis, F)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(1e-12, 1e-3), st.sampled_from([0.0, 1e-9, 1e-6]))
+def test_checks_give_the_reference_violation_lists(seed, size, eps):
+    # perturbed boxes break the relations entry by entry; signalling boxes
+    # swap two entries of one block
+    rng = np.random.default_rng(seed)
+    perturbed = random_consistent_box(rng) + rng.normal(0.0, size, 16)
+    signalling = random_consistent_box(rng)
+    i, j = rng.choice(4, 2, replace=False) + 4 * rng.integers(4)
+    signalling[[i, j]] = signalling[[j, i]]
+    for p in (perturbed, signalling, 1.5 * perturbed - 0.1):
+        assert ql.check_range(p, eps) == reference_check_range(p, eps)
+        assert ql.check_no_signaling(p, eps) == reference_check_no_signaling(p, eps)
+        assert (ql.check_derived_relations(p, eps)
+                == reference_check_derived_relations(p, eps))
+        checks = ql.check_consistency(p, eps)
+        assert checks["range"] == reference_check_range(p, eps)
+        assert checks["no_signaling"] == reference_check_no_signaling(p, eps)
+        assert checks["derived_relations"] == reference_check_derived_relations(p, eps)
 
 
 # ---------------------------------------------------------------------------

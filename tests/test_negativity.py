@@ -1,10 +1,9 @@
 """Minimum-negativity tests.
 
 The closed form max(0, (|delta| - 2) / 4) and its witness are checked against
-two independent oracles: scipy's linprog over the 16 weights directly, and a
-random-restart coordinate descent with exact piecewise-linear line search.
-The objective along any one free weight is convex piecewise linear, so its
-exact minimizer sits at a breakpoint where some model weight crosses zero.
+two independent oracles, both scipy linprog: one over the 16 weights
+directly, and one over the 7 free weights of the solution family, whose
+affine expansion is read off general_solution.
 """
 
 import numpy as np
@@ -17,51 +16,24 @@ from conftest import random_consistent_box, random_mixture_box
 RT2 = np.sqrt(2.0)
 
 
-def descent_min_negativity(p, restarts=6, seed=0, max_sweeps=120):
-    """Random-restart coordinate descent on the free weights.
+def family_min_negativity(p):
+    """min sum(t) over (f, t) subject to t >= -(base + C f), t >= 0.
 
-    Each sweep runs an exact line search along the 7 columns of an orthogonal
-    frame (the axes first, then random rotations, which stops the nonsmooth
-    objective from pinning the iterate at an axis-aligned corner).  The
-    affine expansion of the family is recovered by probing general_solution,
-    so the oracle shares no code path with the closed form.
+    base + C f is the solution family at free weights f.  Its affine
+    expansion is recovered by probing general_solution, so the oracle shares
+    no code path with the closed form.
     """
-    rng = np.random.default_rng(seed)
     ip = ql.independent_probs(p)
     base = ql.general_solution(ip)
     coeffs = np.column_stack(
         [ql.general_solution(ip, ql.FreeParameters(*np.eye(7)[j])) - base
          for j in range(7)])
-
-    def value(f):
-        return float(np.maximum(0.0, -(base + coeffs @ f)).sum())
-
-    best = np.inf
-    for start in range(restarts):
-        f = np.zeros(7) if start == 0 else rng.uniform(-1.0, 1.0, 7)
-        v = value(f)
-        for sweep in range(max_sweeps):
-            frame = np.eye(7) if sweep == 0 else np.linalg.qr(rng.normal(size=(7, 7)))[0]
-            improved = False
-            for d in frame.T:
-                resid = base + coeffs @ f
-                slope = coeffs @ d
-                mask = np.abs(slope) > 1e-14
-                if not mask.any():
-                    continue
-                # convex piecewise linear along d: the minimum sits at a
-                # breakpoint where some weight crosses zero
-                ts = -resid[mask] / slope[mask]
-                cand = np.maximum(0.0, -(resid[:, None] + np.outer(slope, ts))).sum(axis=0)
-                k = int(np.argmin(cand))
-                if cand[k] < v - 1e-15:
-                    f = f + ts[k] * d
-                    v = cand[k]
-                    improved = True
-            if not improved:
-                break
-        best = min(best, v)
-    return best
+    result = linprog(
+        c=np.concatenate([np.zeros(7), np.ones(16)]),
+        A_ub=np.hstack([-coeffs, -np.eye(16)]), b_ub=base,
+        bounds=[(None, None)] * 7 + [(0, None)] * 16, method="highs")
+    assert result.status == 0, result.message
+    return result.fun
 
 
 F = ql.FORWARD_MATRIX
@@ -274,11 +246,11 @@ def test_monotone_mixing_of_pr_box():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
-def test_lp_matches_descent_oracle():
+def test_min_negativity_matches_linprog_over_the_free_weights():
     rng = np.random.default_rng(61)
     for i in range(50):
         p = random_consistent_box(rng) if i % 2 == 0 else random_mixture_box(rng)
-        lp_value = ql.min_negativity(p).min_negativity
-        oracle = descent_min_negativity(p, seed=i)
-        assert lp_value == pytest.approx(oracle, abs=1e-4)
-        assert lp_value <= oracle + 1e-10  # LP is the true minimum
+        value = ql.min_negativity(p).min_negativity
+        oracle = family_min_negativity(p)
+        assert value == pytest.approx(oracle, abs=1e-9)
+        assert value <= oracle + 1e-10  # the closed form is the true minimum

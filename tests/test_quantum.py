@@ -147,6 +147,20 @@ def test_generated_sets_are_consistent():
         assert not any(checks.values())
 
 
+def test_unclamped_born_boxes_are_consistent():
+    # zero probabilities can come out a few 1e-17 below 0; born_probability
+    # returns them as computed and the boxes still pass every check at 1e-12
+    rng = np.random.default_rng(23)
+    d = ql.MeasurementDirection.from_xz_angle
+    scenarios = [random_scenario(rng) for _ in range(300)]
+    scenarios += [ql.QubitScenario(ql.singlet(), d(a), d(b), d(a), d(b))
+                  for a in range(0, 360, 15) for b in range(0, 360, 15)]
+    boxes = np.array([ql.generate_probability_set(s) for s in scenarios])
+    assert boxes.min() >= -1e-15
+    assert (boxes < 0.0).any()
+    assert all(ql.is_consistent(p, 1e-12) for p in boxes)
+
+
 def test_singlet_correlation_law():
     rng = np.random.default_rng(13)
     s = ql.singlet()
@@ -178,6 +192,26 @@ def test_flip_maps_anticorrelation_to_perfect_correlation():
     assert ql.is_consistent(flipped)
     m = ql.perfect_correlation_solution(flipped, 0.25)
     assert np.allclose(ql.forward_map(m), flipped, atol=1e-9)
+
+
+def reference_flip_outcomes(p, party):
+    out = np.empty(16)
+    for j in (1, 2):
+        for k in (1, 2):
+            for m in (1, -1):
+                for n in (1, -1):
+                    src = (ql.prob_index(j, k, -m, n) if party == "A"
+                           else ql.prob_index(j, k, m, -n))
+                    out[ql.prob_index(j, k, m, n)] = p[src]
+    return out
+
+
+def test_flip_matches_the_index_loop():
+    p = np.random.default_rng(29).uniform(size=16)
+    for party in ("A", "B"):
+        assert np.array_equal(ql.flip_outcomes(p, party), reference_flip_outcomes(p, party))
+    with pytest.raises(ValueError, match="16 entries"):
+        ql.flip_outcomes(np.zeros(15), "A")
 
 
 def test_flip_is_an_involution_and_preserves_consistency():

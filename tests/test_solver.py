@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
+from quasilocal import model, solver
 from conftest import random_consistent_box, random_nonnegative_measures
 
 RT2 = np.sqrt(2.0)
@@ -21,6 +22,83 @@ def extremal_measures():
 # derived by hand from the closed-form solution and cross-checked against the
 # forward map below.
 PR_WITNESS = np.array([0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -0.5, 0.5, 0.5, 0])
+
+
+# The solution family and its perfect-correlation line as they were typed
+# out by hand: the references for the maps derived from FORWARD_MATRIX.
+
+def reference_general_solution(ind, free):
+    p1, p4, p5, p8, p9, p12, p14, p15 = ind
+    f2, f3, f7, f10, f14, f15, f16 = free
+    m1 = 0.5 * (-1.0 - 2.0 * (f2 + f3 + f7 + f10 + f14 + f15 + f16)
+                + p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15)
+    m4 = 0.5 * (1.0 + 2.0 * (f7 + f10 + f14 + f15 + f16)
+                + p1 - p4 - p5 - p8 - p9 - p12 - p14 - p15)
+    m5 = 0.5 * (1.0 + 2.0 * (f2 + f10 + f14 + f15 + f16)
+                - p1 - p4 + p5 - p8 - p9 - p12 - p14 - p15)
+    m6 = -f2 - f10 - f14 + p14
+    m8 = -f7 - f15 - f16 + p12
+    m9 = 0.5 * (1.0 + 2.0 * (f3 + f7 + f14 + f15 + f16)
+                - p1 - p4 - p5 - p8 + p9 - p12 - p14 - p15)
+    m11 = -f3 - f7 - f15 + p15
+    m12 = -f10 - f14 - f16 + p8
+    m13 = -f14 - f15 - f16 + p4
+    return np.array([m1, f2, f3, m4, m5, m6, f7, m8,
+                     m9, f10, m11, m12, m13, f14, f15, f16])
+
+
+def reference_perfect_correlation_solution(p, m16):
+    p4, p8, p9, p12, p14, p15 = (float(p[i]) for i in (3, 7, 8, 11, 13, 14))
+    m = np.zeros(16)
+    m[0] = -m16 + p8 + p9 - p14
+    m[1] = m16 - p8 + p14
+    m[2] = m16 - p12 + p15
+    m[3] = 1.0 - m16 - p4 - p9 + p12 - p15
+    m[12] = m16 + p4 - p8 - p12
+    m[13] = -m16 + p8
+    m[14] = -m16 + p12
+    m[15] = m16
+    return m
+
+
+def family_bound(*parts):
+    """8 eps (1 + the summed magnitudes of the inputs): the agreement bound
+    of two evaluations of one affine map in different summation orders."""
+    return 8 * np.finfo(float).eps * (1.0 + sum(np.abs(x).sum() for x in parts))
+
+
+@given(st.lists(st.floats(0, 1), min_size=8, max_size=8),
+       st.lists(st.floats(-1000, 1000), min_size=7, max_size=7))
+def test_general_solution_matches_the_hand_formulas(ind, free):
+    ip = ql.IndependentProbabilities(*ind)
+    m = ql.general_solution(ip, ql.FreeParameters(*free))
+    assert np.abs(m - reference_general_solution(ind, free)).max() <= family_bound(ind, free)
+    assert np.array_equal(m[list(ql.FREE_INDICES)], free)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-1000, 1000))
+def test_perfect_correlation_solution_matches_the_hand_formulas(seed, m16):
+    p = perfect_correlation_box(np.random.default_rng(seed))
+    m = ql.perfect_correlation_solution(p, m16)
+    assert (np.abs(m - reference_perfect_correlation_solution(p, m16)).max()
+            <= family_bound(p, m16))
+
+
+def test_family_matrices_are_exact_half_integer_preimages():
+    F = ql.FORWARD_MATRIX
+    free, solved = list(ql.FREE_INDICES), list(ql.SOLVED_INDICES)
+    pinv = np.linalg.pinv(F[:, solved])
+    assert np.linalg.matrix_rank(F[:, solved]) == 9
+    assert np.abs(pinv @ model._BOX_EMBEDDING - solver._FAMILY[:, :9]).max() < 1e-12
+    assert np.abs(-pinv @ F[:, free] - solver._FAMILY[:, 9:]).max() < 1e-12
+    face = list(solver._FACE_SOLVED)
+    assert face == [0, 1, 2, 3, 12, 13, 14]
+    agree = face + [15]
+    coordinates = np.vstack([np.ones(8), F[np.ix_([3, 7, 8, 11, 13, 14], agree)]])
+    embedding = (np.linalg.pinv(coordinates.T) @ F[:, agree].T).T
+    face_pinv = np.linalg.pinv(F[:, face])
+    assert np.abs(face_pinv @ embedding - solver._FACE_FAMILY[:, :7]).max() < 1e-12
+    assert np.abs(-face_pinv @ F[:, 15] - solver._FACE_FAMILY[:, 7]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +185,23 @@ def test_solve_examples():
     m = ql.solve(p)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(ql.forward_map(m), p, atol=1e-12)
+
+
+def box_outside_the_range_at_the_default_eps():
+    """F m with m(++++) = 1 + 5e-7 and m(----) = -5e-7: consistent at eps
+    1e-5, with p1 = 1 + 5e-7 out of range at the default eps."""
+    m = np.zeros(16)
+    m[0], m[15] = 1.0 + 5e-7, -5e-7
+    return ql.forward_map(m)
+
+
+def test_solve_range_checks_at_the_callers_eps():
+    p = box_outside_the_range_at_the_default_eps()
+    assert ql.is_consistent(p, 1e-5)
+    m = ql.solve(p, eps=1e-5)
+    assert np.abs(ql.forward_map(m) - p).max() <= 1e-5
+    with pytest.raises(ql.ConsistencyError):
+        ql.solve(p)
 
 
 def test_free_parameters_helpers():
