@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -290,6 +291,17 @@ def _cmd_qm(args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type of the numeric flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sub, with_input=True):
     if with_input:
         sub.add_argument("input", nargs="?", default=None,
@@ -317,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="invert a box into a measure document")
     _add_common(solve)
-    solve.add_argument("--free", type=float, nargs=7, metavar="F", default=None,
+    solve.add_argument("--free", type=_finite_float, nargs=7, metavar="F", default=None,
                        help="free weights m2 m3 m7 m10 m14 m15 m16 (default zeros)")
     solve.add_argument("--free-file", default=None,
                        help="file with the 7 free weights (tokens or a JSON array)")
     solve.add_argument("--perfect-correlation", action="store_true",
                        help="use the one-parameter solution for boxes with p2 = p3 = 0")
-    solve.add_argument("--m16", type=float, default=None,
+    solve.add_argument("--m16", type=_finite_float, default=None,
                        help="free weight m16 for --perfect-correlation (default 0)")
     solve.add_argument("--out", default=None, help="write the measure document here")
     solve.set_defaults(handler=_cmd_solve)
@@ -342,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'singlet' or 4 comma-separated amplitudes "
                          "(basis |++>, |+->, |-+>, |-->)")
     group = qm.add_mutually_exclusive_group(required=True)
-    group.add_argument("--angles", type=float, nargs=4,
+    group.add_argument("--angles", type=_finite_float, nargs=4,
                        metavar=("A1", "A2", "B1", "B2"), default=None,
                        help="x-z plane angles in degrees for a1 a2 b1 b2")
     group.add_argument("--maximize", action="store_true",
                        help="grid-search x-z-plane directions maximizing |CHSH|")
-    qm.add_argument("--resolution", type=float, default=5.0,
+    qm.add_argument("--resolution", type=_finite_float, default=5.0,
                     help="grid step in degrees for --maximize (default 5)")
     qm.add_argument("--format", choices=("text", "json"), default="text")
     qm.set_defaults(handler=_cmd_qm)

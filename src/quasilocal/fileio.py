@@ -26,6 +26,7 @@ as whitespace-separated numbers or a JSON array.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def _parse_number(token: str, lineno: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(f"line {lineno}: {token!r} is not a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(f"line {lineno}: value {token!r} is not finite")
     return value
 
@@ -132,6 +133,12 @@ def _box_label_index(label: str) -> int:
     return prob_index(j, k, m, n)
 
 
+#: (a-setting, sign, b-setting, sign) tokens of a box data line, settings
+#: lowercased, -> canonical index: every spelling _setting and _outcome accept.
+_BOX_LINE_INDEX = {(f"a{j}", m, f"b{k}", n): prob_index(j, k, char_outcome(m), char_outcome(n))
+                   for j in (1, 2) for k in (1, 2) for m in "+-−" for n in "+-−"}
+
+
 def parse_box(text: str) -> np.ndarray:
     """Parse a box document (text or JSON) into a canonical 16-entry array."""
     doc = _maybe_json(text)
@@ -153,12 +160,13 @@ def parse_box(text: str) -> np.ndarray:
         if len(tokens) != 5:
             raise ParseError(
                 f"line {lineno}: expected 'a<j> <+/-> b<k> <+/-> <value>', got {line!r}")
-        j = _setting(tokens[0], "a", lineno)
-        m = _outcome(tokens[1], lineno)
-        k = _setting(tokens[2], "b", lineno)
-        n = _outcome(tokens[3], lineno)
+        idx = _BOX_LINE_INDEX.get((tokens[0].lower(), tokens[1], tokens[2].lower(), tokens[3]))
+        if idx is None:
+            # a bad label token: reading token by token raises the ParseError naming it
+            j, m = _setting(tokens[0], "a", lineno), _outcome(tokens[1], lineno)
+            k, n = _setting(tokens[2], "b", lineno), _outcome(tokens[3], lineno)
+            idx = prob_index(j, k, m, n)
         value = _parse_number(tokens[4], lineno)
-        idx = prob_index(j, k, m, n)
         if idx in values:
             raise ParseError(f"line {lineno}: duplicate entry {PROB_LABELS[idx]!r}")
         values[idx] = value

@@ -26,10 +26,15 @@ probability sets are plain length-16 float arrays in the canonical orders
 defined below; weights may be negative and probabilities produced from
 negative weights may leave [0, 1].  No function clamps or normalizes its
 input silently.
+
+Each public function coerces and validates its input once, through
+as_probability_set or as_measure_vector, and does its work on `_`-prefixed
+helpers that take the validated float array and never coerce it again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,7 +192,7 @@ def _vector16(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (16,):
         raise ValueError(f"{name} must have exactly 16 entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -306,7 +311,7 @@ def dependent_from_independent(independent) -> np.ndarray:
 
 
 def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
-    bad = np.flatnonzero((p < -eps) | (p > 1.0 + eps))
+    bad = ((p < -eps) | (p > 1.0 + eps)).nonzero()[0]
     return [RangeViolation(int(i), float(p[i])) for i in bad]
 
 
@@ -318,14 +323,14 @@ def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
 
 def _marginal_violations(p: np.ndarray, eps: float) -> list[MarginalViolation]:
     marginals = p[_MARGINAL_TERMS].sum(axis=2)
-    bad = np.flatnonzero(np.abs(marginals[:, 0] - marginals[:, 1]) > eps)
+    bad = (np.abs(marginals[:, 0] - marginals[:, 1]) > eps).nonzero()[0]
     return [MarginalViolation(*_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
 
 
 def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
-    expected = dependent_from_independent(p[_INDEPENDENT])
+    expected = 0.5 * (1.0 + DEPENDENT_SIGNS @ p[_INDEPENDENT])
     actual = p[_DEPENDENT]
-    bad = np.flatnonzero(np.abs(actual - expected) > eps)
+    bad = (np.abs(actual - expected) > eps).nonzero()[0]
     return [RelationViolation(DEPENDENT_INDICES[r], float(expected[r]), float(actual[r]))
             for r in bad]
 
@@ -359,21 +364,28 @@ def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolati
     return _relation_violations(as_probability_set(p), eps)
 
 
-def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
-    """All consistency checks keyed by name; empty lists everywhere means consistent.
-
-    eps must be finite and nonnegative: a NaN eps would pass every check and
-    an infinite one would accept any box.
-    """
-    if not (np.isfinite(eps) and eps >= 0.0):
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
-    p = as_probability_set(p)
+
+
+def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
     return {
         "range": _range_violations(p, eps),
         "normalization": _block_violations(p, eps),
         "no_signaling": _marginal_violations(p, eps),
         "derived_relations": _relation_violations(p, eps),
     }
+
+
+def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
+    """All consistency checks keyed by name; empty lists everywhere means consistent.
+
+    eps must be finite and nonnegative: a NaN eps would pass every check and
+    an infinite one would accept any box.
+    """
+    _check_eps(eps)
+    return _violations(as_probability_set(p), eps)
 
 
 def is_consistent(p, eps: float = DEFAULT_EPS) -> bool:
@@ -384,7 +396,8 @@ def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Return p as an array, raising ConsistencyError that lists every
     violation if any check fails at eps."""
     p = as_probability_set(p)
-    violations = [v for vs in check_consistency(p, eps).values() for v in vs]
+    _check_eps(eps)
+    violations = [v for vs in _violations(p, eps).values() for v in vs]
     if violations:
         lines = "; ".join(v.describe() for v in violations)
         raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
@@ -408,10 +421,13 @@ class Sigmas:
     sigma2: float
 
 
-def sigmas(m) -> Sigmas:
-    m = as_measure_vector(m)
+def _sigmas(m: np.ndarray) -> Sigmas:
     s1 = float(m[list(SIGMA1_STRATEGIES)].sum())
     return Sigmas(s1, float(m.sum()) - s1)
+
+
+def sigmas(m) -> Sigmas:
+    return _sigmas(as_measure_vector(m))
 
 
 @dataclass(frozen=True)
@@ -473,6 +489,17 @@ _STRATEGY_CHSH.setflags(write=False)
 SIGMA1_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] < 0).tolist())
 SIGMA2_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] > 0).tolist())
 
+#: Row of each variant in CHSH_MATRIX and in ChshReport.deltas.
+_VARIANT_ROWS = {variant: row for row, variant in enumerate(CHSH_VARIANTS)}
+
+
+def _variant_row(variant) -> int:
+    try:
+        return _VARIANT_ROWS[variant]
+    except (KeyError, TypeError):
+        # not a variant: tuple.index raises its ValueError
+        return CHSH_VARIANTS.index(variant)
+
 
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     """Correlation coefficient of setting pair (a_j, b_k):
@@ -490,13 +517,12 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     return float(block[0] + block[3] - block[1] - block[2])
 
 
-def _chsh_deltas(p, eps: float = DEFAULT_EPS) -> np.ndarray:
+def _chsh_deltas(p: np.ndarray, eps: float) -> np.ndarray:
     """The 8 CHSH sums of p, aligned with CHSH_VARIANTS.
 
     Requires every block normalized within eps.
     """
-    p = as_probability_set(p)
-    bad = check_normalization(p, eps)
+    bad = _block_violations(p, eps)
     if bad:
         raise ConsistencyError(
             "cannot evaluate CHSH on an unnormalized probability set", bad)
@@ -510,7 +536,7 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     passing that check, the canonical variant equals
     2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
     """
-    return float(_chsh_deltas(p, eps)[CHSH_VARIANTS.index(variant)])
+    return float(_chsh_deltas(as_probability_set(p), eps)[_variant_row(variant)])
 
 
 def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
@@ -519,12 +545,12 @@ def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
     total = float(m.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    return 2.0 * (1.0 - 2.0 * sigmas(m).sigma1)
+    return 2.0 * (1.0 - 2.0 * _sigmas(m).sigma1)
 
 
 def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
     """Largest |CHSH sum| over all 8 variants."""
-    return float(np.abs(_chsh_deltas(p, eps)).max())
+    return float(np.abs(_chsh_deltas(as_probability_set(p), eps)).max())
 
 
 @dataclass(frozen=True)
@@ -540,7 +566,7 @@ class ChshReport:
     eps: float = DEFAULT_EPS
 
     def delta(self, variant: ChshVariant) -> float:
-        return self.deltas[CHSH_VARIANTS.index(variant)]
+        return self.deltas[_variant_row(variant)]
 
     def violated(self, variant: ChshVariant) -> bool:
         return abs(self.delta(variant)) > 2.0 + self.eps
@@ -555,7 +581,7 @@ class ChshReport:
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
-    deltas = _chsh_deltas(p, eps)
+    deltas = _chsh_deltas(as_probability_set(p), eps)
     return ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), None, eps)
 
 
@@ -565,7 +591,7 @@ def chsh_report_from_measures(m, eps: float = DEFAULT_EPS) -> ChshReport:
     total = float(m.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    return replace(chsh_report(forward_map(m), eps), sigmas=sigmas(m))
+    return replace(chsh_report(FORWARD_MATRIX @ m, eps), sigmas=_sigmas(m))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +616,7 @@ def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdic
     total = float(m.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    s1 = sigmas(m).sigma1
+    s1 = _sigmas(m).sigma1
     in_interval = -eps <= s1 <= 1.0 + eps
     return NecessityVerdict(
         violates_canonical_chsh=not in_interval,

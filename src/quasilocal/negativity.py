@@ -37,7 +37,7 @@ from .model import (
     require_consistent,
     total_negativity,
 )
-from .solver import FREE_INDICES, FreeParameters
+from .solver import _FREE, FreeParameters
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
@@ -117,8 +117,8 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     p_hat = _BOX_EMBEDDING @ np.concatenate(([1.0], p[_INDEPENDENT]))
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the benchmark's
     # tracer test (perfbench/tests) counts these 8 calls through negativity.chsh
-    deltas = np.array([chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS])
-    v = int(np.argmax(deltas))
+    deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]
+    v = deltas.index(max(deltas))
     mu = max(0.0, (deltas[v] - 2.0) / 2.0)
     pr_model = (1.0 + _STRATEGY_CHSH[v]) / 16.0
     if mu >= 1.0:
@@ -127,11 +127,11 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
         local = (p_hat - mu * (FORWARD_MATRIX @ pr_model)) / (1.0 - mu)
         witness = mu * pr_model + (1.0 - mu) * _fine_model(local)
     witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
-    max_abs_delta = float(np.abs(deltas).max())
+    max_abs_delta = max(map(abs, deltas))
     return NegativityResult(
         min_negativity=total_negativity(witness),
         witness=witness,
-        witness_free_params=FreeParameters(*witness[list(FREE_INDICES)]),
+        witness_free_params=FreeParameters(*witness[_FREE].tolist()),
         lower_bound=max(0.0, (max_abs_delta - 2.0) / 4.0),
         feasible=max_abs_delta <= 2.0 + eps,
     )

@@ -19,6 +19,7 @@ coordinates (p4, p8, p9, p12, p14, p15), where its coefficients are unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ class FreeParameters:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} is not finite: {value!r}")
 
     def as_array(self) -> np.ndarray:

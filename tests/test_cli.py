@@ -18,7 +18,10 @@ def run(monkeypatch, capsys):
     (exit code, stdout, stderr)."""
     def invoke(argv, stdin=""):
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse rejected the command line
+            code = exc.code
         out, err = capsys.readouterr()
         return code, out, err
     return invoke
@@ -76,6 +79,19 @@ def test_qm_bad_resolution_is_a_domain_failure(run):
     assert code == 1
     assert out == ""
     assert "resolution" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--free", "nan", "0", "0", "0", "0", "0", "0"], "--free"),
+    (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
+    (["qm", "--state", "singlet", "--angles", "inf", "0", "0", "0"], "--angles"),
+    (["qm", "--state", "singlet", "--maximize", "--resolution", "nan"], "--resolution"),
+], ids=["free", "m16", "angles", "resolution"])
+def test_non_finite_numbers_are_usage_errors(run, argv, flag):
+    code, out, err = run(argv, box_object_text(ql.pr_box()))
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: must be a finite number" in err
 
 
 def test_qm_solve_forward_round_trip(run):

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import quasilocal as ql
+from quasilocal import fileio
 from quasilocal.fileio import (
     ParseError,
     box_object,
@@ -24,6 +27,59 @@ def extremal_measures():
     m = np.full(16, (1 + RT2) / 16)
     m[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
     return m
+
+
+def reference_parse_box(text):
+    """The token-by-token reading of a box text document: the reference for
+    parse_box's label table."""
+    values = {}
+    count = 0
+    for lineno, line in fileio._clean_lines(text):
+        tokens = line.split()
+        if len(tokens) != 5:
+            raise ParseError(
+                f"line {lineno}: expected 'a<j> <+/-> b<k> <+/-> <value>', got {line!r}")
+        j = fileio._setting(tokens[0], "a", lineno)
+        m = fileio._outcome(tokens[1], lineno)
+        k = fileio._setting(tokens[2], "b", lineno)
+        n = fileio._outcome(tokens[3], lineno)
+        value = fileio._parse_number(tokens[4], lineno)
+        idx = ql.prob_index(j, k, m, n)
+        if idx in values:
+            raise ParseError(f"line {lineno}: duplicate entry {ql.PROB_LABELS[idx]!r}")
+        values[idx] = value
+        count += 1
+    if count != 16:
+        raise ParseError(f"box document has {count} data lines, expected 16")
+    return fileio._fill(values, "box", ql.PROB_LABELS)
+
+
+#: Tokens that are wrong in some or every label slot.
+BAD_LABEL_TOKENS = ("a3", "b0", "c1", "A", "a1b", "b1", "a2", "+", "-", "−", "*", "+-", "x")
+
+
+@st.composite
+def box_documents(draw):
+    """The 16 labels in any order, in random case and with either minus sign,
+    with at times a bad label token, a dropped line or a duplicated one."""
+    lines = []
+    for i in draw(st.permutations(range(16))):
+        label = ql.PROB_LABELS[i]
+        tokens = [draw(st.sampled_from([label[0:2], label[0:2].upper()])),
+                  label[2] if label[2] == "+" else draw(st.sampled_from("-−")),
+                  draw(st.sampled_from([label[3:5], label[3:5].upper()])),
+                  label[5] if label[5] == "+" else draw(st.sampled_from("-−")),
+                  repr(draw(st.floats(0.0, 1.0)))]
+        lines.append(tokens)
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, 15))][draw(st.integers(0, 3))] = draw(
+            st.sampled_from(BAD_LABEL_TOKENS))
+    edit = draw(st.sampled_from(["none", "drop", "duplicate"]))
+    if edit == "drop":
+        del lines[draw(st.integers(0, 15))]
+    elif edit == "duplicate":
+        lines.insert(draw(st.integers(0, 16)), list(lines[draw(st.integers(0, 15))]))
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +130,21 @@ def test_unicode_minus_accepted_on_read():
     # there are positive so the substitution touches patterns only
     parsed = parse_measures(text)
     assert np.allclose(parsed, extremal_measures())
+    # every value of the PR box is nonnegative, so only signs are replaced
+    box_text = format_box(ql.pr_box()).replace("-", "−")
+    assert np.array_equal(parse_box(box_text), ql.pr_box())
+
+
+@given(box_documents())
+def test_parse_box_matches_the_token_by_token_reference(text):
+    try:
+        expected = reference_parse_box(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_box(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert np.array_equal(parse_box(text), expected)
 
 
 def test_line_order_is_free():

@@ -1,5 +1,7 @@
 """Core model tests: encodings, forward map, consistency checks, CHSH."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -236,10 +238,15 @@ def test_check_consistency_rejects_bad_eps(eps):
     # a NaN eps passed every check and an infinite one accepted signalling boxes
     signalling = ql.uniform_box()
     signalling[[0, 1]] = [0.4, 0.1]
-    with pytest.raises(ValueError, match="eps"):
-        ql.check_consistency(signalling, eps)
-    with pytest.raises(ValueError, match="eps"):
-        ql.is_consistent(signalling, eps)
+    message = re.escape(f"eps must be finite and nonnegative, got {eps!r}")
+    for check in (ql.check_consistency, ql.is_consistent, ql.require_consistent):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(signalling, eps)
+    # check_consistency tests eps before the box, require_consistent after it
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ql.check_consistency(np.zeros(15), eps)
+    with pytest.raises(ValueError, match="must have exactly 16 entries"):
+        ql.require_consistent(np.zeros(15), eps)
 
 
 def test_check_range():
@@ -426,13 +433,55 @@ def test_chsh_matrix_matches_the_per_variant_loop(values):
     assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
 
 
-@pytest.mark.parametrize("evaluate", [ql.chsh, ql.chsh_report, ql.max_abs_chsh,
-                                      ql.chsh_lower_bound])
-def test_chsh_functions_reject_unnormalized_boxes(evaluate):
-    p = ql.uniform_box()
-    p[0] = 0.5
-    with pytest.raises(ql.ConsistencyError, match="unnormalized"):
+UNNORMALIZED = ql.uniform_box()
+UNNORMALIZED[0] = 0.5
+NON_FINITE = ql.uniform_box()
+NON_FINITE[3] = np.nan
+NOT_16 = np.zeros(15)
+CHSH_UNNORMALIZED = (ql.ConsistencyError,
+                     "cannot evaluate CHSH on an unnormalized probability set")
+NON_FINITE_ERROR = (ValueError, "probability set contains non-finite entries")
+NOT_16_ERROR = (ValueError, "probability set must have exactly 16 entries, got shape (15,)")
+REQUIRE_UNNORMALIZED = (
+    ql.ConsistencyError,
+    "inconsistent probability set (eps = 1e-09): block (a1,b1) sums to 1.25, expected 1; "
+    "marginal p(a1+) depends on the b-setting: 0.75 vs 0.5; "
+    "marginal p(b1+) depends on the a-setting: 0.75 vs 0.5; "
+    "p2 (a1+b1-) = 0.25, but the independent entries imply 0.125; "
+    "p3 (a1-b1+) = 0.25, but the independent entries imply 0.125; "
+    "p6 (a1+b2-) = 0.25, but the independent entries imply 0.375; "
+    "p7 (a1-b2+) = 0.25, but the independent entries imply 0.125; "
+    "p10 (a2+b1-) = 0.25, but the independent entries imply 0.125; "
+    "p11 (a2-b1+) = 0.25, but the independent entries imply 0.375; "
+    "p13 (a2+b2+) = 0.25, but the independent entries imply 0.125; "
+    "p16 (a2-b2-) = 0.25, but the independent entries imply 0.375")
+
+
+@pytest.mark.parametrize("evaluate, p, error", [
+    pytest.param(ql.chsh, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh"),
+    pytest.param(ql.chsh_report, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_report"),
+    pytest.param(ql.max_abs_chsh, UNNORMALIZED, CHSH_UNNORMALIZED, id="max_abs_chsh"),
+    pytest.param(ql.chsh_lower_bound, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_lower_bound"),
+    pytest.param(ql.require_consistent, UNNORMALIZED, REQUIRE_UNNORMALIZED,
+                 id="require_consistent"),
+    *(pytest.param(evaluate, p, error, id=f"{evaluate.__name__}-{kind}")
+      for evaluate in (ql.chsh, ql.chsh_report, ql.check_consistency, ql.require_consistent)
+      for p, error, kind in ((NON_FINITE, NON_FINITE_ERROR, "non-finite"),
+                             (NOT_16, NOT_16_ERROR, "not-16"))),
+    # the box is checked before the variant
+    pytest.param(lambda p: ql.chsh(p, "canonical"), NOT_16, NOT_16_ERROR, id="chsh-order"),
+    pytest.param(lambda p: ql.chsh(p, "canonical"), ql.uniform_box(),
+                 (ValueError, "tuple.index(x): x not in tuple"), id="chsh-not-a-variant"),
+    pytest.param(lambda p: ql.chsh_report(p).delta("x"), ql.uniform_box(),
+                 (ValueError, "tuple.index(x): x not in tuple"), id="delta-not-a-variant"),
+])
+def test_chsh_functions_reject_unnormalized_boxes(evaluate, p, error):
+    """Each bad input raises exactly this error type and message."""
+    kind, message = error
+    with pytest.raises(kind) as err:
         evaluate(p)
+    assert type(err.value) is kind
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
