@@ -35,6 +35,7 @@ from .model import (
     Sigmas,
     as_measure_vector,
     as_probability_set,
+    box_from_independent,
     check_consistency,
     check_derived_relations,
     check_no_signaling,
@@ -67,12 +68,7 @@ from .solver import (
     FREE_INDICES,
     SOLVED_INDICES,
     FreeParameters,
-    IndependentProbabilities,
-    InfeasibleIndependentSetError,
-    general_solution,
-    independent_probs,
     perfect_correlation_solution,
-    reconstruct_probs,
     solve,
 )
 from .negativity import (

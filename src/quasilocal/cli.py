@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except fileio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (model.ConsistencyError, solver.InfeasibleIndependentSetError) as exc:
+    except model.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -36,7 +36,6 @@ from .model import (
     STRATEGY_PATTERNS,
     char_outcome,
     prob_index,
-    strategy_index,
 )
 
 
@@ -119,18 +118,15 @@ def _fill(values: dict[int, float], kind: str, labels) -> np.ndarray:
 # Box documents
 # ---------------------------------------------------------------------------
 
+#: Inverse of PROB_LABELS: canonical label -> index.
+_LABEL_INDEX = {label: i for i, label in enumerate(PROB_LABELS)}
+
+
 def _box_label_index(label: str) -> int:
-    text = label.strip().lower().replace("−", "-")
-    if len(text) != 6:
+    index = _LABEL_INDEX.get(label.strip().lower().replace("−", "-"))
+    if index is None:
         raise ParseError(f"bad probability label {label!r}")
-    try:
-        j = _setting(text[0:2], "a", 0)
-        m = char_outcome(text[2])
-        k = _setting(text[3:5], "b", 0)
-        n = char_outcome(text[5])
-    except ParseError:
-        raise ParseError(f"bad probability label {label!r}") from None
-    return prob_index(j, k, m, n)
+    return index
 
 
 #: (a-setting, sign, b-setting, sign) tokens of a box data line, settings
@@ -178,32 +174,35 @@ def parse_box(text: str) -> np.ndarray:
 
 def format_box(p, comments=()) -> str:
     """Render a probability set as a box text document."""
-    p = np.asarray(p, dtype=float)
+    values = np.asarray(p, dtype=float).tolist()
     lines = [f"# {c}" for c in comments]
-    for i in range(16):
-        label = PROB_LABELS[i]
-        lines.append(f"{label[0:2]} {label[2]} {label[3:5]} {label[5]} {format_value(p[i])}")
+    lines.extend(f"{label[0:2]} {label[2]} {label[3:5]} {label[5]} {format_value(v)}"
+                 for label, v in zip(PROB_LABELS, values, strict=True))
     return "\n".join(lines) + "\n"
 
 
 def box_object(p) -> dict:
     """JSON-ready form of a probability set."""
-    p = np.asarray(p, dtype=float)
-    return {"probabilities": {PROB_LABELS[i]: float(p[i]) for i in range(16)}}
+    values = np.asarray(p, dtype=float).tolist()
+    return {"probabilities": dict(zip(PROB_LABELS, values, strict=True))}
 
 
 # ---------------------------------------------------------------------------
 # Measure documents
 # ---------------------------------------------------------------------------
 
+#: Inverse of STRATEGY_PATTERNS: canonical pattern -> strategy index.
+_PATTERN_INDEX = {pattern: i for i, pattern in enumerate(STRATEGY_PATTERNS)}
+
+
 def _pattern_strategy(token: str, lineno: int = 0) -> int:
     pattern = token.strip().replace("−", "-")
-    if len(pattern) != 4:
-        raise ParseError(f"line {lineno}: pattern must have 4 characters, got {token!r}")
-    try:
-        return strategy_index(*(char_outcome(c) for c in pattern))
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad pattern {token!r}") from None
+    index = _PATTERN_INDEX.get(pattern)
+    if index is None:
+        if len(pattern) != 4:
+            raise ParseError(f"line {lineno}: pattern must have 4 characters, got {token!r}")
+        raise ParseError(f"line {lineno}: bad pattern {token!r}")
+    return index
 
 
 def parse_measures(text: str) -> np.ndarray:
@@ -239,16 +238,17 @@ def parse_measures(text: str) -> np.ndarray:
 
 def format_measures(m, comments=()) -> str:
     """Render a measure vector as a measure text document."""
-    m = np.asarray(m, dtype=float)
-    lines = [f"{STRATEGY_PATTERNS[i]} {format_value(m[i])}" for i in range(16)]
+    values = np.asarray(m, dtype=float).tolist()
+    lines = [f"{pattern} {format_value(v)}"
+             for pattern, v in zip(STRATEGY_PATTERNS, values, strict=True)]
     lines.extend(f"# {c}" for c in comments)
     return "\n".join(lines) + "\n"
 
 
 def measures_object(m) -> dict:
     """JSON-ready form of a measure vector."""
-    m = np.asarray(m, dtype=float)
-    return {"measures": {STRATEGY_PATTERNS[i]: float(m[i]) for i in range(16)}}
+    values = np.asarray(m, dtype=float).tolist()
+    return {"measures": dict(zip(STRATEGY_PATTERNS, values, strict=True))}
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ input silently.
 Each public function coerces and validates its input once, through
 as_probability_set or as_measure_vector, and does its work on `_`-prefixed
 helpers that take the validated float array and never coerce it again.
+Every function that takes a tolerance eps raises ValueError unless eps is
+finite and nonnegative: a NaN eps would pass every check and an infinite one
+would accept any box.  The helpers that compare against eps check it, so no
+public function can skip the check.
 """
 
 from __future__ import annotations
@@ -302,32 +306,52 @@ _MARGINAL_TERMS = np.concatenate([_PROB_INDEX.transpose(0, 2, 1, 3).reshape(4, 2
                                   _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 2, 2)])
 
 
-def dependent_from_independent(independent) -> np.ndarray:
-    """The 8 dependent probabilities implied by the 8 independent ones."""
+def _box_from_independent(ind: np.ndarray) -> np.ndarray:
+    return _BOX_EMBEDDING @ np.concatenate(([1.0], ind))
+
+
+def box_from_independent(independent) -> np.ndarray:
+    """The 16-entry box whose entries at INDEPENDENT_INDICES are the given 8
+    and whose dependent entries follow from them by the consistency relations.
+
+    Only the shape and finiteness of the input are checked: whether the
+    result is a valid box is decided by require_consistent at the caller's eps.
+    """
     ind = np.asarray(independent, dtype=float)
     if ind.shape != (8,):
         raise ValueError(f"expected 8 independent probabilities, got shape {ind.shape}")
-    return 0.5 * (1.0 + DEPENDENT_SIGNS @ ind)
+    if not np.isfinite(ind).all():
+        raise ValueError("independent probabilities contain non-finite entries")
+    return _box_from_independent(ind)
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
 
 
 def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
+    _check_eps(eps)
     bad = ((p < -eps) | (p > 1.0 + eps)).nonzero()[0]
     return [RangeViolation(int(i), float(p[i])) for i in bad]
 
 
 def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
+    _check_eps(eps)
     totals = p.reshape(4, 4).sum(axis=1).tolist()
     return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
             if abs(total - 1.0) > eps]
 
 
 def _marginal_violations(p: np.ndarray, eps: float) -> list[MarginalViolation]:
+    _check_eps(eps)
     marginals = p[_MARGINAL_TERMS].sum(axis=2)
     bad = (np.abs(marginals[:, 0] - marginals[:, 1]) > eps).nonzero()[0]
     return [MarginalViolation(*_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
 
 
 def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
+    _check_eps(eps)
     expected = 0.5 * (1.0 + DEPENDENT_SIGNS @ p[_INDEPENDENT])
     actual = p[_DEPENDENT]
     bad = (np.abs(actual - expected) > eps).nonzero()[0]
@@ -364,11 +388,6 @@ def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolati
     return _relation_violations(as_probability_set(p), eps)
 
 
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
-
-
 def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
     return {
         "range": _range_violations(p, eps),
@@ -379,11 +398,8 @@ def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
 
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
-    """All consistency checks keyed by name; empty lists everywhere means consistent.
-
-    eps must be finite and nonnegative: a NaN eps would pass every check and
-    an infinite one would accept any box.
-    """
+    """All consistency checks keyed by name; empty lists everywhere means
+    consistent.  eps is checked before p."""
     _check_eps(eps)
     return _violations(as_probability_set(p), eps)
 
@@ -396,7 +412,6 @@ def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Return p as an array, raising ConsistencyError that lists every
     violation if any check fails at eps."""
     p = as_probability_set(p)
-    _check_eps(eps)
     violations = [v for vs in _violations(p, eps).values() for v in vs]
     if violations:
         lines = "; ".join(v.describe() for v in violations)
@@ -508,6 +523,7 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     Requires the block to be normalized within eps.
     """
     p = as_probability_set(p)
+    _check_eps(eps)
     block = p[block_slice(j, k)]
     total = float(block.sum())
     if abs(total - 1.0) > eps:
@@ -539,13 +555,20 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     return float(_chsh_deltas(as_probability_set(p), eps)[_variant_row(variant)])
 
 
-def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
-    """Canonical CHSH sum predicted by a normalized measure vector: 2*(1 - 2*sigma1)."""
+def _normalized_measure(m, eps: float) -> np.ndarray:
+    """m as a measure vector, raising ConsistencyError unless it sums to 1
+    within eps."""
     m = as_measure_vector(m)
+    _check_eps(eps)
     total = float(m.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    return 2.0 * (1.0 - 2.0 * _sigmas(m).sigma1)
+    return m
+
+
+def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
+    """Canonical CHSH sum predicted by a normalized measure vector: 2*(1 - 2*sigma1)."""
+    return 2.0 * (1.0 - 2.0 * _sigmas(_normalized_measure(m, eps)).sigma1)
 
 
 def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
@@ -587,10 +610,7 @@ def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
 
 def chsh_report_from_measures(m, eps: float = DEFAULT_EPS) -> ChshReport:
     """CHSH report of forward_map(m), carrying the sigma sums of m."""
-    m = as_measure_vector(m)
-    total = float(m.sum())
-    if abs(total - 1.0) > eps:
-        raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
+    m = _normalized_measure(m, eps)
     return replace(chsh_report(FORWARD_MATRIX @ m, eps), sigmas=_sigmas(m))
 
 
@@ -612,10 +632,7 @@ class NecessityVerdict:
 
 
 def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdict:
-    m = as_measure_vector(m)
-    total = float(m.sum())
-    if abs(total - 1.0) > eps:
-        raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
+    m = _normalized_measure(m, eps)
     s1 = _sigmas(m).sigma1
     in_interval = -eps <= s1 <= 1.0 + eps
     return NecessityVerdict(

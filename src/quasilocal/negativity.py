@@ -29,9 +29,9 @@ from .model import (
     CHSH_VARIANTS,
     DEFAULT_EPS,
     FORWARD_MATRIX,
-    _BOX_EMBEDDING,
     _INDEPENDENT,
     _STRATEGY_CHSH,
+    _box_from_independent,
     chsh,
     max_abs_chsh,
     require_consistent,
@@ -90,9 +90,9 @@ class NegativityResult:
     min_negativity is the total negativity of witness, a measure vector that
     reproduces the box: the PR/local mixture of the module docstring, equal
     to max(0, (|delta| - 2) / 4) up to rounding.  witness_free_params are
-    its 7 free weights, so the witness is also general_solution of the box at
-    those weights.  lower_bound is the same closed form, and feasible records
-    whether a nonnegative model exists: max |delta| <= 2 + eps, the test
+    its 7 free weights, so the witness is also solve(p, witness_free_params).
+    lower_bound is the same closed form, and feasible records whether a
+    nonnegative model exists: max |delta| <= 2 + eps, the test
     ChshReport.any_violation applies.
     """
     min_negativity: float
@@ -114,7 +114,7 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     witness, so the witness and the reported value always agree.
     """
     p = require_consistent(p, eps)
-    p_hat = _BOX_EMBEDDING @ np.concatenate(([1.0], p[_INDEPENDENT]))
+    p_hat = _box_from_independent(p[_INDEPENDENT])
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the benchmark's
     # tracer test (perfbench/tests) counts these 8 calls through negativity.chsh
     deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]

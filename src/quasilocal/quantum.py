@@ -13,6 +13,7 @@ no linear-algebra library is needed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,15 @@ from .model import (
 _UNIT_EPS = 1e-12
 
 
+def _squared_norm(values) -> float:
+    """Sum of |v|^2 over finite values; inf where a value is too large to
+    square, which raises OverflowError in Python float arithmetic."""
+    try:
+        return sum(abs(v) ** 2 for v in values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """Pure two-qubit state, amplitudes in basis order |++>, |+->, |-+>, |-->
@@ -38,9 +48,9 @@ class TwoQubitState:
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) != 4:
             raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
-        norm_sq = sum(abs(a) ** 2 for a in amps)
-        if not math.isfinite(norm_sq):
+        if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("amplitudes contain non-finite values")
+        norm_sq = _squared_norm(amps)
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -54,9 +64,10 @@ class MeasurementDirection:
     z: float
 
     def __post_init__(self):
-        norm_sq = self.x ** 2 + self.y ** 2 + self.z ** 2
-        if not math.isfinite(norm_sq):
+        components = (self.x, self.y, self.z)
+        if not all(math.isfinite(c) for c in components):
             raise ValueError("direction contains non-finite components")
+        norm_sq = _squared_norm(components)
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"direction is not a unit vector: |n|^2 = {norm_sq!r}")
 

@@ -3,13 +3,15 @@
 A consistent probability set leaves only 8 of its 16 entries independent, so
 the 16 measure weights are underdetermined: fixing the 7 weights
 (m2, m3, m7, m10, m14, m15, m16) determines the remaining 9 uniquely.  The
-resulting family is affine in the free weights, always sums to 1, and always
-reproduces the input box; its sigma1 value is pinned by the box alone.
+resulting family, the paper's general solution, is affine in the free
+weights, always sums to 1, and always reproduces the input box; its sigma1
+value is pinned by the box alone.  solve is its one entry point.
 
 The family is the preimage of the box under FORWARD_MATRIX, derived from it
 at import: the 9 solved columns of F have rank 9, so solving them against the
-box embedding (1, p_ind) -> p and the free columns gives one constant matrix
-from (1, p_ind, free) to the solved weights, rounded to the nearest half.
+box embedding (1, p_ind) -> p (model.box_from_independent) and the free
+columns gives one constant matrix from (1, p_ind, free) to the solved
+weights, rounded to the nearest half.
 
 When one setting pair is perfectly correlated (p2 = p3 = 0) the 8 strategies
 that would produce a disagreeing outcome there can be dropped, leaving a
@@ -26,7 +28,6 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPS,
-    DEPENDENT_INDICES,
     FORWARD_MATRIX,
     ConsistencyError,
     _BOX_EMBEDDING,
@@ -35,38 +36,6 @@ from .model import (
     _half_integer_solve,
     require_consistent,
 )
-
-
-class InfeasibleIndependentSetError(ValueError):
-    """The 8 independent values do not extend to a valid probability set."""
-
-
-@dataclass(frozen=True)
-class IndependentProbabilities:
-    """The 8 independent joint probabilities (p1, p4, p5, p8, p9, p12, p14, p15)."""
-    p1: float
-    p4: float
-    p5: float
-    p8: float
-    p9: float
-    p12: float
-    p14: float
-    p15: float
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not np.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value!r}")
-            if value < -DEFAULT_EPS or value > 1.0 + DEFAULT_EPS:
-                raise ValueError(f"{name} = {value!r} outside [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p1, self.p4, self.p5, self.p8,
-                         self.p9, self.p12, self.p14, self.p15])
-
-    @property
-    def total(self) -> float:
-        return float(self.as_array().sum())
 
 
 @dataclass(frozen=True)
@@ -124,58 +93,23 @@ _FACE_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _FACE_SOLVED], np.column_st
     [_embedding(_AGREE, _FACE_COORDINATES), -FORWARD_MATRIX[:, _M16]]))
 
 
-def independent_probs(p, eps: float = DEFAULT_EPS) -> IndependentProbabilities:
-    """Extract the 8 independent entries of a consistent probability set.
+def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The paper's general solution: the measure vector reproducing the
+    consistent probability set p at the given point of the 7-parameter
+    family (zero free weights by default).
 
-    Raises ConsistencyError listing every violation if p fails a
-    consistency check at eps.
+    Affine in the free weights, which may take any real values: the result
+    always sums to 1 and its forward map always reproduces p's independent
+    entries and the dependent ones they imply.  Its sigma1 equals
+    (3 - sum of the independent probabilities) / 2 regardless of the free
+    weights.  Raises ConsistencyError if p fails a consistency check at eps.
     """
-    p = require_consistent(p, eps)
-    return IndependentProbabilities(*p[_INDEPENDENT].tolist())
-
-
-def reconstruct_probs(ip: IndependentProbabilities, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Rebuild the full 16-entry probability set from the independent 8.
-
-    The dependent entries are forced by the consistency relations; if any of
-    them leaves [0, 1] beyond eps the independent values do not describe a
-    valid box and InfeasibleIndependentSetError is raised.
-    """
-    p = _BOX_EMBEDDING @ np.concatenate(([1.0], ip.as_array()))
-    bad = [f"p{i + 1} = {float(p[i])!r}" for i in DEPENDENT_INDICES
-           if not -eps <= p[i] <= 1.0 + eps]
-    if bad:
-        raise InfeasibleIndependentSetError(
-            f"independent probabilities do not extend to a valid box: {', '.join(bad)}")
-    return p
-
-
-def _family_member(independent: np.ndarray, free: FreeParameters | None) -> np.ndarray:
+    independent = require_consistent(p, eps)[_INDEPENDENT]
     free = np.zeros(7) if free is None else free.as_array()
     m = np.empty(16)
     m[_FREE] = free
     m[_SOLVED] = _FAMILY @ np.concatenate(([1.0], independent, free))
     return m
-
-
-def general_solution(ip: IndependentProbabilities,
-                     free: FreeParameters | None = None) -> np.ndarray:
-    """The measure vector determined by the independent probabilities and the
-    7 free weights.
-
-    Total affine map: the result always sums to 1 and its forward map always
-    reproduces the box extended from ip, for any real free weights.  Its
-    sigma1 equals (3 - sum of the independent probabilities) / 2 regardless
-    of the free weights.
-    """
-    return _family_member(ip.as_array(), free)
-
-
-def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Measure vector reproducing the consistent probability set p, at the
-    given point of the 7-parameter solution family (zeros by default).
-    Raises ConsistencyError if p fails a consistency check at eps."""
-    return _family_member(require_consistent(p, eps)[_INDEPENDENT], free)
 
 
 def perfect_correlation_solution(p, m16: float = 0.0,

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import cli
-from quasilocal.fileio import box_object, fixture_path, measures_object, parse_box
+from quasilocal.fileio import box_object, fixture_path, format_box, measures_object, parse_box
 
 
 @pytest.fixture
@@ -81,6 +83,16 @@ def test_qm_bad_resolution_is_a_domain_failure(run):
     assert "resolution" in err
 
 
+@pytest.mark.parametrize("mode", [["--angles", "0", "90", "45", "135"], ["--maximize"]],
+                         ids=["angles", "maximize"])
+def test_huge_amplitudes_are_a_domain_failure(run, mode):
+    # squaring 1e200 overflowed into an OverflowError traceback
+    code, out, err = run(["qm", "--state", "1e200,1e200,0,0", *mode])
+    assert code == 1
+    assert out == ""
+    assert err == "error: state is not normalized: |amplitudes|^2 = inf\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["solve", "--free", "nan", "0", "0", "0", "0", "0", "0"], "--free"),
     (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
@@ -137,6 +149,16 @@ def test_json_booleans_are_parse_errors(run, command, document, key):
     assert code == 2
     assert out == ""
     assert "non-numeric value True" in err
+
+
+def test_bad_json_label_is_a_parse_error(run):
+    # a bad outcome character in a JSON label escaped as a ValueError traceback
+    document = box_object(ql.uniform_box())
+    document["probabilities"]["a1xb1+"] = document["probabilities"].pop("a1+b1+")
+    code, out, err = run(["validate"], json.dumps(document))
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: bad probability label 'a1xb1+'\n"
 
 
 @pytest.mark.parametrize("document, message", [
@@ -203,3 +225,54 @@ def test_inconsistent_box_reports_every_violation(run):
         assert code == 1
         assert out == ""
         assert all(v.describe() in err for v in violations)
+
+
+def box_document(p, fmt):
+    return format_box(p) if fmt == "text" else box_object_text(p)
+
+
+def corrupted(document, fmt, k):
+    """The document with data entry k made unparseable."""
+    if fmt == "json":
+        return document.replace(f'"{ql.PROB_LABELS[k]}"', '"a1xb1+"')
+    lines = document.splitlines()
+    lines[k] = lines[k].replace("b", "c", 1)
+    return "\n".join(lines) + "\n"
+
+
+# `run` resets stdin and reads the captured output on every call, so one
+# fixture instance serves all of hypothesis's examples
+@pytest.mark.parametrize("expected", [0, 1, 2], ids=["consistent", "inconsistent", "malformed"])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weights=st.lists(st.floats(0, 1), min_size=16, max_size=16).filter(lambda w: sum(w) > 0),
+       free=st.lists(st.floats(-1000, 1000), min_size=7, max_size=7),
+       fmt=st.sampled_from(["text", "json"]),
+       k=st.integers(0, 15),
+       shift=st.floats(1e-6, 0.5))
+def test_solve_forward_validate_round_trip(run, tmp_path, expected, weights, free, fmt, k,
+                                           shift):
+    """box -> solve -> forward -> validate: a consistent box comes back within
+    eps and passes (exit 0); a box with one entry moved is rejected by solve
+    and validate (exit 1); a box with an unreadable entry is a parse error of
+    both (exit 2)."""
+    p = ql.forward_map(np.array(weights) / sum(weights))
+    if expected == 1:
+        p[k] += shift
+    box = box_document(p, fmt)
+    if expected == 2:
+        box = corrupted(box, fmt, k)
+    free_file = tmp_path / "free.json"
+    free_file.write_text(json.dumps(free))
+    code, measures, err = run(["solve", "--free-file", str(free_file), "--format", fmt], box)
+    assert code == expected, err
+    if expected:
+        assert measures == ""
+        assert err.startswith("error: " if expected == 1 else "parse error: ")
+        code, _, _ = run(["validate"], box)
+        assert code == expected
+        return
+    code, back, _ = run(["forward", "--format", fmt], measures)
+    assert code == 0
+    code, report, _ = run(["validate"], back)
+    assert code == 0, report
+    assert np.abs(parse_box(back) - p).max() <= 1e-9

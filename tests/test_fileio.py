@@ -166,6 +166,7 @@ def test_line_order_is_free():
     ('{"wrong": {}}', "probabilities"),
     ('{"probabilities": {"a1+b1+": "x"}}', "non-numeric"),
     ('{"probabilities": {"a1+b1+": true}}', "non-numeric"),
+    ('{"probabilities": {"a1xb1+": 0.25}}', "bad probability label 'a1xb1\\+'"),
     ('{"probabilities": {"a1+b1+": 1' + "0" * 400 + '}}', "non-finite"),
     ('{"probabilities": {"a1+b1+": 1' + "0" * 5000 + '}}', "invalid JSON"),
     ('{not json', "invalid JSON"),

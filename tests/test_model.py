@@ -1,5 +1,6 @@
 """Core model tests: encodings, forward map, consistency checks, CHSH."""
 
+import inspect
 import re
 
 import numpy as np
@@ -235,13 +236,40 @@ def test_require_consistent_lists_every_violation():
 
 @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-9])
 def test_check_consistency_rejects_bad_eps(eps):
-    # a NaN eps passed every check and an infinite one accepted signalling boxes
+    # a NaN eps passed every check and an infinite one accepted signalling
+    # boxes; blocks summing to 2 and weights summing to 8 got CHSH values
     signalling = ql.uniform_box()
     signalling[[0, 1]] = [0.4, 0.1]
+    unnormalized = np.full(16, 0.5)
+    calls = {
+        "check_consistency": lambda e: ql.check_consistency(signalling, e),
+        "is_consistent": lambda e: ql.is_consistent(signalling, e),
+        "require_consistent": lambda e: ql.require_consistent(signalling, e),
+        "check_range": lambda e: ql.check_range(signalling, e),
+        "check_normalization": lambda e: ql.check_normalization(unnormalized, e),
+        "check_no_signaling": lambda e: ql.check_no_signaling(signalling, e),
+        "check_derived_relations": lambda e: ql.check_derived_relations(signalling, e),
+        "correlation": lambda e: ql.correlation(unnormalized, 1, 1, e),
+        "chsh": lambda e: ql.chsh(unnormalized, eps=e),
+        "max_abs_chsh": lambda e: ql.max_abs_chsh(unnormalized, e),
+        "chsh_report": lambda e: ql.chsh_report(unnormalized, e),
+        "chsh_lower_bound": lambda e: ql.chsh_lower_bound(unnormalized, e),
+        "chsh_from_measures": lambda e: ql.chsh_from_measures(unnormalized, e),
+        "chsh_report_from_measures": lambda e: ql.chsh_report_from_measures(unnormalized, e),
+        "negativity_necessity_verdict":
+            lambda e: ql.negativity_necessity_verdict(unnormalized, e),
+        "solve": lambda e: ql.solve(signalling, eps=e),
+        "perfect_correlation_solution":
+            lambda e: ql.perfect_correlation_solution(ql.pr_box(), 0.0, e),
+        "min_negativity": lambda e: ql.min_negativity(signalling, e),
+    }
+    # every public function that takes eps is in the table
+    assert set(calls) == {name for name, f in vars(ql).items()
+                          if inspect.isfunction(f) and "eps" in inspect.signature(f).parameters}
     message = re.escape(f"eps must be finite and nonnegative, got {eps!r}")
-    for check in (ql.check_consistency, ql.is_consistent, ql.require_consistent):
+    for name, call in calls.items():
         with pytest.raises(ValueError, match=f"^{message}$"):
-            check(signalling, eps)
+            call(eps)
     # check_consistency tests eps before the box, require_consistent after it
     with pytest.raises(ValueError, match=f"^{message}$"):
         ql.check_consistency(np.zeros(15), eps)

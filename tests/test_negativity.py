@@ -3,7 +3,7 @@
 The closed form max(0, (|delta| - 2) / 4) and its witness are checked against
 two independent oracles, both scipy linprog: one over the 16 weights
 directly, and one over the 7 free weights of the solution family, whose
-affine expansion is read off general_solution.
+affine expansion is read off solve.
 """
 
 import numpy as np
@@ -20,14 +20,12 @@ def family_min_negativity(p):
     """min sum(t) over (f, t) subject to t >= -(base + C f), t >= 0.
 
     base + C f is the solution family at free weights f.  Its affine
-    expansion is recovered by probing general_solution, so the oracle shares
-    no code path with the closed form.
+    expansion is recovered by probing solve, so the oracle shares no code
+    path with the closed form.
     """
-    ip = ql.independent_probs(p)
-    base = ql.general_solution(ip)
+    base = ql.solve(p)
     coeffs = np.column_stack(
-        [ql.general_solution(ip, ql.FreeParameters(*np.eye(7)[j])) - base
-         for j in range(7)])
+        [ql.solve(p, ql.FreeParameters(*np.eye(7)[j])) - base for j in range(7)])
     result = linprog(
         c=np.concatenate([np.zeros(7), np.ones(16)]),
         A_ub=np.hstack([-coeffs, -np.eye(16)]), b_ub=base,
@@ -202,7 +200,7 @@ def test_witness_is_from_the_family():
         assert_closed_form(p, result)
         assert result.witness.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(ql.forward_map(result.witness), p, atol=1e-6)
-        rebuilt = ql.general_solution(ql.independent_probs(p), result.witness_free_params)
+        rebuilt = ql.solve(p, result.witness_free_params)
         assert np.allclose(rebuilt, result.witness, atol=1e-12)
         assert result.min_negativity == pytest.approx(
             ql.total_negativity(result.witness), abs=1e-15)

@@ -61,6 +61,29 @@ def test_state_validation():
     ql.TwoQubitState((1.0, 0.0, 0.0, 0.0))  # fine
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    ((np.nan, 0.0, 0.0, 0.0), "amplitudes contain non-finite values"),
+    ((np.inf, 0.0, 0.0, 0.0), "amplitudes contain non-finite values"),
+    ((1e200, 1e200, 0.0, 0.0), r"state is not normalized: \|amplitudes\|\^2 = inf"),
+    ((1e308 + 1e308j, 0.0, 0.0, 0.0), r"state is not normalized: \|amplitudes\|\^2 = inf"),
+])
+def test_state_validation_messages(amplitudes, message):
+    # a finite amplitude too large to square is not normalized, not non-finite
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ql.TwoQubitState(amplitudes)
+
+
+@pytest.mark.parametrize("components, message", [
+    ((np.nan, 0.0, 0.0), "direction contains non-finite components"),
+    ((0.0, -np.inf, 0.0), "direction contains non-finite components"),
+    ((1e200, 0.0, 0.0), r"direction is not a unit vector: \|n\|\^2 = inf"),
+    ((0.0, 0.0, -1e200), r"direction is not a unit vector: \|n\|\^2 = inf"),
+])
+def test_direction_validation_messages(components, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ql.MeasurementDirection(*components)
+
+
 def test_direction_validation():
     with pytest.raises(ValueError):
         ql.MeasurementDirection(1.0, 1.0, 0.0)

@@ -1,4 +1,4 @@
-"""Solution-family tests: extraction, reconstruction, inversion, perfect correlation."""
+"""Solution-family tests: box embedding, reconstruction, inversion, perfect correlation."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from quasilocal import model, solver
 from conftest import random_consistent_box, random_nonnegative_measures
 
 RT2 = np.sqrt(2.0)
+IND = list(ql.INDEPENDENT_INDICES)
 
 
 def extremal_measures():
@@ -67,11 +68,18 @@ def family_bound(*parts):
     return 8 * np.finfo(float).eps * (1.0 + sum(np.abs(x).sum() for x in parts))
 
 
-@given(st.lists(st.floats(0, 1), min_size=8, max_size=8),
-       st.lists(st.floats(-1000, 1000), min_size=7, max_size=7))
-def test_general_solution_matches_the_hand_formulas(ind, free):
-    ip = ql.IndependentProbabilities(*ind)
-    m = ql.general_solution(ip, ql.FreeParameters(*free))
+def consistent_boxes():
+    """Hypothesis strategy: the images of normalized nonnegative weights."""
+    weights = st.lists(st.floats(0, 1), min_size=16, max_size=16).filter(lambda w: sum(w) > 0)
+    return weights.map(lambda w: ql.forward_map(np.array(w) / sum(w)))
+
+
+# the family is affine and consistent boxes span the same affine space as
+# the old free draws of the 8 independent entries
+@given(consistent_boxes(), st.lists(st.floats(-1000, 1000), min_size=7, max_size=7))
+def test_general_solution_matches_the_hand_formulas(p, free):
+    ind = p[IND]
+    m = ql.solve(p, ql.FreeParameters(*free))
     assert np.abs(m - reference_general_solution(ind, free)).max() <= family_bound(ind, free)
     assert np.array_equal(m[list(ql.FREE_INDICES)], free)
 
@@ -102,71 +110,81 @@ def test_family_matrices_are_exact_half_integer_preimages():
 
 
 # ---------------------------------------------------------------------------
-# independent_probs / reconstruct_probs
+# Independent entries and box_from_independent
 # ---------------------------------------------------------------------------
 
 def test_independent_probs_values():
-    assert np.allclose(ql.independent_probs(ql.uniform_box()).as_array(), 0.25)
-    assert np.allclose(ql.independent_probs(ql.tsirelson_box()).as_array(), (2 + RT2) / 8)
-    assert np.allclose(ql.independent_probs(ql.pr_box()).as_array(), 0.5)
+    for box, value in [(ql.uniform_box, 0.25), (ql.tsirelson_box, (2 + RT2) / 8),
+                       (ql.pr_box, 0.5)]:
+        p = ql.require_consistent(box())
+        assert np.allclose(p[IND], value)
+        assert np.allclose(ql.box_from_independent(p[IND]), p, atol=1e-15)
 
 
 def test_independent_probs_rejects_inconsistent():
     p = ql.uniform_box()
     p[1] = 0.3
     with pytest.raises(ql.ConsistencyError) as err:
-        ql.independent_probs(p)
+        ql.require_consistent(p)
     assert err.value.violations
+    with pytest.raises(ql.ConsistencyError):
+        ql.solve(p)
 
 
 def test_independent_probabilities_validation():
-    with pytest.raises(ValueError):
-        ql.IndependentProbabilities(1.5, 0, 0, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        ql.IndependentProbabilities(np.nan, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        ql.box_from_independent([np.nan, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="expected 8 independent probabilities"):
+        ql.box_from_independent([0.25] * 7)
+    # no range check of its own: require_consistent judges the box at its eps
+    p = ql.box_from_independent([1.5, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ql.ConsistencyError) as err:
+        ql.require_consistent(p)
+    assert ql.RangeViolation(0, 1.5) in err.value.violations
 
 
 def test_reconstruct_uniform_and_tsirelson():
-    assert np.allclose(
-        ql.reconstruct_probs(ql.IndependentProbabilities(*[0.25] * 8)),
-        ql.uniform_box(), atol=1e-15)
-    rebuilt = ql.reconstruct_probs(ql.IndependentProbabilities(*[(2 + RT2) / 8] * 8))
+    assert np.allclose(ql.box_from_independent([0.25] * 8), ql.uniform_box(), atol=1e-15)
+    rebuilt = ql.box_from_independent([(2 + RT2) / 8] * 8)
     assert np.allclose(rebuilt, ql.tsirelson_box(), atol=1e-15)
     assert rebuilt[1] == pytest.approx((2 - RT2) / 8, abs=1e-15)
 
 
 def test_reconstruct_rejects_infeasible():
-    # all independent entries at 1 would force p2 = -1/2
-    with pytest.raises(ql.InfeasibleIndependentSetError):
-        ql.reconstruct_probs(ql.IndependentProbabilities(*[1.0] * 8))
+    # all independent entries at 1 force every dependent entry to -1/2
+    p = ql.box_from_independent([1.0] * 8)
+    with pytest.raises(ql.ConsistencyError) as err:
+        ql.require_consistent(p)
+    assert ql.RangeViolation(1, -0.5) in err.value.violations
+    assert "p2 (a1+b1-) = -0.5 outside [0, 1]" in str(err.value)
 
 
 def test_reconstruct_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(100):
         p = random_consistent_box(rng)
-        assert np.allclose(ql.reconstruct_probs(ql.independent_probs(p)), p, atol=1e-12)
+        rebuilt = ql.box_from_independent(ql.require_consistent(p)[IND])
+        assert np.allclose(rebuilt, p, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# general_solution / solve
+# solve
 # ---------------------------------------------------------------------------
 
 def test_general_solution_uniform():
-    ip = ql.IndependentProbabilities(*[0.25] * 8)
     f = ql.FreeParameters(*[1 / 16] * 7)
-    assert np.allclose(ql.general_solution(ip, f), 1 / 16, atol=1e-15)
+    assert np.allclose(ql.solve(ql.box_from_independent([0.25] * 8), f), 1 / 16, atol=1e-15)
 
 
 def test_general_solution_extremal():
-    ip = ql.IndependentProbabilities(*[(2 + RT2) / 8] * 8)
+    p = ql.box_from_independent([(2 + RT2) / 8] * 8)
     f = ql.FreeParameters(*[(1 + RT2) / 16] * 7)
-    assert np.allclose(ql.general_solution(ip, f), extremal_measures(), atol=1e-15)
+    assert np.allclose(ql.solve(p, f), extremal_measures(), atol=1e-15)
 
 
 def test_general_solution_pr_box_with_chosen_free_weights():
-    ip = ql.IndependentProbabilities(*[0.5] * 8)
-    m = ql.general_solution(ip, ql.FreeParameters(0, 0, 0, 0, 0.5, 0.5, 0))
+    p = ql.box_from_independent([0.5] * 8)
+    m = ql.solve(p, ql.FreeParameters(0, 0, 0, 0, 0.5, 0.5, 0))
     assert np.allclose(m, PR_WITNESS, atol=1e-15)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(ql.forward_map(m), ql.pr_box(), atol=1e-12)
@@ -202,6 +220,16 @@ def test_solve_range_checks_at_the_callers_eps():
     assert np.abs(ql.forward_map(m) - p).max() <= 1e-5
     with pytest.raises(ql.ConsistencyError):
         ql.solve(p)
+
+
+def test_box_from_independent_round_trips_at_the_callers_eps():
+    p = box_outside_the_range_at_the_default_eps()
+    rebuilt = ql.require_consistent(ql.box_from_independent(p[IND]), 1e-5)
+    assert np.abs(rebuilt - p).max() <= 1e-5
+    m = ql.solve(rebuilt, eps=1e-5)
+    assert np.abs(ql.forward_map(m) - p).max() <= 1e-5
+    with pytest.raises(ql.ConsistencyError, match=r"p1 \(a1\+b1\+\) = 1.0000005"):
+        ql.require_consistent(rebuilt)
 
 
 def test_free_parameters_helpers():
