@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--maximize", action="store_true",
                        help="grid-search x-z-plane directions maximizing |CHSH|")
     qm.add_argument("--resolution", type=_finite_float, default=5.0,
-                    help="grid step in degrees for --maximize (default 5)")
+                    help="grid step in degrees for --maximize, {:g} to {:g} (default 5)".format(
+                        *quantum.RESOLUTION_RANGE_DEG))
     qm.add_argument("--format", choices=("text", "json"), default="text")
     qm.set_defaults(handler=_cmd_qm)
 

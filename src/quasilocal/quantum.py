@@ -189,6 +189,14 @@ class ChshSearchResult:
 #: Grid values this close to the maximum count as ties in maximize_chsh.
 TIE_TOL = 1e-12
 
+#: Grid steps accepted by maximize_chsh, in degrees: at most 3,600 angles.
+RESOLUTION_RANGE_DEG = (0.1, 45.0)
+
+# Slack on the pair bound, far above the rounding error of U and pair_best.
+_BOUND_MARGIN = 1e-9
+# Elements per block of the exact re-check of the near-best pairs.
+_CHUNK = 1 << 20
+
 
 def _pair_correlation(state: TwoQubitState,
                       da: MeasurementDirection, db: MeasurementDirection) -> float:
@@ -199,48 +207,97 @@ def _pair_correlation(state: TwoQubitState,
     return pp + mm - pm - mp
 
 
+def _pair_bound(w: np.ndarray) -> np.ndarray:
+    """U[i1, i2] = |w[i1] + w[i2]| + |w[i1] - w[i2]| for the rows of an n x 2
+    array, with at most three n x n tables alive at once."""
+    x, z = w.T
+    sx, sz = np.add.outer(x, x), np.add.outer(z, z)
+    bound = np.hypot(sx, sz)
+    np.subtract.outer(x, x, out=sx)
+    np.subtract.outer(z, z, out=sz)
+    bound += np.hypot(sx, sz, out=sx)
+    return bound
+
+
+def _pair_best(corr: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """max|u + v| + max|u - v| for the table rows u = corr[first] and
+    v = corr[second], reduced down columns of corr.T in blocks of about
+    _CHUNK elements."""
+    columns = corr.T
+    pair_best = np.empty(len(first))
+    per_chunk = max(1, _CHUNK // len(columns))
+    for start in range(0, len(first), per_chunk):
+        part = slice(start, start + per_chunk)
+        u, v = columns[:, first[part]], columns[:, second[part]]
+        pair_best[part] = np.abs(u + v).max(axis=0) + np.abs(u - v).max(axis=0)
+    return pair_best
+
+
 def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSearchResult:
     """Grid search for the x-z plane directions maximizing |CHSH| over all variants.
 
     All four directions range over the x-z plane, angles 0 <= theta < 360 in
-    steps of resolution_deg (which must lie in (0, 45]).  The plane is a real
-    limitation: states whose optimal directions leave it fall short of the
-    quantum maximum.  For example (|00> + i|11>)/sqrt(2) reports 2 (up to
-    rounding), not 2*sqrt(2); the full 3-D closed form is ROADMAP item 1.
-    Grid values within TIE_TOL of the maximum are ties, and ties keep the
-    lexicographically smallest (a1, a2, b1, b2) angle tuple.
+    steps of resolution_deg, which must lie in [0.1, 45] (at most 3,600 grid
+    angles).  The plane is a real limitation: states whose optimal directions
+    leave it fall short of the quantum maximum.  For example
+    (|00> + i|11>)/sqrt(2) reports 2 (up to rounding), not 2*sqrt(2); the full
+    3-D closed form is ROADMAP item 2.  Grid values within TIE_TOL of the
+    maximum are ties, and ties keep the lexicographically smallest
+    (a1, a2, b1, b2) angle tuple.
 
     The correlation is bilinear in the two Bloch vectors, E(a, b) = a^T T b
     with T the correlation tensor (Horodecki, Horodecki & Horodecki, Phys.
     Lett. A 200, 340 (1995)), so the grid's correlation table needs only the
-    x-z block of T.  For fixed (a1, a2) with table rows u and v the best
-    |CHSH| over (b1, b2) and all variants is max|u + v| + max|u - v|, which
-    makes the search O(n^3) in time and O(n^2) in memory for n grid angles.
+    x-z block of T: the row of a1 is w1 . g over the grid directions g, with
+    w1 the x-z block applied to a1.  For fixed (a1, a2) with table rows u and
+    v the best |CHSH| over (b1, b2) and all variants is
+    pair_best = max|u + v| + max|u - v|.  Every direction lies within half a
+    step h of a grid direction, so U = |w1 + w2| + |w1 - w2| bounds it:
+    cos(h/2) U <= pair_best <= U.  Only pairs with U near cos(h/2) max U can
+    reach the maximum or tie with it, and pair_best is computed exactly for
+    those alone; where max U < TIE_TOL / 2 (an x-z block that vanishes) all
+    pairs tie and the first wins.  The result is bit for bit that of the
+    exhaustive search over all pairs, in O(n^2) time and memory for n grid
+    angles.
     """
-    if not 0.0 < resolution_deg <= 45.0:
-        raise ValueError(f"resolution must be in (0, 45] degrees, got {resolution_deg!r}")
-    angles = np.arange(0.0, 360.0, float(resolution_deg))
+    low, high = RESOLUTION_RANGE_DEG
+    if not low <= resolution_deg <= high:
+        raise ValueError(
+            f"resolution must be in [{low:g}, {high:g}] degrees, got {resolution_deg!r}")
+    step = float(resolution_deg)
+    angles = np.arange(0.0, 360.0, step)
     radians = np.radians(angles)
     grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)   # (x, z) per angle
     axes = (MeasurementDirection(1.0, 0.0, 0.0), MeasurementDirection(0.0, 0.0, 1.0))
     block = np.array([[_pair_correlation(state, da, db) for db in axes] for da in axes])
-    corr = grid @ block @ grid.T
+    w = grid @ block
 
-    # pair_best[i1, i2]: best |CHSH| with a1 = i1, a2 = i2, one a1 row at a
-    # time.  Swapping a1 and a2 only flips the sign of u - v, so the table is
-    # symmetric and each row needs only i2 >= i1.
-    pair_best = np.zeros_like(corr)
-    for i1, u in enumerate(corr):
-        rest = corr[i1:]
-        pair_best[i1, i1:] = np.abs(u + rest).max(axis=1) + np.abs(u - rest).max(axis=1)
-    pair_best = np.maximum(pair_best, pair_best.T)
+    bound = _pair_bound(w)
+    top = bound.max()
+    if top < TIE_TOL / 2.0:
+        # every pair_best is below TIE_TOL, so all pairs tie and the first wins
+        first = second = np.zeros(1, dtype=np.intp)
+    else:
+        # Swapping a1 and a2 only flips the sign of u - v, so pair_best is
+        # symmetric and the pairs with i1 <= i2 suffice; nonzero lists them
+        # in row-major order, the order that breaks ties.
+        cut = math.cos(math.radians(step) / 2.0) * top - TIE_TOL - _BOUND_MARGIN
+        first, second = np.nonzero(bound >= cut)
+        upper = first <= second
+        first, second = first[upper], second[upper]
+    del bound
+
+    corr = w @ grid.T
+    pair_best = _pair_best(corr, first, second)
     threshold = pair_best.max() - TIE_TOL
-    i1, i2 = np.argwhere(pair_best >= threshold)[0]
+    k = np.flatnonzero(pair_best >= threshold)[0]
+    i1, i2 = first[k], second[k]
 
     # With s = u + v and d = u - v, the variants negating an (a, b2) term are
     # s_b1 +- d_b2 and those negating an (a, b1) term are s_b2 +- d_b1; the
     # larger absolute value of each pair is |s| + |d|, also after rounding.
     s, d = np.abs(corr[i1] + corr[i2]), np.abs(corr[i1] - corr[i2])
+    del corr   # before the three n x n tables below
     candidates = np.maximum(np.add.outer(s, d), np.add.outer(d, s))
     ib1, ib2 = np.argwhere(candidates >= threshold)[0]
 

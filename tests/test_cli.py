@@ -77,10 +77,14 @@ def test_qm_maximize_angles_reproduce_the_box_through_qm_angles(run):
 
 
 def test_qm_bad_resolution_is_a_domain_failure(run):
-    code, out, err = run(["qm", "--state", "singlet", "--maximize", "--resolution", "50"])
-    assert code == 1
-    assert out == ""
-    assert "resolution" in err
+    # 0.001 once died with a traceback asking numpy for 966 GiB
+    for resolution in ("50", "0.001"):
+        code, out, err = run(["qm", "--state", "singlet", "--maximize",
+                              "--resolution", resolution])
+        assert code == 1
+        assert out == ""
+        assert "resolution" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("mode", [["--angles", "0", "90", "45", "135"], ["--maximize"]],

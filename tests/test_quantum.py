@@ -5,12 +5,16 @@ and evaluates <psi| P_A (x) P_B |psi> directly, which the production path
 never does.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import quasilocal as ql
+from quasilocal.quantum import TIE_TOL
 
 RT2 = np.sqrt(2.0)
 
@@ -287,6 +291,44 @@ def reference_maximize(state, resolution_deg):
     return best, best_idx
 
 
+def xz_correlation_block(state):
+    """E(a, b) for a, b in (x, z), summed in the order maximize_chsh uses."""
+    axes = (ql.MeasurementDirection(1.0, 0.0, 0.0), ql.MeasurementDirection(0.0, 0.0, 1.0))
+
+    def correlation(da, db):
+        pp, pm, mp, mm = (ql.born_probability(state, da, oa, db, ob)
+                          for oa, ob in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        return pp + mm - pm - mp
+
+    return np.array([[correlation(da, db) for db in axes] for da in axes])
+
+
+def cubic_maximize(state, resolution_deg):
+    """The O(n^3) x-z search that maximize_chsh replaced: pair_best for every
+    (a1, a2) pair, one a1 row at a time.  Returns the best |CHSH|, its angle
+    tuple, and the (n, 2) array w with correlation table w @ grid.T and
+    the full pair_best table."""
+    angles = np.arange(0.0, 360.0, float(resolution_deg))
+    radians = np.radians(angles)
+    grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)
+    w = grid @ xz_correlation_block(state)
+    corr = w @ grid.T
+
+    pair_best = np.zeros_like(corr)
+    for i1, u in enumerate(corr):
+        rest = corr[i1:]
+        pair_best[i1, i1:] = np.abs(u + rest).max(axis=1) + np.abs(u - rest).max(axis=1)
+    pair_best = np.maximum(pair_best, pair_best.T)
+    threshold = pair_best.max() - TIE_TOL
+    i1, i2 = np.argwhere(pair_best >= threshold)[0]
+
+    s, d = np.abs(corr[i1] + corr[i2]), np.abs(corr[i1] - corr[i2])
+    candidates = np.maximum(np.add.outer(s, d), np.add.outer(d, s))
+    ib1, ib2 = np.argwhere(candidates >= threshold)[0]
+    chosen = tuple(float(angles[i]) for i in (i1, i2, ib1, ib2))
+    return float(candidates[ib1, ib2]), chosen, w, pair_best
+
+
 def random_real_state(rng):
     amps = rng.normal(size=4)
     return ql.TwoQubitState(tuple(amps / np.linalg.norm(amps)))
@@ -303,6 +345,67 @@ def test_maximize_matches_reference_grid(resolution, make_state):
         assert result.best_delta == pytest.approx(best, abs=1e-12)
         p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
         assert ql.max_abs_chsh(p) == pytest.approx(best, abs=1e-9)
+
+
+_NEAR_Y = cmath.exp(1j * (math.pi / 2 - 1e-3))
+
+#: States with structure: ties, product states and a plane-confined optimum;
+#: then |+y>|+y>, whose x-z correlation block vanishes so that every pair
+#: ties, and |n>|n> with n a milliradian off +y, whose block is about 1e-6.
+SPECIAL_STATES = [
+    (0.0, 1 / RT2, -1 / RT2, 0.0),
+    (1.0, 0.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (0.0, 1 / RT2, 1 / RT2, 0.0),
+    (1 / RT2, 0.0, 0.0, 1j / RT2),
+    (0.5, 0.5, 0.5, 0.5),
+    (0.5, 0.5j, 0.5j, -0.5),
+    (0.5, 0.5 * _NEAR_Y, 0.5 * _NEAR_Y, 0.5 * _NEAR_Y ** 2),
+]
+CUBIC_RESOLUTIONS = [45.0, 40.0, 30.0, 20.0, 15.0, 7.0, 5.0, 3.3, 2.0]
+
+
+def assert_same_search(state, resolution):
+    result = ql.maximize_chsh(state, resolution)
+    best, angles, _, _ = cubic_maximize(state, resolution)
+    assert result.best_delta == best
+    assert result.angles_deg == angles
+    assert result.directions == tuple(ql.MeasurementDirection.from_xz_angle(t) for t in angles)
+
+
+@pytest.mark.parametrize("resolution", CUBIC_RESOLUTIONS)
+def test_maximize_equals_the_cubic_search_on_special_states(resolution):
+    for amplitudes in SPECIAL_STATES:
+        assert_same_search(ql.TwoQubitState(amplitudes), resolution)
+
+
+@pytest.mark.parametrize("resolution", CUBIC_RESOLUTIONS)
+def test_maximize_equals_the_cubic_search_on_random_states(resolution):
+    rng = np.random.default_rng(31)
+    for make_state in (random_real_state, random_state) * 4:
+        assert_same_search(make_state(rng), resolution)
+
+
+@given(amplitudes=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4)
+       .filter(lambda a: np.linalg.norm(a) > 0.1),
+       resolution=st.sampled_from(CUBIC_RESOLUTIONS))
+def test_maximize_equals_the_cubic_search_on_generated_states(amplitudes, resolution):
+    amps = np.array(amplitudes) / np.linalg.norm(amplitudes)
+    assert_same_search(ql.TwoQubitState(tuple(amps)), resolution)
+
+
+@pytest.mark.parametrize("resolution", [45.0, 7.0, 5.0])
+def test_pair_best_lies_within_the_closed_form_bound(resolution):
+    # cos(h/2) U <= pair_best <= U with U = |w1 + w2| + |w1 - w2|
+    rng = np.random.default_rng(37)
+    states = [ql.singlet(), ql.TwoQubitState((0.6, 0.0, 0.0, 0.8)),
+              random_real_state(rng), random_state(rng), random_state(rng)]
+    for state in states:
+        _, _, w, pair_best = cubic_maximize(state, resolution)
+        bound = (np.linalg.norm(w[:, None] + w[None], axis=2)
+                 + np.linalg.norm(w[:, None] - w[None], axis=2))
+        assert np.all(math.cos(math.radians(resolution) / 2) * bound - 1e-12 <= pair_best)
+        assert np.all(pair_best <= bound + 1e-12)
 
 
 @pytest.mark.parametrize("amplitudes, resolution, angles", [
@@ -348,10 +451,10 @@ def test_maximize_is_deterministic():
 
 
 def test_maximize_rejects_bad_resolution():
-    with pytest.raises(ValueError):
-        ql.maximize_chsh(ql.singlet(), 0.0)
-    with pytest.raises(ValueError):
-        ql.maximize_chsh(ql.singlet(), 50.0)
+    # 0.001 degrees once asked numpy for 966 GiB; the range check comes first
+    for bad in (0.0, 0.001, 0.0999, 50.0, math.nan):
+        with pytest.raises(ValueError, match=r"^resolution must be in \[0\.1, 45\] degrees"):
+            ql.maximize_chsh(ql.singlet(), bad)
 
 
 # ---------------------------------------------------------------------------
