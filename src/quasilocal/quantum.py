@@ -6,9 +6,12 @@ which always form a consistent box.  These serve as quantum fixtures: the
 singlet state with well-chosen coplanar directions reaches |CHSH| = 2*sqrt(2),
 product states stay at 2, and no pure state exceeds the quantum ceiling.
 
-Probabilities are computed by applying the 2x2 projectors (I +/- n.sigma)/2
-directly to amplitude index pairs; no 4x4 operator is ever materialized and
-no linear-algebra library is needed.
+A state enters every Born-rule value through one real 4x4 matrix, its
+correlation tensor R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> over the
+Paulis (I, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
+(1995)).  The projector onto outcome m along a is (I + m a.sigma)/2, so
+p(m, n | a, b) = (1, m a) R (1, n b)^T / 4, and the x-z correlations that
+maximize_chsh searches are the block R[(x, z), (x, z)].
 """
 
 from __future__ import annotations
@@ -19,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    MINUS,
-    OUTCOMES,
-    PLUS,
-    prob_index,
-)
+from .model import OUTCOMES, _PROB_INDEX
 
 _UNIT_EPS = 1e-12
+
+#: The Pauli basis (I, sigma_x, sigma_y, sigma_z), shape (4, 2, 2).
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _squared_norm(values) -> float:
@@ -87,10 +89,6 @@ class QubitScenario:
     b1: MeasurementDirection
     b2: MeasurementDirection
 
-    def direction(self, party: str, index: int) -> MeasurementDirection:
-        return {("a", 1): self.a1, ("a", 2): self.a2,
-                ("b", 1): self.b1, ("b", 2): self.b2}[(party, index)]
-
 
 def singlet() -> TwoQubitState:
     """The spin-zero state (|+-> - |-+>) / sqrt(2)."""
@@ -98,27 +96,29 @@ def singlet() -> TwoQubitState:
     return TwoQubitState((0.0, r, -r, 0.0))
 
 
-def _projector(direction: MeasurementDirection, outcome: int):
-    """2x2 projector onto the +/-1 eigenspace of n.sigma, as 4 complex entries."""
-    s = float(outcome)
-    return (0.5 * (1.0 + s * direction.z),
-            0.5 * s * (direction.x - 1j * direction.y),
-            0.5 * s * (direction.x + 1j * direction.y),
-            0.5 * (1.0 - s * direction.z))
+def _correlation_tensor(state: TwoQubitState) -> np.ndarray:
+    """R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> for mu, nu over (I, x, y, z)."""
+    psi = np.array(state.amplitudes).reshape(2, 2)   # [A's z bit, B's z bit]
+    value = np.einsum("ab,mac,nbd,cd->mn", psi.conj(), _PAULIS, _PAULIS, psi)
+    residue = np.abs(value.imag).max()
+    if residue > _UNIT_EPS:
+        raise ValueError(f"correlation tensor has imaginary residue {residue!r}")
+    return value.real
 
 
-def _apply_first(proj, amps):
-    p00, p01, p10, p11 = proj
-    a0, a1, a2, a3 = amps
-    return (p00 * a0 + p01 * a2, p00 * a1 + p01 * a3,
-            p10 * a0 + p11 * a2, p10 * a1 + p11 * a3)
+def _outcome_vectors(directions) -> np.ndarray:
+    """(1, m d) for each direction d and outcome m, shape (len, 2, 4), with
+    outcomes in OUTCOMES order."""
+    bloch = np.array([(d.x, d.y, d.z) for d in directions])
+    vectors = np.ones((len(bloch), len(OUTCOMES), 4))
+    vectors[..., 1:] = bloch[:, None, :] * np.array(OUTCOMES)[:, None]
+    return vectors
 
 
-def _apply_second(proj, amps):
-    p00, p01, p10, p11 = proj
-    a0, a1, a2, a3 = amps
-    return (p00 * a0 + p01 * a1, p10 * a0 + p11 * a1,
-            p00 * a2 + p01 * a3, p10 * a2 + p11 * a3)
+def _born_table(state: TwoQubitState, directions_a, directions_b) -> np.ndarray:
+    """p[j, k, m, n] = (1, m a_j) R (1, n b_k)^T / 4, outcomes in OUTCOMES order."""
+    return np.einsum("jmu,uv,knv->jkmn", _outcome_vectors(directions_a),
+                     _correlation_tensor(state), _outcome_vectors(directions_b)) / 4.0
 
 
 def born_probability(state: TwoQubitState,
@@ -129,13 +129,8 @@ def born_probability(state: TwoQubitState,
     can leave a zero probability a few 1e-17 below 0."""
     if outcome_a not in OUTCOMES or outcome_b not in OUTCOMES:
         raise ValueError(f"outcomes must be +1 or -1, got {outcome_a!r}, {outcome_b!r}")
-    projected = _apply_second(_projector(direction_b, outcome_b),
-                              _apply_first(_projector(direction_a, outcome_a),
-                                           state.amplitudes))
-    value = sum(a.conjugate() * q for a, q in zip(state.amplitudes, projected))
-    if abs(value.imag) > _UNIT_EPS:
-        raise ValueError(f"probability has imaginary residue {value.imag!r}")
-    return value.real
+    table = _born_table(state, [direction_a], [direction_b])
+    return float(table[0, 0, OUTCOMES.index(outcome_a), OUTCOMES.index(outcome_b)])
 
 
 def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
@@ -145,14 +140,8 @@ def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
     relations to floating-point accuracy.
     """
     p = np.empty(16)
-    for j in (1, 2):
-        for k in (1, 2):
-            da = scenario.direction("a", j)
-            db = scenario.direction("b", k)
-            for m in OUTCOMES:
-                for n in OUTCOMES:
-                    p[prob_index(j, k, m, n)] = born_probability(
-                        scenario.state, da, m, db, n)
+    p[_PROB_INDEX] = _born_table(scenario.state, (scenario.a1, scenario.a2),
+                                 (scenario.b1, scenario.b2))
     return p
 
 
@@ -198,15 +187,6 @@ _BOUND_MARGIN = 1e-9
 _CHUNK = 1 << 20
 
 
-def _pair_correlation(state: TwoQubitState,
-                      da: MeasurementDirection, db: MeasurementDirection) -> float:
-    pp = born_probability(state, da, PLUS, db, PLUS)
-    pm = born_probability(state, da, PLUS, db, MINUS)
-    mp = born_probability(state, da, MINUS, db, PLUS)
-    mm = born_probability(state, da, MINUS, db, MINUS)
-    return pp + mm - pm - mp
-
-
 def _pair_bound(w: np.ndarray) -> np.ndarray:
     """U[i1, i2] = |w[i1] + w[i2]| + |w[i1] - w[i2]| for the rows of an n x 2
     array, with at most three n x n tables alive at once."""
@@ -246,19 +226,18 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     (a1, a2, b1, b2) angle tuple.
 
     The correlation is bilinear in the two Bloch vectors, E(a, b) = a^T T b
-    with T the correlation tensor (Horodecki, Horodecki & Horodecki, Phys.
-    Lett. A 200, 340 (1995)), so the grid's correlation table needs only the
-    x-z block of T: the row of a1 is w1 . g over the grid directions g, with
-    w1 the x-z block applied to a1.  For fixed (a1, a2) with table rows u and
-    v the best |CHSH| over (b1, b2) and all variants is
-    pair_best = max|u + v| + max|u - v|.  Every direction lies within half a
-    step h of a grid direction, so U = |w1 + w2| + |w1 - w2| bounds it:
-    cos(h/2) U <= pair_best <= U.  Only pairs with U near cos(h/2) max U can
-    reach the maximum or tie with it, and pair_best is computed exactly for
-    those alone; where max U < TIE_TOL / 2 (an x-z block that vanishes) all
-    pairs tie and the first wins.  The result is bit for bit that of the
-    exhaustive search over all pairs, in O(n^2) time and memory for n grid
-    angles.
+    with T = R[1:, 1:] the spin part of the correlation tensor, so the grid's
+    correlation table reads only the x-z block R[(x, z), (x, z)]: the row of
+    a1 is w1 . g over the grid directions g, with w1 = a1 . block.  For fixed
+    (a1, a2) with table rows u and v the best |CHSH| over (b1, b2) and all
+    variants is pair_best = max|u + v| + max|u - v|.  Every direction lies
+    within half a step h of a grid direction, so U = |w1 + w2| + |w1 - w2|
+    bounds it: cos(h/2) U <= pair_best <= U.  Only pairs with U near
+    cos(h/2) max U can reach the maximum or tie with it, and pair_best is
+    computed exactly for those alone; where max U < TIE_TOL / 2 (an x-z block
+    that vanishes) all pairs tie and the first wins.  The result is bit for
+    bit that of the exhaustive search over all pairs, in O(n^2) time and
+    memory for n grid angles.
     """
     low, high = RESOLUTION_RANGE_DEG
     if not low <= resolution_deg <= high:
@@ -268,9 +247,7 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     angles = np.arange(0.0, 360.0, step)
     radians = np.radians(angles)
     grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)   # (x, z) per angle
-    axes = (MeasurementDirection(1.0, 0.0, 0.0), MeasurementDirection(0.0, 0.0, 1.0))
-    block = np.array([[_pair_correlation(state, da, db) for db in axes] for da in axes])
-    w = grid @ block
+    w = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
 
     bound = _pair_bound(w)
     top = bound.max()
@@ -296,14 +273,18 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     # With s = u + v and d = u - v, the variants negating an (a, b2) term are
     # s_b1 +- d_b2 and those negating an (a, b1) term are s_b2 +- d_b1; the
     # larger absolute value of each pair is |s| + |d|, also after rounding.
+    # Row b1 of max(s_b1 + d_b2, d_b1 + s_b2) peaks at
+    # max(s_b1 + max d, d_b1 + max s), exactly, as rounding is monotone; so
+    # the first row reaching the threshold, then its first entry, is the
+    # row-major first hit of the whole n x n table.
     s, d = np.abs(corr[i1] + corr[i2]), np.abs(corr[i1] - corr[i2])
-    del corr   # before the three n x n tables below
-    candidates = np.maximum(np.add.outer(s, d), np.add.outer(d, s))
-    ib1, ib2 = np.argwhere(candidates >= threshold)[0]
+    ib1 = np.flatnonzero(np.maximum(s + d.max(), d + s.max()) >= threshold)[0]
+    row = np.maximum(s[ib1] + d, d[ib1] + s)
+    ib2 = np.flatnonzero(row >= threshold)[0]
 
     chosen = tuple(float(angles[i]) for i in (i1, i2, ib1, ib2))
     return ChshSearchResult(
-        best_delta=float(candidates[ib1, ib2]),
+        best_delta=float(row[ib2]),
         directions=tuple(MeasurementDirection.from_xz_angle(t) for t in chosen),
         angles_deg=chosen,
     )

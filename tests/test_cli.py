@@ -2,7 +2,9 @@
 
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,18 @@ def test_qm_solve_forward_round_trip(run):
     code, back, _ = run(["forward"], measures)
     assert code == 0
     assert np.abs(parse_box(back) - parse_box(box)).max() <= 1e-12
+
+
+def test_readme_maximize_limitation_example_prints_what_it_shows(run):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Limitation of `qm --maximize`")[1].split("\n## ")[0]
+    lines = section.splitlines()
+    command = next(line for line in lines if line.startswith("quasilocal qm "))
+    shown = next(line for line in lines if line.startswith("# best |delta| = "))
+    assert shown == "# best |delta| = 2.0000000000000004"
+    code, out, _ = run(shlex.split(command)[1:])
+    assert code == 0
+    assert shown in out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["validate", "negativity"])

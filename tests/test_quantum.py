@@ -1,8 +1,8 @@
 """Born-rule generator tests.
 
-The independent oracle materializes the full 4x4 projector with numpy kron
-and evaluates <psi| P_A (x) P_B |psi> directly, which the production path
-never does.
+The independent oracle materializes the full 4x4 operators with numpy kron
+and evaluates <psi| P_A (x) P_B |psi> and <psi| sigma_mu (x) sigma_nu |psi>
+directly, which the production path never does.
 """
 
 import cmath
@@ -14,13 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
-from quasilocal.quantum import TIE_TOL
+from quasilocal.quantum import TIE_TOL, _correlation_tensor
 
 RT2 = np.sqrt(2.0)
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_PAULIS = (np.eye(2), _SX, _SY, _SZ)
 
 
 def kron_born(state, da, oa, db, ob):
@@ -30,6 +31,12 @@ def kron_born(state, da, oa, db, ob):
     psi = np.array(state.amplitudes)
     operator = np.kron(projector(da, oa), projector(db, ob))
     return float(np.real(psi.conj() @ operator @ psi))
+
+
+def kron_correlation_tensor(state):
+    psi = np.array(state.amplitudes)
+    return np.array([[np.real(psi.conj() @ np.kron(sa, sb) @ psi) for sb in _PAULIS]
+                     for sa in _PAULIS])
 
 
 def random_direction(rng):
@@ -103,6 +110,27 @@ def test_singlet_is_normalized():
 
 
 # ---------------------------------------------------------------------------
+# Correlation tensor
+# ---------------------------------------------------------------------------
+
+def test_correlation_tensor_matches_kron_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        state = random_state(rng)
+        assert np.allclose(_correlation_tensor(state), kron_correlation_tensor(state),
+                           rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("amplitudes, expected", [
+    ((0.0, 1 / RT2, -1 / RT2, 0.0), np.diag([1.0, -1.0, -1.0, -1.0])),
+    ((1.0, 0.0, 0.0, 0.0), np.outer((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0))),
+], ids=["singlet", "plus-plus"])
+def test_correlation_tensor_closed_forms(amplitudes, expected):
+    tensor = _correlation_tensor(ql.TwoQubitState(amplitudes))
+    assert np.allclose(tensor, expected, rtol=0.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # born_probability
 # ---------------------------------------------------------------------------
 
@@ -164,6 +192,21 @@ def test_generate_singlet_extremal_angles():
     p = ql.generate_probability_set(ql.QubitScenario(ql.singlet(), *dirs))
     assert np.allclose(p, ql.tsirelson_box(), atol=1e-12)
     assert ql.chsh(p) == pytest.approx(2 * RT2, abs=1e-12)
+
+
+def test_generate_matches_kron_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        scenario = random_scenario(rng)
+        p = ql.generate_probability_set(scenario)
+        expected = np.empty(16)
+        for j, da in ((1, scenario.a1), (2, scenario.a2)):
+            for k, db in ((1, scenario.b1), (2, scenario.b2)):
+                for m in (1, -1):
+                    for n in (1, -1):
+                        expected[ql.prob_index(j, k, m, n)] = kron_born(
+                            scenario.state, da, m, db, n)
+        assert np.allclose(p, expected, rtol=0.0, atol=1e-15)
 
 
 def test_generated_sets_are_consistent():
@@ -291,8 +334,8 @@ def reference_maximize(state, resolution_deg):
     return best, best_idx
 
 
-def xz_correlation_block(state):
-    """E(a, b) for a, b in (x, z), summed in the order maximize_chsh uses."""
+def born_xz_block(state):
+    """E(a, b) for a, b in (x, z), as sums of four Born probabilities."""
     axes = (ql.MeasurementDirection(1.0, 0.0, 0.0), ql.MeasurementDirection(0.0, 0.0, 1.0))
 
     def correlation(da, db):
@@ -305,13 +348,14 @@ def xz_correlation_block(state):
 
 def cubic_maximize(state, resolution_deg):
     """The O(n^3) x-z search that maximize_chsh replaced: pair_best for every
-    (a1, a2) pair, one a1 row at a time.  Returns the best |CHSH|, its angle
-    tuple, and the (n, 2) array w with correlation table w @ grid.T and
-    the full pair_best table."""
+    (a1, a2) pair, one a1 row at a time, and the n x n (b1, b2) table.  It
+    reads the same x-z block as maximize_chsh, so equality tests compare the
+    search alone.  Returns the best |CHSH|, its angle tuple, and the (n, 2)
+    array w with correlation table w @ grid.T and the full pair_best table."""
     angles = np.arange(0.0, 360.0, float(resolution_deg))
     radians = np.radians(angles)
     grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)
-    w = grid @ xz_correlation_block(state)
+    w = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
     corr = w @ grid.T
 
     pair_best = np.zeros_like(corr)
@@ -363,6 +407,15 @@ SPECIAL_STATES = [
     (0.5, 0.5 * _NEAR_Y, 0.5 * _NEAR_Y, 0.5 * _NEAR_Y ** 2),
 ]
 CUBIC_RESOLUTIONS = [45.0, 40.0, 30.0, 20.0, 15.0, 7.0, 5.0, 3.3, 2.0]
+
+
+def test_xz_block_is_the_born_correlation_sum():
+    rng = np.random.default_rng(43)
+    states = [ql.TwoQubitState(a) for a in SPECIAL_STATES]
+    states += [make_state(rng) for make_state in (random_real_state, random_state) * 50]
+    for state in states:
+        block = _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
+        assert np.allclose(block, born_xz_block(state), rtol=0.0, atol=1e-15)
 
 
 def assert_same_search(state, resolution):
