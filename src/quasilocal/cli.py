@@ -255,15 +255,12 @@ def _cmd_qm(args) -> int:
     state = _parse_state(args.state)
 
     if args.maximize:
-        try:
-            search = quantum.maximize_chsh(state, args.resolution)
-        except ValueError as exc:
-            raise _Failure(EXIT_DOMAIN, str(exc)) from None
+        search = quantum.maximize_chsh(state)
         a1, a2, b1, b2 = search.directions
         angles = search.angles_deg
         comments = [
             f"best |delta| = {fileio.format_value(search.best_delta)}",
-            "angles_deg: a1={:g} a2={:g} b1={:g} b2={:g}".format(*angles),
+            "angles_deg: a1={} a2={} b1={} b2={}".format(*map(fileio.format_value, angles)),
         ]
         extras = {"best_delta": search.best_delta, "angles_deg": list(angles)}
     else:
@@ -358,10 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("A1", "A2", "B1", "B2"), default=None,
                        help="x-z plane angles in degrees for a1 a2 b1 b2")
     group.add_argument("--maximize", action="store_true",
-                       help="grid-search x-z-plane directions maximizing |CHSH|")
-    qm.add_argument("--resolution", type=_finite_float, default=5.0,
-                    help="grid step in degrees for --maximize, {:g} to {:g} (default 5)".format(
-                        *quantum.RESOLUTION_RANGE_DEG))
+                       help="x-z-plane directions maximizing |CHSH|, in closed form")
     qm.add_argument("--format", choices=("text", "json"), default="text")
     qm.set_defaults(handler=_cmd_qm)
 

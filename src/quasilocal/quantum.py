@@ -11,7 +11,7 @@ correlation tensor R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> over the
 Paulis (I, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
 (1995)).  The projector onto outcome m along a is (I + m a.sigma)/2, so
 p(m, n | a, b) = (1, m a) R (1, n b)^T / 4, and the x-z correlations that
-maximize_chsh searches are the block R[(x, z), (x, z)].
+maximize_chsh maximizes in closed form are the block R[(x, z), (x, z)].
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OUTCOMES, _PROB_INDEX
+from .model import OUTCOMES, _PROB_INDEX, as_probability_set
 
 _UNIT_EPS = 1e-12
 
@@ -152,9 +152,7 @@ def flip_outcomes(p, party: str) -> np.ndarray:
     anticorrelation at equal settings (p1 = p4 = 0) into perfect correlation
     (p2 = p3 = 0), the form the perfect-correlation solver expects.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (16,):
-        raise ValueError(f"probability set must have 16 entries, got shape {p.shape}")
+    p = as_probability_set(p)
     # bit 1 of a probability index is A's outcome bit, bit 0 is B's (prob_index)
     bit = {"A": 2, "B": 1}.get(party)
     if bit is None:
@@ -164,127 +162,53 @@ def flip_outcomes(p, party: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChshSearchResult:
-    """Best |CHSH| found by the coplanar grid search.
+    """Largest |CHSH| over measurement directions in the x-z plane.
 
     directions holds (a1, a2, b1, b2); angles_deg the matching x-z plane
-    angles.  best_delta is the largest |CHSH sum| over all 8 sign variants
-    that these directions reach.
+    angles, atan2(x, z) in degrees in [0, 360), from which from_xz_angle
+    rebuilds directions exactly.  best_delta is 2 ||B||_F for the x-z block B
+    of the correlation tensor, the largest |CHSH sum| over all 8 variants in
+    that plane; these directions reach it under the canonical variant, to
+    rounding.
     """
     best_delta: float
     directions: tuple[MeasurementDirection, ...]
     angles_deg: tuple[float, float, float, float]
 
 
-#: Grid values this close to the maximum count as ties in maximize_chsh.
-TIE_TOL = 1e-12
-
-#: Grid steps accepted by maximize_chsh, in degrees: at most 3,600 angles.
-RESOLUTION_RANGE_DEG = (0.1, 45.0)
-
-# Slack on the pair bound, far above the rounding error of U and pair_best.
-_BOUND_MARGIN = 1e-9
-# Elements per block of the exact re-check of the near-best pairs.
-_CHUNK = 1 << 20
-
-
-def _pair_bound(w: np.ndarray) -> np.ndarray:
-    """U[i1, i2] = |w[i1] + w[i2]| + |w[i1] - w[i2]| for the rows of an n x 2
-    array, with at most three n x n tables alive at once."""
-    x, z = w.T
-    sx, sz = np.add.outer(x, x), np.add.outer(z, z)
-    bound = np.hypot(sx, sz)
-    np.subtract.outer(x, x, out=sx)
-    np.subtract.outer(z, z, out=sz)
-    bound += np.hypot(sx, sz, out=sx)
-    return bound
-
-
-def _pair_best(corr: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """max|u + v| + max|u - v| for the table rows u = corr[first] and
-    v = corr[second], reduced down columns of corr.T in blocks of about
-    _CHUNK elements."""
-    columns = corr.T
-    pair_best = np.empty(len(first))
-    per_chunk = max(1, _CHUNK // len(columns))
-    for start in range(0, len(first), per_chunk):
-        part = slice(start, start + per_chunk)
-        u, v = columns[:, first[part]], columns[:, second[part]]
-        pair_best[part] = np.abs(u + v).max(axis=0) + np.abs(u - v).max(axis=0)
-    return pair_best
+def _xz_angle(vector) -> float:
+    """Angle of an (x, z) vector from +z toward +x, in degrees in [0, 360)."""
+    angle = math.degrees(math.atan2(vector[0], vector[1])) % 360.0
+    return angle if angle < 360.0 else 0.0   # a tiny negative angle rounds up to 360
 
 
 def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSearchResult:
-    """Grid search for the x-z plane directions maximizing |CHSH| over all variants.
+    """The x-z plane directions maximizing |CHSH| over all variants, in closed form.
 
-    All four directions range over the x-z plane, angles 0 <= theta < 360 in
-    steps of resolution_deg, which must lie in [0.1, 45] (at most 3,600 grid
-    angles).  The plane is a real limitation: states whose optimal directions
-    leave it fall short of the quantum maximum.  For example
-    (|00> + i|11>)/sqrt(2) reports 2 (up to rounding), not 2*sqrt(2); the full
-    3-D closed form is ROADMAP item 2.  Grid values within TIE_TOL of the
-    maximum are ties, and ties keep the lexicographically smallest
-    (a1, a2, b1, b2) angle tuple.
+    The correlation is bilinear in the two Bloch vectors, E(a, b) = a^T B b
+    for a, b in the x-z plane, with B = R[(x, z), (x, z)] the x-z block of
+    the correlation tensor.  With B = U S V^T (s1 >= s2 >= 0) take
+    b1,2 = cos t v1 +- sin t v2 at t = atan2(s2, s1); then B(b1 + b2) and
+    B(b1 - b2) are 2 cos t s1 u1 and 2 sin t s2 u2, so a1, a2 = u1, u2 point
+    along them and the canonical variant reads 2 (s1 cos t + s2 sin t) =
+    2 hypot(s1, s2) = 2 ||B||_F, the Horodecki argument (Phys. Lett. A 200,
+    340 (1995)) in two dimensions.  No direction pair does better for any
+    variant.  Where B vanishes every choice reaches 0.
 
-    The correlation is bilinear in the two Bloch vectors, E(a, b) = a^T T b
-    with T = R[1:, 1:] the spin part of the correlation tensor, so the grid's
-    correlation table reads only the x-z block R[(x, z), (x, z)]: the row of
-    a1 is w1 . g over the grid directions g, with w1 = a1 . block.  For fixed
-    (a1, a2) with table rows u and v the best |CHSH| over (b1, b2) and all
-    variants is pair_best = max|u + v| + max|u - v|.  Every direction lies
-    within half a step h of a grid direction, so U = |w1 + w2| + |w1 - w2|
-    bounds it: cos(h/2) U <= pair_best <= U.  Only pairs with U near
-    cos(h/2) max U can reach the maximum or tie with it, and pair_best is
-    computed exactly for those alone; where max U < TIE_TOL / 2 (an x-z block
-    that vanishes) all pairs tie and the first wins.  The result is bit for
-    bit that of the exhaustive search over all pairs, in O(n^2) time and
-    memory for n grid angles.
+    The plane is a real limitation: states whose optimal directions leave it
+    fall short of the quantum maximum.  For example (|00> + i|11>)/sqrt(2)
+    reports 2 (up to rounding), not 2*sqrt(2); the full 3-D closed form is
+    ROADMAP item 2.
+
+    resolution_deg is accepted and ignored: it was the step of the grid
+    search this closed form replaced, and callers still pass it by position.
     """
-    low, high = RESOLUTION_RANGE_DEG
-    if not low <= resolution_deg <= high:
-        raise ValueError(
-            f"resolution must be in [{low:g}, {high:g}] degrees, got {resolution_deg!r}")
-    step = float(resolution_deg)
-    angles = np.arange(0.0, 360.0, step)
-    radians = np.radians(angles)
-    grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)   # (x, z) per angle
-    w = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
-
-    bound = _pair_bound(w)
-    top = bound.max()
-    if top < TIE_TOL / 2.0:
-        # every pair_best is below TIE_TOL, so all pairs tie and the first wins
-        first = second = np.zeros(1, dtype=np.intp)
-    else:
-        # Swapping a1 and a2 only flips the sign of u - v, so pair_best is
-        # symmetric and the pairs with i1 <= i2 suffice; nonzero lists them
-        # in row-major order, the order that breaks ties.
-        cut = math.cos(math.radians(step) / 2.0) * top - TIE_TOL - _BOUND_MARGIN
-        first, second = np.nonzero(bound >= cut)
-        upper = first <= second
-        first, second = first[upper], second[upper]
-    del bound
-
-    corr = w @ grid.T
-    pair_best = _pair_best(corr, first, second)
-    threshold = pair_best.max() - TIE_TOL
-    k = np.flatnonzero(pair_best >= threshold)[0]
-    i1, i2 = first[k], second[k]
-
-    # With s = u + v and d = u - v, the variants negating an (a, b2) term are
-    # s_b1 +- d_b2 and those negating an (a, b1) term are s_b2 +- d_b1; the
-    # larger absolute value of each pair is |s| + |d|, also after rounding.
-    # Row b1 of max(s_b1 + d_b2, d_b1 + s_b2) peaks at
-    # max(s_b1 + max d, d_b1 + max s), exactly, as rounding is monotone; so
-    # the first row reaching the threshold, then its first entry, is the
-    # row-major first hit of the whole n x n table.
-    s, d = np.abs(corr[i1] + corr[i2]), np.abs(corr[i1] - corr[i2])
-    ib1 = np.flatnonzero(np.maximum(s + d.max(), d + s.max()) >= threshold)[0]
-    row = np.maximum(s[ib1] + d, d[ib1] + s)
-    ib2 = np.flatnonzero(row >= threshold)[0]
-
-    chosen = tuple(float(angles[i]) for i in (i1, i2, ib1, ib2))
+    u, s, vt = np.linalg.svd(_correlation_tensor(state)[np.ix_((1, 3), (1, 3))])
+    t = math.atan2(s[1], s[0])
+    even, odd = math.cos(t) * vt[0], math.sin(t) * vt[1]
+    chosen = tuple(_xz_angle(v) for v in (u[:, 0], u[:, 1], even + odd, even - odd))
     return ChshSearchResult(
-        best_delta=float(row[ib2]),
-        directions=tuple(MeasurementDirection.from_xz_angle(t) for t in chosen),
+        best_delta=2.0 * math.hypot(s[0], s[1]),
+        directions=tuple(MeasurementDirection.from_xz_angle(a) for a in chosen),
         angles_deg=chosen,
     )

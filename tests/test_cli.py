@@ -47,7 +47,7 @@ def comment_field(text, prefix):
 
 @pytest.mark.parametrize("state", ["singlet", "0.6,0,0,0.8", "0.5,0.5j,0.5,-0.5"])
 def test_qm_maximize_text_reports_a_reproducible_box(run, state):
-    code, out, _ = run(["qm", "--state", state, "--maximize", "--resolution", "15"])
+    code, out, _ = run(["qm", "--state", state, "--maximize"])
     assert code == 0
     best = float(comment_field(out, "# best |delta| = "))
     angles = [float(field.split("=")[1])
@@ -59,8 +59,7 @@ def test_qm_maximize_text_reports_a_reproducible_box(run, state):
 
 @pytest.mark.parametrize("state", ["singlet", "0.6,0,0,0.8", "0.5,0.5j,0.5,-0.5"])
 def test_qm_maximize_json_reports_a_reproducible_box(run, state):
-    code, out, _ = run(["qm", "--state", state, "--maximize", "--resolution", "15",
-                        "--format", "json"])
+    code, out, _ = run(["qm", "--state", state, "--maximize", "--format", "json"])
     assert code == 0
     doc = json.loads(out)
     p = parse_box(out)
@@ -71,22 +70,19 @@ def test_qm_maximize_json_reports_a_reproducible_box(run, state):
 def test_qm_maximize_angles_reproduce_the_box_through_qm_angles(run):
     _, maximized, _ = run(["qm", "--state", "singlet", "--maximize", "--format", "json"])
     doc = json.loads(maximized)
-    assert doc["angles_deg"] == [0.0, 90.0, 45.0, 135.0]
+    assert doc["best_delta"] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
     code, replayed, _ = run(["qm", "--state", "singlet", "--angles",
                              *map(str, doc["angles_deg"])])
     assert code == 0
     assert np.array_equal(parse_box(replayed), parse_box(maximized))
 
 
-def test_qm_bad_resolution_is_a_domain_failure(run):
-    # 0.001 once died with a traceback asking numpy for 966 GiB
-    for resolution in ("50", "0.001"):
-        code, out, err = run(["qm", "--state", "singlet", "--maximize",
-                              "--resolution", resolution])
-        assert code == 1
-        assert out == ""
-        assert "resolution" in err
-        assert len(err.strip().splitlines()) == 1
+def test_qm_resolution_is_not_an_option(run):
+    # --maximize is a closed form; the grid step it once took is gone
+    code, out, err = run(["qm", "--state", "singlet", "--maximize", "--resolution", "5"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --resolution 5" in err
 
 
 @pytest.mark.parametrize("mode", [["--angles", "0", "90", "45", "135"], ["--maximize"]],
@@ -103,8 +99,7 @@ def test_huge_amplitudes_are_a_domain_failure(run, mode):
     (["solve", "--free", "nan", "0", "0", "0", "0", "0", "0"], "--free"),
     (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
     (["qm", "--state", "singlet", "--angles", "inf", "0", "0", "0"], "--angles"),
-    (["qm", "--state", "singlet", "--maximize", "--resolution", "nan"], "--resolution"),
-], ids=["free", "m16", "angles", "resolution"])
+], ids=["free", "m16", "angles"])
 def test_non_finite_numbers_are_usage_errors(run, argv, flag):
     code, out, err = run(argv, box_object_text(ql.pr_box()))
     assert code == 2
@@ -113,7 +108,7 @@ def test_non_finite_numbers_are_usage_errors(run, argv, flag):
 
 
 def test_qm_solve_forward_round_trip(run):
-    _, box, _ = run(["qm", "--state", "0.6,0,0,0.8", "--maximize", "--resolution", "15"])
+    _, box, _ = run(["qm", "--state", "0.6,0,0,0.8", "--maximize"])
     code, measures, _ = run(["solve"], box)
     assert code == 0
     code, back, _ = run(["forward"], measures)
