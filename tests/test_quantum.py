@@ -356,20 +356,28 @@ def born_xz_block(state):
     return np.array([[correlation(da, db) for db in axes] for da in axes])
 
 
-def cubic_maximize(state, resolution_deg):
-    """The O(n^3) x-z grid search: pair_best for every (a1, a2) pair, one a1
-    row at a time, and the n x n (b1, b2) table; ties keep the smallest angle
-    tuple.  Returns the best |CHSH| and its angle tuple."""
+def grid_pair_best(state, resolution_deg):
+    """Best |CHSH| over the grid's (b1, b2) for every (a1, a2) pair, one a1
+    row at a time.  Returns the grid angles, the (n, 2) array w with
+    correlation table corr = w @ grid.T, corr itself and the pair_best table."""
     angles = np.arange(0.0, 360.0, float(resolution_deg))
     radians = np.radians(angles)
     grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)
-    corr = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))] @ grid.T
+    w = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
+    corr = w @ grid.T
 
     pair_best = np.zeros_like(corr)
     for i1, u in enumerate(corr):
         rest = corr[i1:]
         pair_best[i1, i1:] = np.abs(u + rest).max(axis=1) + np.abs(u - rest).max(axis=1)
-    pair_best = np.maximum(pair_best, pair_best.T)
+    return angles, w, corr, np.maximum(pair_best, pair_best.T)
+
+
+def cubic_maximize(state, resolution_deg):
+    """The O(n^3) x-z grid search: grid_pair_best, then the n x n (b1, b2)
+    table of the first best pair; ties keep the smallest angle tuple.
+    Returns the best |CHSH| and its angle tuple."""
+    angles, _, corr, pair_best = grid_pair_best(state, resolution_deg)
     threshold = pair_best.max() - TIE_TOL
     i1, i2 = np.argwhere(pair_best >= threshold)[0]
 
@@ -485,6 +493,22 @@ def test_maximize_bounds_the_cubic_search_on_random_states(resolution):
 def test_maximize_bounds_the_cubic_search_on_generated_states(amplitudes, resolution):
     amps = np.array(amplitudes) / np.linalg.norm(amplitudes)
     assert_bounds_the_cubic_search(ql.TwoQubitState(tuple(amps)), resolution)
+
+
+@pytest.mark.parametrize("resolution", [45.0, 7.0, 5.0])
+def test_pair_best_lies_within_the_closed_form_bound(resolution):
+    # cos(h/2) U <= pair_best <= U with U = |w1 + w2| + |w1 - w2|, and U never
+    # exceeds the x-z maximum 2 ||T_xz||_F that maximize_chsh returns
+    rng = np.random.default_rng(37)
+    states = [ql.singlet(), ql.TwoQubitState((0.6, 0.0, 0.0, 0.8)),
+              random_real_state(rng), random_state(rng), random_state(rng)]
+    for state in states:
+        _, w, _, pair_best = grid_pair_best(state, resolution)
+        bound = (np.linalg.norm(w[:, None] + w[None], axis=2)
+                 + np.linalg.norm(w[:, None] - w[None], axis=2))
+        assert np.all(math.cos(math.radians(resolution) / 2) * bound - 1e-12 <= pair_best)
+        assert np.all(pair_best <= bound + 1e-12)
+        assert bound.max() <= ql.maximize_chsh(state).best_delta + 1e-12
 
 
 @pytest.mark.parametrize("amplitudes, best", [
