@@ -44,7 +44,6 @@ from .model import (
     chsh,
     chsh_from_measures,
     chsh_report,
-    chsh_report_from_measures,
     correlation,
     deterministic_box,
     forward_map,
@@ -81,7 +80,6 @@ from .quantum import (
     MeasurementDirection,
     QubitScenario,
     TwoQubitState,
-    born_probability,
     flip_outcomes,
     generate_probability_set,
     maximize_chsh,

@@ -19,6 +19,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -245,6 +246,9 @@ def _parse_state(text: str) -> quantum.TwoQubitState:
         amplitudes = tuple(complex(t) for t in tokens)
     except ValueError:
         raise _Failure(EXIT_USAGE, f"cannot parse amplitudes from {text!r}") from None
+    bad = [t for t, a in zip(tokens, amplitudes) if not cmath.isfinite(a)]
+    if bad:
+        raise _Failure(EXIT_USAGE, f"argument --state: must be a finite number, got {bad[0]!r}")
     try:
         return quantum.TwoQubitState(amplitudes)
     except ValueError as exc:

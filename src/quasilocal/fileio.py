@@ -150,7 +150,6 @@ def parse_box(text: str) -> np.ndarray:
             values[idx] = _json_number(value, f"probability {label!r}")
         return _fill(values, "box", PROB_LABELS)
 
-    count = 0
     for lineno, line in _clean_lines(text):
         tokens = line.split()
         if len(tokens) != 5:
@@ -166,9 +165,8 @@ def parse_box(text: str) -> np.ndarray:
         if idx in values:
             raise ParseError(f"line {lineno}: duplicate entry {PROB_LABELS[idx]!r}")
         values[idx] = value
-        count += 1
-    if count != 16:
-        raise ParseError(f"box document has {count} data lines, expected 16")
+    if len(values) != 16:
+        raise ParseError(f"box document has {len(values)} data lines, expected 16")
     return _fill(values, "box", PROB_LABELS)
 
 
@@ -220,7 +218,6 @@ def parse_measures(text: str) -> np.ndarray:
             values[idx] = _json_number(value, f"pattern {pattern!r}")
         return _fill(values, "measure", STRATEGY_PATTERNS)
 
-    count = 0
     for lineno, line in _clean_lines(text):
         tokens = line.split()
         if len(tokens) != 2:
@@ -230,9 +227,8 @@ def parse_measures(text: str) -> np.ndarray:
         if idx in values:
             raise ParseError(f"line {lineno}: duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
         values[idx] = value
-        count += 1
-    if count != 16:
-        raise ParseError(f"measure document has {count} data lines, expected 16")
+    if len(values) != 16:
+        raise ParseError(f"measure document has {len(values)} data lines, expected 16")
     return _fill(values, "measure", STRATEGY_PATTERNS)
 
 

@@ -39,7 +39,7 @@ public function can skip the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -580,12 +580,10 @@ def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
 class ChshReport:
     """All 8 CHSH sums for a probability set, with violation flags.
 
-    deltas is aligned with CHSH_VARIANTS.  sigmas is populated only when the
-    report was computed from a measure vector.
+    deltas is aligned with CHSH_VARIANTS.
     """
     deltas: tuple[float, ...]
     max_abs_delta: float
-    sigmas: Sigmas | None = None
     eps: float = DEFAULT_EPS
 
     def delta(self, variant: ChshVariant) -> float:
@@ -605,13 +603,7 @@ class ChshReport:
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
     deltas = _chsh_deltas(as_probability_set(p), eps)
-    return ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), None, eps)
-
-
-def chsh_report_from_measures(m, eps: float = DEFAULT_EPS) -> ChshReport:
-    """CHSH report of forward_map(m), carrying the sigma sums of m."""
-    m = _normalized_measure(m, eps)
-    return replace(chsh_report(FORWARD_MATRIX @ m, eps), sigmas=_sigmas(m))
+    return ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +619,13 @@ class NecessityVerdict:
     carry negative weight without violating CHSH).
     """
     violates_canonical_chsh: bool
-    sigma_in_unit_interval: bool
     has_negative_entry: bool
 
 
 def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdict:
     m = _normalized_measure(m, eps)
-    s1 = _sigmas(m).sigma1
-    in_interval = -eps <= s1 <= 1.0 + eps
     return NecessityVerdict(
-        violates_canonical_chsh=not in_interval,
-        sigma_in_unit_interval=in_interval,
+        violates_canonical_chsh=not -eps <= _sigmas(m).sigma1 <= 1.0 + eps,
         has_negative_entry=bool(np.any(m < 0.0)),
     )
 

@@ -9,9 +9,10 @@ product states stay at 2, and no pure state exceeds the quantum ceiling.
 A state enters every Born-rule value through one real 4x4 matrix, its
 correlation tensor R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> over the
 Paulis (I, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
-(1995)).  The projector onto outcome m along a is (I + m a.sigma)/2, so
-p(m, n | a, b) = (1, m a) R (1, n b)^T / 4, and the x-z correlations that
-maximize_chsh maximizes in closed form are the block R[(x, z), (x, z)].
+(1995)), computed once per state and cached on it.  The projector onto
+outcome m along a is (I + m a.sigma)/2, so p(m, n | a, b) =
+(1, m a) R (1, n b)^T / 4, and the x-z correlations that maximize_chsh
+maximizes in closed form are the block R[(x, z), (x, z)].
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +58,18 @@ class TwoQubitState:
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @cached_property
+    def correlation_tensor(self) -> np.ndarray:
+        """Read-only R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi>, mu, nu over (I, x, y, z)."""
+        psi = np.array(self.amplitudes).reshape(2, 2)   # [A's z bit, B's z bit]
+        value = np.einsum("ab,mac,nbd,cd->mn", psi.conj(), _PAULIS, _PAULIS, psi)
+        residue = np.abs(value.imag).max()
+        if residue > _UNIT_EPS:
+            raise ValueError(f"correlation tensor has imaginary residue {residue!r}")
+        tensor = value.real
+        tensor.setflags(write=False)
+        return tensor
 
 
 @dataclass(frozen=True)
@@ -96,16 +110,6 @@ def singlet() -> TwoQubitState:
     return TwoQubitState((0.0, r, -r, 0.0))
 
 
-def _correlation_tensor(state: TwoQubitState) -> np.ndarray:
-    """R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> for mu, nu over (I, x, y, z)."""
-    psi = np.array(state.amplitudes).reshape(2, 2)   # [A's z bit, B's z bit]
-    value = np.einsum("ab,mac,nbd,cd->mn", psi.conj(), _PAULIS, _PAULIS, psi)
-    residue = np.abs(value.imag).max()
-    if residue > _UNIT_EPS:
-        raise ValueError(f"correlation tensor has imaginary residue {residue!r}")
-    return value.real
-
-
 def _outcome_vectors(directions) -> np.ndarray:
     """(1, m d) for each direction d and outcome m, shape (len, 2, 4), with
     outcomes in OUTCOMES order."""
@@ -115,33 +119,18 @@ def _outcome_vectors(directions) -> np.ndarray:
     return vectors
 
 
-def _born_table(state: TwoQubitState, directions_a, directions_b) -> np.ndarray:
-    """p[j, k, m, n] = (1, m a_j) R (1, n b_k)^T / 4, outcomes in OUTCOMES order."""
-    return np.einsum("jmu,uv,knv->jkmn", _outcome_vectors(directions_a),
-                     _correlation_tensor(state), _outcome_vectors(directions_b)) / 4.0
-
-
-def born_probability(state: TwoQubitState,
-                     direction_a: MeasurementDirection, outcome_a: int,
-                     direction_b: MeasurementDirection, outcome_b: int) -> float:
-    """Joint probability of (outcome_a, outcome_b) when party A measures spin
-    along direction_a and party B along direction_b.  Not clamped: rounding
-    can leave a zero probability a few 1e-17 below 0."""
-    if outcome_a not in OUTCOMES or outcome_b not in OUTCOMES:
-        raise ValueError(f"outcomes must be +1 or -1, got {outcome_a!r}, {outcome_b!r}")
-    table = _born_table(state, [direction_a], [direction_b])
-    return float(table[0, 0, OUTCOMES.index(outcome_a), OUTCOMES.index(outcome_b)])
-
-
 def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
-    """The 16 Born-rule joint probabilities of a scenario, in canonical order.
+    """The 16 Born-rule joint probabilities of a scenario, in canonical order:
+    p[j, k, m, n] = (1, m a_j) R (1, n b_k)^T / 4, outcomes in OUTCOMES order.
 
     The output always passes normalization, no-signaling, and the derived
-    relations to floating-point accuracy.
+    relations to floating-point accuracy.  Not clamped: rounding can leave a
+    zero probability a few 1e-17 below 0.
     """
     p = np.empty(16)
-    p[_PROB_INDEX] = _born_table(scenario.state, (scenario.a1, scenario.a2),
-                                 (scenario.b1, scenario.b2))
+    p[_PROB_INDEX] = np.einsum("jmu,uv,knv->jkmn", _outcome_vectors((scenario.a1, scenario.a2)),
+                               scenario.state.correlation_tensor,
+                               _outcome_vectors((scenario.b1, scenario.b2))) / 4.0
     return p
 
 
@@ -203,7 +192,7 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     resolution_deg is accepted and ignored: it was the step of the grid
     search this closed form replaced, and callers still pass it by position.
     """
-    u, s, vt = np.linalg.svd(_correlation_tensor(state)[np.ix_((1, 3), (1, 3))])
+    u, s, vt = np.linalg.svd(state.correlation_tensor[np.ix_((1, 3), (1, 3))])
     t = math.atan2(s[1], s[0])
     even, odd = math.cos(t) * vt[0], math.sin(t) * vt[1]
     chosen = tuple(_xz_angle(v) for v in (u[:, 0], u[:, 1], even + odd, even - odd))

@@ -99,7 +99,8 @@ def test_huge_amplitudes_are_a_domain_failure(run, mode):
     (["solve", "--free", "nan", "0", "0", "0", "0", "0", "0"], "--free"),
     (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
     (["qm", "--state", "singlet", "--angles", "inf", "0", "0", "0"], "--angles"),
-], ids=["free", "m16", "angles"])
+    (["qm", "--state", "nan,0,0,0", "--maximize"], "--state"),
+], ids=["free", "m16", "angles", "state"])
 def test_non_finite_numbers_are_usage_errors(run, argv, flag):
     code, out, err = run(argv, box_object_text(ql.pr_box()))
     assert code == 2
@@ -213,6 +214,25 @@ def test_perfect_correlation_defaults_m16_to_zero(run):
     code, _, err = run(["solve", "--m16", "0"], box_object_text(ql.pr_box()))
     assert code == 2
     assert "--m16 is only meaningful with --perfect-correlation" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_out_writes_what_stdout_would_carry(run, tmp_path, fmt):
+    box = box_object_text(ql.tsirelson_box())
+    code, expected, _ = run(["solve", "--format", fmt], box)
+    assert code == 0
+    path = tmp_path / "measures"
+    code, out, err = run(["solve", "--format", fmt, "--out", str(path)], box)
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+
+
+def test_solve_out_to_an_unwritable_path_is_a_usage_error(run, tmp_path):
+    path = tmp_path / "no-such-directory" / "measures"
+    code, out, err = run(["solve", "--out", str(path)], box_object_text(ql.tsirelson_box()))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_solve_range_checks_at_the_given_eps(run):

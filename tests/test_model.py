@@ -255,7 +255,6 @@ def test_check_consistency_rejects_bad_eps(eps):
         "chsh_report": lambda e: ql.chsh_report(unnormalized, e),
         "chsh_lower_bound": lambda e: ql.chsh_lower_bound(unnormalized, e),
         "chsh_from_measures": lambda e: ql.chsh_from_measures(unnormalized, e),
-        "chsh_report_from_measures": lambda e: ql.chsh_report_from_measures(unnormalized, e),
         "negativity_necessity_verdict":
             lambda e: ql.negativity_necessity_verdict(unnormalized, e),
         "solve": lambda e: ql.solve(signalling, eps=e),
@@ -436,7 +435,6 @@ def test_chsh_report():
     assert report.max_abs_delta == pytest.approx(2 * RT2, abs=1e-12)
     assert report.violated(ql.CANONICAL_VARIANT)
     assert report.any_violation
-    assert report.sigmas is None
     quiet = ql.chsh_report(ql.uniform_box())
     assert not quiet.any_violation
 
@@ -577,20 +575,17 @@ def test_necessity_verdict_examples():
     extremal = np.full(16, (1 + RT2) / 16)
     extremal[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
     v = ql.negativity_necessity_verdict(extremal)
-    assert (v.violates_canonical_chsh, v.sigma_in_unit_interval, v.has_negative_entry) \
-        == (True, False, True)
+    assert (v.violates_canonical_chsh, v.has_negative_entry) == (True, True)
 
     v = ql.negativity_necessity_verdict(np.full(16, 1 / 16))
-    assert (v.violates_canonical_chsh, v.sigma_in_unit_interval, v.has_negative_entry) \
-        == (False, True, False)
+    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, False)
 
     # negative weight without violation: sigma1 = 0 stays inside [0, 1]
     m = np.zeros(16)
     m[0] = 17 / 16
     m[1] = -1 / 16
     v = ql.negativity_necessity_verdict(m)
-    assert (v.violates_canonical_chsh, v.sigma_in_unit_interval, v.has_negative_entry) \
-        == (False, True, True)
+    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, True)
 
 
 def test_violation_implies_negative_entry():

@@ -252,3 +252,28 @@ def test_min_negativity_matches_linprog_over_the_free_weights():
         oracle = family_min_negativity(p)
         assert value == pytest.approx(oracle, abs=1e-9)
         assert value <= oracle + 1e-10  # the closed form is the true minimum
+
+
+def singlet_face_box(rng):
+    """A singlet box at random directions with a1 = b1 and A's outcomes
+    flipped, so that p2 = p3 = 0."""
+    a1, a2, b2 = (ql.MeasurementDirection(*(v / np.linalg.norm(v)))
+                  for v in rng.normal(size=(3, 3)))
+    p = ql.generate_probability_set(ql.QubitScenario(ql.singlet(), a1, a2, a1, b2))
+    return ql.flip_outcomes(p, "A")
+
+
+def test_han_face_holds_an_optimal_model():
+    # Han, Hwang & Koh, Phys. Lett. A 221, 283 (1996): on these boxes the
+    # perfect-correlation face reaches the least negativity of any model.  The
+    # face is w(m16) = w0 + m16 d, so its total negativity is piecewise linear
+    # and convex in m16 and least at one of the breakpoints -w0_i / d_i.
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        p = singlet_face_box(rng)
+        w0 = ql.perfect_correlation_solution(p, 0.0)
+        d = ql.perfect_correlation_solution(p, 1.0) - w0
+        breakpoints = -w0[d != 0.0] / d[d != 0.0]
+        face_min = min(ql.total_negativity(ql.perfect_correlation_solution(p, t))
+                       for t in breakpoints)
+        assert face_min == pytest.approx(ql.min_negativity(p).min_negativity, abs=1e-12)

@@ -6,6 +6,7 @@ directly, which the production path never does.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
-from quasilocal.quantum import _correlation_tensor, _xz_angle
+from quasilocal import quantum
+from quasilocal.quantum import _xz_angle
 
 RT2 = np.sqrt(2.0)
 
@@ -24,10 +26,13 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = (np.eye(2), _SX, _SY, _SZ)
 
 
-def kron_born(state, da, oa, db, ob):
-    def projector(d, o):
-        return (np.eye(2) + o * (d.x * _SX + d.y * _SY + d.z * _SZ)) / 2.0
+@functools.lru_cache(maxsize=None)
+def projector(d, o):
+    """(I + o d.sigma) / 2; cached, as the grid references reuse each direction."""
+    return (np.eye(2) + o * (d.x * _SX + d.y * _SY + d.z * _SZ)) / 2.0
 
+
+def kron_born(state, da, oa, db, ob):
     psi = np.array(state.amplitudes)
     operator = np.kron(projector(da, oa), projector(db, ob))
     return float(np.real(psi.conj() @ operator @ psi))
@@ -117,7 +122,7 @@ def test_correlation_tensor_matches_kron_oracle():
     rng = np.random.default_rng(5)
     for _ in range(200):
         state = random_state(rng)
-        assert np.allclose(_correlation_tensor(state), kron_correlation_tensor(state),
+        assert np.allclose(state.correlation_tensor, kron_correlation_tensor(state),
                            rtol=0.0, atol=1e-15)
 
 
@@ -126,18 +131,52 @@ def test_correlation_tensor_matches_kron_oracle():
     ((1.0, 0.0, 0.0, 0.0), np.outer((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0))),
 ], ids=["singlet", "plus-plus"])
 def test_correlation_tensor_closed_forms(amplitudes, expected):
-    tensor = _correlation_tensor(ql.TwoQubitState(amplitudes))
+    tensor = ql.TwoQubitState(amplitudes).correlation_tensor
     assert np.allclose(tensor, expected, rtol=0.0, atol=1e-15)
 
 
+def test_correlation_tensor_is_cached_and_read_only():
+    state = ql.singlet()
+    tensor = state.correlation_tensor
+    assert state.correlation_tensor is tensor
+    with pytest.raises(ValueError, match="read-only"):
+        tensor[0, 0] = 0.0
+    # the cache is not a field: equal states stay equal
+    assert state == ql.singlet() and hash(state) == hash(ql.singlet())
+
+
+def test_one_correlation_tensor_per_state(monkeypatch):
+    # R is the contraction of the state with the Pauli basis; a maximize_chsh
+    # plus generate_probability_set pipeline contracts it once per state
+    contractions = []
+    einsum = np.einsum
+
+    def counting_einsum(*operands, **kwargs):
+        if any(op is quantum._PAULIS for op in operands):
+            contractions.append(operands[0])
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for count, state in enumerate([ql.singlet(), ql.TwoQubitState((0.6, 0.0, 0.0, 0.8))], 1):
+        for _ in range(2):
+            result = ql.maximize_chsh(state)
+            ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
+        assert len(contractions) == count
+
+
 # ---------------------------------------------------------------------------
-# born_probability
+# generate_probability_set
 # ---------------------------------------------------------------------------
 
+def born_entry(scenario, m, n):
+    """The Born probability p(a1 = m, b1 = n) of a scenario."""
+    return ql.generate_probability_set(scenario)[ql.prob_index(1, 1, m, n)]
+
+
 def test_born_product_state_eigenvalue():
-    plus_plus = ql.TwoQubitState((1.0, 0.0, 0.0, 0.0))
-    assert ql.born_probability(plus_plus, Z, 1, Z, 1) == pytest.approx(1.0)
-    assert ql.born_probability(plus_plus, Z, 1, Z, -1) == pytest.approx(0.0)
+    plus_plus = ql.QubitScenario(ql.TwoQubitState((1.0, 0.0, 0.0, 0.0)), Z, Z, Z, Z)
+    assert born_entry(plus_plus, 1, 1) == pytest.approx(1.0)
+    assert born_entry(plus_plus, 1, -1) == pytest.approx(0.0)
 
 
 def test_born_singlet_anticorrelation():
@@ -145,30 +184,11 @@ def test_born_singlet_anticorrelation():
     rng = np.random.default_rng(2)
     for _ in range(20):
         d = random_direction(rng)
-        assert ql.born_probability(s, d, 1, d, 1) == pytest.approx(0.0, abs=1e-12)
-        assert ql.born_probability(s, d, -1, d, -1) == pytest.approx(0.0, abs=1e-12)
-    assert ql.born_probability(s, Z, 1, Z, -1) == pytest.approx(0.5, abs=1e-12)
+        scenario = ql.QubitScenario(s, d, d, d, d)
+        assert born_entry(scenario, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert born_entry(scenario, -1, -1) == pytest.approx(0.0, abs=1e-12)
+    assert born_entry(ql.QubitScenario(s, Z, Z, Z, Z), 1, -1) == pytest.approx(0.5, abs=1e-12)
 
-
-def test_born_matches_kron_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        state = random_state(rng)
-        da, db = random_direction(rng), random_direction(rng)
-        oa = 1 if rng.random() < 0.5 else -1
-        ob = 1 if rng.random() < 0.5 else -1
-        assert ql.born_probability(state, da, oa, db, ob) == pytest.approx(
-            kron_born(state, da, oa, db, ob), abs=1e-12)
-
-
-def test_born_rejects_bad_outcome():
-    with pytest.raises(ValueError):
-        ql.born_probability(ql.singlet(), Z, 0, Z, 1)
-
-
-# ---------------------------------------------------------------------------
-# generate_probability_set
-# ---------------------------------------------------------------------------
 
 def test_generate_deterministic_box():
     plus_plus = ql.TwoQubitState((1.0, 0.0, 0.0, 0.0))
@@ -218,7 +238,7 @@ def test_generated_sets_are_consistent():
 
 
 def test_unclamped_born_boxes_are_consistent():
-    # zero probabilities can come out a few 1e-17 below 0; born_probability
+    # zero probabilities can come out a few 1e-17 below 0; generate_probability_set
     # returns them as computed and the boxes still pass every check at 1e-12
     rng = np.random.default_rng(23)
     d = ql.MeasurementDirection.from_xz_angle
@@ -320,7 +340,7 @@ def reference_maximize(state, resolution_deg):
     for ia in range(n):
         for ib in range(n):
             corr[ia, ib] = sum(
-                oa * ob * ql.born_probability(state, dirs[ia], oa, dirs[ib], ob)
+                oa * ob * kron_born(state, dirs[ia], oa, dirs[ib], ob)
                 for oa in (1, -1) for ob in (1, -1))
 
     best = -np.inf
@@ -349,7 +369,7 @@ def born_xz_block(state):
     axes = (ql.MeasurementDirection(1.0, 0.0, 0.0), ql.MeasurementDirection(0.0, 0.0, 1.0))
 
     def correlation(da, db):
-        pp, pm, mp, mm = (ql.born_probability(state, da, oa, db, ob)
+        pp, pm, mp, mm = (kron_born(state, da, oa, db, ob)
                           for oa, ob in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
         return pp + mm - pm - mp
 
@@ -363,7 +383,7 @@ def grid_pair_best(state, resolution_deg):
     angles = np.arange(0.0, 360.0, float(resolution_deg))
     radians = np.radians(angles)
     grid = np.stack([np.sin(radians), np.cos(radians)], axis=1)
-    w = grid @ _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
+    w = grid @ state.correlation_tensor[np.ix_((1, 3), (1, 3))]
     corr = w @ grid.T
 
     pair_best = np.zeros_like(corr)
@@ -443,7 +463,7 @@ def test_xz_block_is_the_born_correlation_sum():
     states = [ql.TwoQubitState(a) for a in SPECIAL_STATES]
     states += [make_state(rng) for make_state in (random_real_state, random_state) * 50]
     for state in states:
-        block = _correlation_tensor(state)[np.ix_((1, 3), (1, 3))]
+        block = state.correlation_tensor[np.ix_((1, 3), (1, 3))]
         assert np.allclose(block, born_xz_block(state), rtol=0.0, atol=1e-15)
 
 
