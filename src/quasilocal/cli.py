@@ -23,6 +23,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -292,6 +293,17 @@ def _cmd_qm(args) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser that reads a token starting with '-' and a digit, or
+    with '-.' and a digit, as a negative number, not an option: argparse's
+    own pattern misses scientific notation such as -1e-3.  No option here
+    looks like a number, so none is shadowed.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _finite_float(text: str) -> float:
     """argparse type of the numeric flags: a finite float."""
     try:
@@ -314,7 +326,7 @@ def _add_common(sub, with_input=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="quasilocal",
         description="Analyze 2x2x2 correlation experiments with signed "
                     "local-hidden-variable measures.")

@@ -30,6 +30,16 @@ input silently.
 Each public function coerces and validates its input once, through
 as_probability_set or as_measure_vector, and does its work on `_`-prefixed
 helpers that take the validated float array and never coerce it again.
+On 16 entries numpy's fixed cost per call outweighs the arithmetic, so the
+checks that are exact in Python floats compare the floats of tolist(): the
+finiteness check, the range check, the marginals (each a sum of two
+entries, made 0.0 for -0.0 + -0.0 as numpy's sum is) with their
+differences, the relation differences and the largest |CHSH sum|.  numpy is kept for the sums and products whose summation order
+sets the last bit: the block sums, the relation product
+DEPENDENT_SIGNS @ p_ind and the CHSH product, so every value stays
+bit-identical to the all-numpy checks kept as the reference in
+tests/test_checks_reference.py.
+
 Every function that takes a tolerance eps raises ValueError unless eps is
 finite and nonnegative: a NaN eps would pass every check and an infinite one
 would accept any box.  The helpers that compare against eps check it, so no
@@ -196,7 +206,7 @@ def _vector16(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (16,):
         raise ValueError(f"{name} must have exactly 16 entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -297,13 +307,15 @@ _BOX_EMBEDDING.setflags(write=False)
 DEPENDENT_SIGNS = 2.0 * _BOX_EMBEDDING[_DEPENDENT, 1:]
 DEPENDENT_SIGNS.setflags(write=False)
 
-#: The 8 marginal equalities, A's then B's in MarginalViolation order: (party,
-#: setting, outcome), and the two entries summed under the other party's
-#: setting 1 and under its setting 2.
+#: The 8 marginal equalities, A's then B's: the MarginalViolation label
+#: (party, setting, outcome), and the indices (i1, i2, j1, j2) of the two
+#: entries summed under the other party's setting 1 and the two under its
+#: setting 2.
 _MARGINAL_LABELS = tuple((party, setting, outcome) for party in "AB"
                          for setting in (1, 2) for outcome in OUTCOMES)
-_MARGINAL_TERMS = np.concatenate([_PROB_INDEX.transpose(0, 2, 1, 3).reshape(4, 2, 2),
-                                  _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 2, 2)])
+_MARGINAL_TERMS = tuple(zip(_MARGINAL_LABELS, np.concatenate(
+    [_PROB_INDEX.transpose(0, 2, 1, 3).reshape(4, 4),
+     _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 4)]).tolist()))
 
 
 def _box_from_independent(ind: np.ndarray) -> np.ndarray:
@@ -332,8 +344,9 @@ def _check_eps(eps: float) -> None:
 
 def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
     _check_eps(eps)
-    bad = ((p < -eps) | (p > 1.0 + eps)).nonzero()[0]
-    return [RangeViolation(int(i), float(p[i])) for i in bad]
+    low, high = -eps, 1.0 + eps
+    return [RangeViolation(i, value) for i, value in enumerate(p.tolist())
+            if value < low or value > high]
 
 
 def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
@@ -345,18 +358,25 @@ def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
 
 def _marginal_violations(p: np.ndarray, eps: float) -> list[MarginalViolation]:
     _check_eps(eps)
-    marginals = p[_MARGINAL_TERMS].sum(axis=2)
-    bad = (np.abs(marginals[:, 0] - marginals[:, 1]) > eps).nonzero()[0]
-    return [MarginalViolation(*_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
+    v = p.tolist()
+    found = []
+    for label, (i1, i2, j1, j2) in _MARGINAL_TERMS:
+        # + 0.0 turns -0.0 + -0.0 into 0.0, as numpy's sum does
+        marginal_1, marginal_2 = v[i1] + v[i2] + 0.0, v[j1] + v[j2] + 0.0
+        if abs(marginal_1 - marginal_2) > eps:
+            found.append(MarginalViolation(*label, marginal_1, marginal_2))
+    return found
 
 
 def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
     _check_eps(eps)
-    expected = 0.5 * (1.0 + DEPENDENT_SIGNS @ p[_INDEPENDENT])
-    actual = p[_DEPENDENT]
-    bad = (np.abs(actual - expected) > eps).nonzero()[0]
-    return [RelationViolation(DEPENDENT_INDICES[r], float(expected[r]), float(actual[r]))
-            for r in bad]
+    v = p.tolist()
+    found = []
+    for i, signed_sum in zip(DEPENDENT_INDICES, (DEPENDENT_SIGNS @ p[_INDEPENDENT]).tolist()):
+        expected = 0.5 * (1.0 + signed_sum)
+        if abs(v[i] - expected) > eps:
+            found.append(RelationViolation(i, expected, v[i]))
+    return found
 
 
 def check_range(p, eps: float = DEFAULT_EPS) -> list[RangeViolation]:
@@ -571,9 +591,15 @@ def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
     return 2.0 * (1.0 - 2.0 * _sigmas(_normalized_measure(m, eps)).sigma1)
 
 
+def _max_abs(values: list[float]) -> float:
+    """Largest |v|, or NaN when any v is NaN, as numpy's max gives."""
+    magnitudes = [abs(v) for v in values]
+    return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
+
+
 def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
     """Largest |CHSH sum| over all 8 variants."""
-    return float(np.abs(_chsh_deltas(as_probability_set(p), eps)).max())
+    return _max_abs(_chsh_deltas(as_probability_set(p), eps).tolist())
 
 
 @dataclass(frozen=True)
@@ -602,8 +628,8 @@ class ChshReport:
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
-    deltas = _chsh_deltas(as_probability_set(p), eps)
-    return ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), eps)
+    deltas = _chsh_deltas(as_probability_set(p), eps).tolist()
+    return ChshReport(tuple(deltas), _max_abs(deltas), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +656,13 @@ def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdic
     )
 
 
+def _total_negativity(m: np.ndarray) -> float:
+    return float(np.maximum(0.0, -m).sum())
+
+
 def total_negativity(m) -> float:
     """Sum of the magnitudes of the negative weights."""
-    m = as_measure_vector(m)
-    return float(np.maximum(0.0, -m).sum())
+    return _total_negativity(as_measure_vector(m))
 
 
 # ---------------------------------------------------------------------------

@@ -32,21 +32,34 @@ from .model import (
     _INDEPENDENT,
     _STRATEGY_CHSH,
     _box_from_independent,
+    _total_negativity,
     chsh,
     max_abs_chsh,
     require_consistent,
-    total_negativity,
 )
 from .solver import _FREE, FreeParameters
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
 
+#: Row v: the model (1 + C_v) / 16 of variant v's PR box, and that box.
+#: Every entry of both is a multiple of 1/16, so both are exact.
+_PR_MODELS = (1.0 + _STRATEGY_CHSH) / 16.0
+_PR_BOXES = _PR_MODELS @ FORWARD_MATRIX.T
+_PR_MODELS.setflags(write=False)
+_PR_BOXES.setflags(write=False)
+
 
 def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
     """Largest closed-form negativity bound over the 8 CHSH variants:
     max(0, (|delta_v| - 2) / 4)."""
     return max(0.0, (max_abs_chsh(p, eps) - 2.0) / 4.0)
+
+
+#: (a1, a2, the (b1, b2) column in q's order) of each strategy, in strategy
+#: order: m = T_1[a1][b1, b2] * P(A2 = a2 | b1, b2).
+_FINE_TERMS = tuple((a1, a2, b) for a1 in (0, 1) for b1 in (0, 2) for a2 in (0, 1)
+                    for b in (b1, b1 + 1))
 
 
 def _fine_model(box: np.ndarray) -> np.ndarray:
@@ -64,11 +77,10 @@ def _fine_model(box: np.ndarray) -> np.ndarray:
     p = box.tolist()
     b1, b2 = p[0] + p[2], p[4] + p[6]                   # P(B1+), P(B2+)
     # (P(A_j+, B1+), P(A_j+, B2+), P(A_j+)) for j = 1, 2
-    uwa = [(p[0], p[4], p[0] + p[1]), (p[8], p[12], p[8] + p[9])]
-    x = 0.5 * (max(0.0, b1 + b2 - 1.0, *(u + w - a for u, w, a in uwa),
-                   *(a + b1 + b2 - 1.0 - u - w for u, w, a in uwa))
-               + min(b1, b2, *(b1 + w - u for u, w, a in uwa),
-                     *(b2 + u - w for u, w, a in uwa)))
+    (u1, w1, a1), (u2, w2, a2) = uwa = ((p[0], p[4], p[0] + p[1]), (p[8], p[12], p[8] + p[9]))
+    x = 0.5 * (max(0.0, b1 + b2 - 1.0, u1 + w1 - a1, u2 + w2 - a2,
+                   a1 + b1 + b2 - 1.0 - u1 - w1, a2 + b1 + b2 - 1.0 - u2 - w2)
+               + min(b1, b2, b1 + w1 - u1, b1 + w2 - u2, b2 + u1 - w1, b2 + u2 - w2))
     q = (x, b1 - x, b2 - x, 1.0 - b1 - b2 + x)         # (b1, b2) = ++, +-, -+, --
     plus = []                                           # T_j(+, b1, b2), q's order
     for u, w, a in uwa:
@@ -79,8 +91,7 @@ def _fine_model(box: np.ndarray) -> np.ndarray:
     a2_plus = [min(1.0, max(0.0, tk / qk)) if qk != 0.0 else 0.0
                for qk, tk in zip(q, plus[1])]
     cond = (a2_plus, [1.0 - c for c in a2_plus])                    # P(A2 = a2 | b1, b2)
-    return np.array([t1[a1][b] * cond[a2][b]                        # strategy order
-                     for a1 in (0, 1) for b1 in (0, 2) for a2 in (0, 1) for b in (b1, b1 + 1)])
+    return np.array([t1[i][b] * cond[j][b] for i, j, b in _FINE_TERMS])
 
 
 @dataclass(frozen=True)
@@ -120,16 +131,15 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]
     v = deltas.index(max(deltas))
     mu = max(0.0, (deltas[v] - 2.0) / 2.0)
-    pr_model = (1.0 + _STRATEGY_CHSH[v]) / 16.0
     if mu >= 1.0:
-        witness = pr_model
+        witness = _PR_MODELS[v]
     else:
-        local = (p_hat - mu * (FORWARD_MATRIX @ pr_model)) / (1.0 - mu)
-        witness = mu * pr_model + (1.0 - mu) * _fine_model(local)
+        local = (p_hat - mu * _PR_BOXES[v]) / (1.0 - mu)
+        witness = mu * _PR_MODELS[v] + (1.0 - mu) * _fine_model(local)
     witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
     max_abs_delta = max(map(abs, deltas))
     return NegativityResult(
-        min_negativity=total_negativity(witness),
+        min_negativity=_total_negativity(witness),
         witness=witness,
         witness_free_params=FreeParameters(*witness[_FREE].tolist()),
         lower_bound=max(0.0, (max_abs_delta - 2.0) / 4.0),

@@ -113,10 +113,7 @@ def singlet() -> TwoQubitState:
 def _outcome_vectors(directions) -> np.ndarray:
     """(1, m d) for each direction d and outcome m, shape (len, 2, 4), with
     outcomes in OUTCOMES order."""
-    bloch = np.array([(d.x, d.y, d.z) for d in directions])
-    vectors = np.ones((len(bloch), len(OUTCOMES), 4))
-    vectors[..., 1:] = bloch[:, None, :] * np.array(OUTCOMES)[:, None]
-    return vectors
+    return np.array([[(1.0, m * d.x, m * d.y, m * d.z) for m in OUTCOMES] for d in directions])
 
 
 def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
@@ -192,12 +189,17 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     resolution_deg is accepted and ignored: it was the step of the grid
     search this closed form replaced, and callers still pass it by position.
     """
-    u, s, vt = np.linalg.svd(state.correlation_tensor[np.ix_((1, 3), (1, 3))])
-    t = math.atan2(s[1], s[0])
-    even, odd = math.cos(t) * vt[0], math.sin(t) * vt[1]
-    chosen = tuple(_xz_angle(v) for v in (u[:, 0], u[:, 1], even + odd, even - odd))
+    u, s, vt = np.linalg.svd(state.correlation_tensor[1::2, 1::2])
+    s1, s2 = s.tolist()
+    u1, u2 = u.T.tolist()
+    v1, v2 = vt.tolist()
+    t = math.atan2(s2, s1)
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    b_sum = [cos_t * e + sin_t * o for e, o in zip(v1, v2)]
+    b_diff = [cos_t * e - sin_t * o for e, o in zip(v1, v2)]
+    chosen = tuple(map(_xz_angle, (u1, u2, b_sum, b_diff)))
     return ChshSearchResult(
-        best_delta=2.0 * math.hypot(s[0], s[1]),
+        best_delta=2.0 * math.hypot(s1, s2),
         directions=tuple(MeasurementDirection.from_xz_angle(a) for a in chosen),
         angles_deg=chosen,
     )

@@ -104,11 +104,13 @@ def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np
     (3 - sum of the independent probabilities) / 2 regardless of the free
     weights.  Raises ConsistencyError if p fails a consistency check at eps.
     """
-    independent = require_consistent(p, eps)[_INDEPENDENT]
-    free = np.zeros(7) if free is None else free.as_array()
-    m = np.empty(16)
-    m[_FREE] = free
-    m[_SOLVED] = _FAMILY @ np.concatenate(([1.0], independent, free))
+    x = np.zeros(16)                        # (1, p_ind, free)
+    x[0] = 1.0
+    x[1:9] = require_consistent(p, eps)[_INDEPENDENT]
+    m = np.zeros(16)
+    if free is not None:
+        x[9:] = m[_FREE] = free.as_array()
+    m[_SOLVED] = _FAMILY @ x
     return m
 
 

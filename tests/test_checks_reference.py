@@ -1,0 +1,229 @@
+"""The consistency checks against their numpy-mask reference.
+
+model's input check and four violation helpers compare Python floats taken
+from tolist().  The reference versions below compare numpy arrays through
+boolean masks.  Both must give the same violations, with the same types and
+indices and floats equal bit for bit, and the same exception messages, also
+on entries at -eps and 1 + eps, -0.0, sums that overflow, NaN and +-inf.
+"""
+
+import math
+import struct
+from dataclasses import astuple
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from quasilocal import model
+from quasilocal.model import (
+    DEPENDENT_INDICES,
+    DEPENDENT_SIGNS,
+    OUTCOMES,
+    SETTING_PAIRS,
+    BlockViolation,
+    ConsistencyError,
+    MarginalViolation,
+    RangeViolation,
+    RelationViolation,
+    _check_eps,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: numpy masks over the whole vector
+# ---------------------------------------------------------------------------
+
+_REF_INDEPENDENT = np.array(model.INDEPENDENT_INDICES)
+_REF_DEPENDENT = np.array(DEPENDENT_INDICES)
+_REF_MARGINAL_LABELS = tuple((party, setting, outcome) for party in "AB"
+                             for setting in (1, 2) for outcome in OUTCOMES)
+_REF_MARGINAL_TERMS = np.concatenate(
+    [model._PROB_INDEX.transpose(0, 2, 1, 3).reshape(4, 2, 2),
+     model._PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 2, 2)])
+
+
+def ref_vector16(values, name):
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (16,):
+        raise ValueError(f"{name} must have exactly 16 entries, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def ref_range_violations(p, eps):
+    _check_eps(eps)
+    bad = ((p < -eps) | (p > 1.0 + eps)).nonzero()[0]
+    return [RangeViolation(int(i), float(p[i])) for i in bad]
+
+
+def ref_block_violations(p, eps):
+    _check_eps(eps)
+    totals = p.reshape(4, 4).sum(axis=1).tolist()
+    return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
+            if abs(total - 1.0) > eps]
+
+
+def ref_marginal_violations(p, eps):
+    _check_eps(eps)
+    marginals = p[_REF_MARGINAL_TERMS].sum(axis=2)
+    bad = (np.abs(marginals[:, 0] - marginals[:, 1]) > eps).nonzero()[0]
+    return [MarginalViolation(*_REF_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
+
+
+def ref_relation_violations(p, eps):
+    _check_eps(eps)
+    expected = 0.5 * (1.0 + DEPENDENT_SIGNS @ p[_REF_INDEPENDENT])
+    actual = p[_REF_DEPENDENT]
+    bad = (np.abs(actual - expected) > eps).nonzero()[0]
+    return [RelationViolation(DEPENDENT_INDICES[r], float(expected[r]), float(actual[r]))
+            for r in bad]
+
+
+def ref_require_consistent(values, eps):
+    p = ref_vector16(values, "probability set")
+    violations = [v for check in (ref_range_violations, ref_block_violations,
+                                  ref_marginal_violations, ref_relation_violations)
+                  for v in check(p, eps)]
+    if violations:
+        lines = "; ".join(v.describe() for v in violations)
+        raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
+                               violations)
+    return p
+
+
+def ref_chsh_report(values, eps):
+    p = ref_vector16(values, "probability set")
+    bad = ref_block_violations(p, eps)
+    if bad:
+        raise ConsistencyError("cannot evaluate CHSH on an unnormalized probability set", bad)
+    deltas = model.CHSH_MATRIX @ p
+    return model.ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), eps)
+
+
+PAIRS = (
+    (model._range_violations, ref_range_violations),
+    (model._block_violations, ref_block_violations),
+    (model._marginal_violations, ref_marginal_violations),
+    (model._relation_violations, ref_relation_violations),
+)
+
+# ---------------------------------------------------------------------------
+# Bit-exact comparison
+# ---------------------------------------------------------------------------
+
+
+def key(value):
+    """A comparable form that tells -0.0 from 0.0, matches NaN with NaN and
+    records Python types, so a numpy scalar never equals a float."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return (type(value), struct.pack("<d", value))
+    if isinstance(value, (list, tuple)):
+        return (type(value), tuple(key(v) for v in value))
+    if hasattr(value, "__dataclass_fields__"):
+        return (type(value), key(astuple(value)))
+    return (type(value), value)
+
+
+def outcome(fn, *args):
+    """key of fn's result, or of the ValueError it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return ("returned", key(fn(*args)))
+        except ValueError as exc:
+            return ("raised", type(exc), str(exc), key(getattr(exc, "violations", ())))
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+EPS = st.one_of(st.sampled_from([0.0, 1e-9, 1e-3]), st.floats(0.0, 2.0),
+                st.sampled_from([math.nan, math.inf, -1e-9]))
+
+
+@st.composite
+def boxes(draw):
+    """(entries, eps): a consistent box with up to five entries replaced by
+    edge values or arbitrary floats, sometimes one entry short or long."""
+    eps = draw(EPS)
+    bound = eps if math.isfinite(eps) and eps >= 0.0 else 0.0
+    edge = st.sampled_from([
+        0.0, -0.0, -bound, 1.0 + bound,
+        math.nextafter(-bound, -math.inf), math.nextafter(1.0 + bound, math.inf),
+        1e308, -1e308, math.nan, math.inf, -math.inf,
+    ])
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16)
+                   .filter(lambda w: sum(w) > 0))
+    values = (model.FORWARD_MATRIX @ np.array(weights) / sum(weights)).tolist()
+    for i, x in draw(st.dictionaries(st.integers(0, 15), st.one_of(edge, st.floats()),
+                                     max_size=5)).items():
+        values[i] = x
+    length = draw(st.sampled_from([16] * 18 + [15, 17]))
+    return (values + [0.25])[:length], eps
+
+
+EXAMPLES = [
+    ([0.25] * 16, 0.0),                                           # eps = 0, consistent
+    ([-0.0] * 16, 0.0),
+    ([-0.0, -0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,                   # -0.0 + -0.0 marginal
+      0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0], 0.0),
+    ([-1e-3, 1.0 + 1e-3] + [0.25] * 14, 1e-3),                    # exactly at -eps, 1 + eps
+    ([math.nextafter(-1e-3, -1.0), math.nextafter(1.0 + 1e-3, 2.0)] + [0.25] * 14, 1e-3),
+    ([0.0, 1.0] + [0.25] * 14, 0.0),
+    ([1e308] * 16, 1e-9),                                         # every sum overflows
+    ([1e308, -1e308, 1e308, 1e308] + [0.25] * 12, 1e-9),
+    ([math.nan] + [0.25] * 15, 1e-9),
+    ([math.inf, -math.inf] + [0.25] * 14, 0.0),
+    ([0.25] * 15, 1e-9),                                          # wrong shape
+    ([0.25] * 16, math.nan),                                      # bad eps
+    ([0.25] * 16, -1e-9),
+]
+
+
+def _with_examples(test):
+    for case in EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@given(boxes())
+@_with_examples
+def test_checks_match_the_numpy_reference(case):
+    values, eps = case
+    assert (outcome(model._vector16, values, "probability set")
+            == outcome(ref_vector16, values, "probability set"))
+    arr = np.array(values)
+    if arr.shape == (16,):
+        # also on unvalidated arrays: NaN and inf reach the helpers
+        for new, ref in PAIRS:
+            assert outcome(new, arr, eps) == outcome(ref, arr, eps), new.__name__
+    assert outcome(model.require_consistent, values, eps) == outcome(
+        ref_require_consistent, values, eps)
+
+
+#: Normalized within eps = 1e300, with CHSH sums +-inf and NaN, NaN not first.
+OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
+               0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
+
+
+@given(boxes())
+@example((OVERFLOWING, 1e300))
+@_with_examples
+def test_chsh_report_matches_the_numpy_reference(case):
+    values, eps = case
+    assert outcome(model.chsh_report, values, eps) == outcome(ref_chsh_report, values, eps)
+
+
+def test_overflowing_box_has_a_nan_chsh_maximum():
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = model.chsh_report(OVERFLOWING, 1e300)
+        maximum = model.max_abs_chsh(OVERFLOWING, 1e300)
+    assert not math.isnan(report.deltas[0]) and any(math.isnan(d) for d in report.deltas)
+    assert math.isnan(report.max_abs_delta) and math.isnan(maximum)

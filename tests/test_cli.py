@@ -108,6 +108,31 @@ def test_non_finite_numbers_are_usage_errors(run, argv, flag):
     assert f"argument {flag}: must be a finite number" in err
 
 
+R = "7.071067811865476e-1"
+
+
+@pytest.mark.parametrize("argv, spelled_out", [
+    (["solve", "--free", "0", "0", "0", "-1e-3", "0", "0", "0"],
+     ["solve", "--free", "0", "0", "0", "-0.001", "0", "0", "0"]),
+    (["solve", "--perfect-correlation", "--m16", "-2.5e-1"],
+     ["solve", "--perfect-correlation", "--m16", "-0.25"]),
+    (["qm", "--state", "singlet", "--angles", "0", "90", "-4.5e1", "135"],
+     ["qm", "--state", "singlet", "--angles", "0", "90", "-45", "135"]),
+    (["qm", "--state", f"-{R},0,0,-{R}", "--maximize"],
+     ["qm", f"--state=-{R},0,0,-{R}", "--maximize"]),
+], ids=["free", "m16", "angles", "state"])
+def test_negative_numbers_in_scientific_notation_are_values(run, argv, spelled_out):
+    code, out, err = run(argv, box_object_text(ql.pr_box()))
+    assert (code, err) == (0, "")
+    assert out == run(spelled_out, box_object_text(ql.pr_box()))[1]
+
+
+def test_negative_eps_in_scientific_notation_is_a_usage_error(run):
+    code, out, err = run(["validate", "--eps", "-1e-3", str(fixture_path("prbox.box"))])
+    assert (code, out) == (2, "")
+    assert err == "error: --eps must be a finite number >= 0, got -0.001\n"
+
+
 def test_qm_solve_forward_round_trip(run):
     _, box, _ = run(["qm", "--state", "0.6,0,0,0.8", "--maximize"])
     code, measures, _ = run(["solve"], box)
