@@ -37,20 +37,13 @@ from .model import (
     as_probability_set,
     box_from_independent,
     check_consistency,
-    check_derived_relations,
-    check_no_signaling,
-    check_normalization,
-    check_range,
     chsh,
     chsh_from_measures,
     chsh_report,
     correlation,
     deterministic_box,
     forward_map,
-    is_consistent,
-    max_abs_chsh,
     negativity_necessity_verdict,
-    pattern_index,
     pr_box,
     prob_index,
     prob_label,
@@ -66,7 +59,6 @@ from .model import (
 from .solver import (
     FREE_INDICES,
     SOLVED_INDICES,
-    FreeParameters,
     perfect_correlation_solution,
     solve,
 )

@@ -150,14 +150,12 @@ def _cmd_chsh(args) -> int:
     return EXIT_OK
 
 
-def _free_parameters(args) -> solver.FreeParameters:
+def _free_parameters(args) -> list[float] | None:
     if args.free is not None and args.free_file is not None:
         raise _Failure(EXIT_USAGE, "use either --free or --free-file, not both")
-    if args.free is not None:
-        return solver.FreeParameters.from_sequence(args.free)
     if args.free_file is not None:
-        return solver.FreeParameters(*fileio.parse_free_parameters(_read_text(args.free_file)))
-    return solver.FreeParameters()
+        return fileio.parse_free_parameters(_read_text(args.free_file))
+    return args.free
 
 
 def _negative_summary(m: np.ndarray) -> list[str]:
@@ -215,22 +213,23 @@ def _cmd_forward(args) -> int:
 def _cmd_negativity(args) -> int:
     eps = _resolve_eps(args)
     result = negativity.min_negativity(_load_box(args), eps)
+    witness = result.witness.tolist()
+    free = {f"m{i + 1}": witness[i] for i in solver.FREE_INDICES}
 
     if args.format == "json":
         _print_json({
             "min_negativity": result.min_negativity,
             "lower_bound": result.lower_bound,
             "feasible": result.feasible,
-            "witness_free_params": asdict(result.witness_free_params),
+            "witness_free_params": free,
             "witness": fileio.measures_object(result.witness),
         })
     else:
-        fp = result.witness_free_params
         print(f"min negativity : {fileio.format_value(result.min_negativity)}")
         print(f"lower bound    : {fileio.format_value(result.lower_bound)} (from CHSH variants)")
         print(f"feasible       : {'yes' if result.feasible else 'no'}")
         print("free parameters:", " ".join(
-            f"{name}={fileio.format_value(value)}" for name, value in asdict(fp).items()))
+            f"{name}={fileio.format_value(value)}" for name, value in free.items()))
         print("witness:")
         sys.stdout.write(fileio.format_measures(result.witness))
     return EXIT_OK
@@ -294,14 +293,16 @@ def _cmd_qm(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """ArgumentParser that reads a token starting with '-' and a digit, or
-    with '-.' and a digit, as a negative number, not an option: argparse's
-    own pattern misses scientific notation such as -1e-3.  No option here
-    looks like a number, so none is shadowed.  Subparsers inherit the class."""
+    """ArgumentParser that reads a token starting with '-' and a digit, with
+    '-.' and a digit, or with -inf or -nan in any case, as a negative number,
+    not an option: argparse's own pattern misses scientific notation such as
+    -1e-3, and -inf and -nan reach the numeric flags' own finiteness check.
+    No option here looks like a number, so none is shadowed.  Subparsers
+    inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _finite_float(text: str) -> float:
@@ -315,10 +316,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(sub, with_input=True):
-    if with_input:
-        sub.add_argument("input", nargs="?", default=None,
-                         help="input document path ('-' or omitted reads stdin)")
+def _add_common(sub):
+    sub.add_argument("input", nargs="?", default=None,
+                     help="input document path ('-' or omitted reads stdin)")
     sub.add_argument("--eps", type=float, default=None,
                      help="tolerance for consistency checks (default 1e-9 or QUASILOCAL_EPS)")
     sub.add_argument("--format", choices=("text", "json"), default="text",

@@ -123,13 +123,6 @@ def strategy_pattern(index: int) -> str:
     return "".join(outcome_char(o) for o in strategy_outcomes(index))
 
 
-def pattern_index(pattern: str) -> int:
-    """Inverse of :func:`strategy_pattern`."""
-    if len(pattern) != 4:
-        raise ValueError(f"strategy pattern must have 4 characters, got {pattern!r}")
-    return strategy_index(*(char_outcome(c) for c in pattern))
-
-
 STRATEGY_PATTERNS = tuple(strategy_pattern(i) for i in range(16))
 
 
@@ -379,35 +372,6 @@ def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
     return found
 
 
-def check_range(p, eps: float = DEFAULT_EPS) -> list[RangeViolation]:
-    """Entries that leave [0 - eps, 1 + eps]."""
-    return _range_violations(as_probability_set(p), eps)
-
-
-def check_normalization(p, eps: float = DEFAULT_EPS) -> list[BlockViolation]:
-    """Setting-pair blocks whose probabilities do not sum to 1 within eps."""
-    return _block_violations(as_probability_set(p), eps)
-
-
-def check_no_signaling(p, eps: float = DEFAULT_EPS) -> list[MarginalViolation]:
-    """Marginal equalities violated beyond eps.
-
-    Checks all 8: for each A-setting and A-outcome, the A marginal must not
-    depend on B's setting choice, and symmetrically for B.
-    """
-    return _marginal_violations(as_probability_set(p), eps)
-
-
-def check_derived_relations(p, eps: float = DEFAULT_EPS) -> list[RelationViolation]:
-    """Dependent entries inconsistent with the independent ones beyond eps.
-
-    An empty result is equivalent to passing both check_normalization and
-    check_no_signaling: the 8 relations checked here span exactly the same
-    affine constraints as those two conditions combined.
-    """
-    return _relation_violations(as_probability_set(p), eps)
-
-
 def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
     return {
         "range": _range_violations(p, eps),
@@ -419,13 +383,20 @@ def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     """All consistency checks keyed by name; empty lists everywhere means
-    consistent.  eps is checked before p."""
+    consistent.  eps is checked before p.
+
+    "range" lists the entries outside [0 - eps, 1 + eps]; "normalization"
+    the setting-pair blocks whose probabilities do not sum to 1 within eps;
+    "no_signaling" the 8 marginal equalities violated beyond eps (for each
+    setting and outcome of one party, its marginal must not depend on the
+    other party's setting); "derived_relations" the dependent entries
+    inconsistent with the independent ones beyond eps.  "derived_relations"
+    is empty exactly when "normalization" and "no_signaling" both are: its 8
+    relations span the same affine constraints as those two conditions
+    combined.
+    """
     _check_eps(eps)
     return _violations(as_probability_set(p), eps)
-
-
-def is_consistent(p, eps: float = DEFAULT_EPS) -> bool:
-    return not any(check_consistency(p, eps).values())
 
 
 def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -597,16 +568,12 @@ def _max_abs(values: list[float]) -> float:
     return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
 
 
-def max_abs_chsh(p, eps: float = DEFAULT_EPS) -> float:
-    """Largest |CHSH sum| over all 8 variants."""
-    return _max_abs(_chsh_deltas(as_probability_set(p), eps).tolist())
-
-
 @dataclass(frozen=True)
 class ChshReport:
     """All 8 CHSH sums for a probability set, with violation flags.
 
-    deltas is aligned with CHSH_VARIANTS.
+    deltas is aligned with CHSH_VARIANTS; max_abs_delta is the largest
+    |CHSH sum| over all 8, or NaN when any sum is NaN.
     """
     deltas: tuple[float, ...]
     max_abs_delta: float

@@ -34,10 +34,9 @@ from .model import (
     _box_from_independent,
     _total_negativity,
     chsh,
-    max_abs_chsh,
+    chsh_report,
     require_consistent,
 )
-from .solver import _FREE, FreeParameters
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
@@ -53,7 +52,7 @@ _PR_BOXES.setflags(write=False)
 def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
     """Largest closed-form negativity bound over the 8 CHSH variants:
     max(0, (|delta_v| - 2) / 4)."""
-    return max(0.0, (max_abs_chsh(p, eps) - 2.0) / 4.0)
+    return max(0.0, (chsh_report(p, eps).max_abs_delta - 2.0) / 4.0)
 
 
 #: (a1, a2, the (b1, b2) column in q's order) of each strategy, in strategy
@@ -100,15 +99,14 @@ class NegativityResult:
 
     min_negativity is the total negativity of witness, a measure vector that
     reproduces the box: the PR/local mixture of the module docstring, equal
-    to max(0, (|delta| - 2) / 4) up to rounding.  witness_free_params are
-    its 7 free weights, so the witness is also solve(p, witness_free_params).
+    to max(0, (|delta| - 2) / 4) up to rounding.  It lies in the solution
+    family: the witness is also solve(p, witness[FREE_INDICES]).
     lower_bound is the same closed form, and feasible records whether a
     nonnegative model exists: max |delta| <= 2 + eps, the test
     ChshReport.any_violation applies.
     """
     min_negativity: float
     witness: np.ndarray
-    witness_free_params: FreeParameters
     lower_bound: float
     feasible: bool
 
@@ -141,7 +139,6 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     return NegativityResult(
         min_negativity=_total_negativity(witness),
         witness=witness,
-        witness_free_params=FreeParameters(*witness[_FREE].tolist()),
         lower_bound=max(0.0, (max_abs_delta - 2.0) / 4.0),
         feasible=max_abs_delta <= 2.0 + eps,
     )

@@ -21,9 +21,6 @@ coordinates (p4, p8, p9, p12, p14, p15), where its coefficients are unique.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -37,40 +34,8 @@ from .model import (
     require_consistent,
 )
 
-
-@dataclass(frozen=True)
-class FreeParameters:
-    """The 7 free measure weights (m2, m3, m7, m10, m14, m15, m16).
-
-    Any real values are admissible; zeros (the default) make the dependent
-    weights read directly off the independent probabilities.
-    """
-    m2: float = 0.0
-    m3: float = 0.0
-    m7: float = 0.0
-    m10: float = 0.0
-    m14: float = 0.0
-    m15: float = 0.0
-    m16: float = 0.0
-
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m2, self.m3, self.m7, self.m10,
-                         self.m14, self.m15, self.m16])
-
-    @classmethod
-    def from_sequence(cls, values) -> "FreeParameters":
-        vals = [float(v) for v in values]
-        if len(vals) != 7:
-            raise ValueError(f"expected 7 free parameters, got {len(vals)}")
-        return cls(*vals)
-
-
-#: 0-based strategy indices of the free weights, in FreeParameters field order.
+#: 0-based strategy indices of the free weights (m2, m3, m7, m10, m14, m15, m16),
+#: in the order solve takes them.
 FREE_INDICES = (1, 2, 6, 9, 13, 14, 15)
 #: 0-based strategy indices of the dependent weights (m1, m4, m5, m6, m8, m9, m11, m12, m13).
 SOLVED_INDICES = (0, 3, 4, 5, 7, 8, 10, 11, 12)
@@ -93,23 +58,30 @@ _FACE_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _FACE_SOLVED], np.column_st
     [_embedding(_AGREE, _FACE_COORDINATES), -FORWARD_MATRIX[:, _M16]]))
 
 
-def solve(p, free: FreeParameters | None = None, eps: float = DEFAULT_EPS) -> np.ndarray:
+def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
     """The paper's general solution: the measure vector reproducing the
     consistent probability set p at the given point of the 7-parameter
-    family (zero free weights by default).
+    family.  free holds the 7 free weights in FREE_INDICES order, so
+    solve(p, free)[FREE_INDICES] == free; None means all zero.
 
-    Affine in the free weights, which may take any real values: the result
-    always sums to 1 and its forward map always reproduces p's independent
-    entries and the dependent ones they imply.  Its sigma1 equals
-    (3 - sum of the independent probabilities) / 2 regardless of the free
-    weights.  Raises ConsistencyError if p fails a consistency check at eps.
+    Affine in the free weights, which may take any finite real values: the
+    result always sums to 1 and its forward map always reproduces p's
+    independent entries and the dependent ones they imply.  Its sigma1
+    equals (3 - sum of the independent probabilities) / 2 regardless of the
+    free weights.  Raises ValueError unless free has 7 finite entries, and
+    ConsistencyError if p fails a consistency check at eps.
     """
+    m = np.zeros(16)
     x = np.zeros(16)                        # (1, p_ind, free)
+    if free is not None:
+        free = np.asarray(free, dtype=float)
+        if free.shape != (7,):
+            raise ValueError(f"expected 7 free weights, got shape {free.shape}")
+        if not np.isfinite(free).all():
+            raise ValueError("free weights contain non-finite entries")
+        x[9:] = m[_FREE] = free
     x[0] = 1.0
     x[1:9] = require_consistent(p, eps)[_INDEPENDENT]
-    m = np.zeros(16)
-    if free is not None:
-        x[9:] = m[_FREE] = free.as_array()
     m[_SOLVED] = _FAMILY @ x
     return m
 

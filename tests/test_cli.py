@@ -54,7 +54,7 @@ def test_qm_maximize_text_reports_a_reproducible_box(run, state):
               for field in comment_field(out, "# angles_deg: ").split()]
     p = parse_box(out)
     assert np.array_equal(p, born_box(state, angles))
-    assert ql.max_abs_chsh(p) == pytest.approx(best, abs=1e-9)
+    assert ql.chsh_report(p).max_abs_delta == pytest.approx(best, abs=1e-9)
 
 
 @pytest.mark.parametrize("state", ["singlet", "0.6,0,0,0.8", "0.5,0.5j,0.5,-0.5"])
@@ -64,7 +64,7 @@ def test_qm_maximize_json_reports_a_reproducible_box(run, state):
     doc = json.loads(out)
     p = parse_box(out)
     assert np.array_equal(p, born_box(state, doc["angles_deg"]))
-    assert ql.max_abs_chsh(p) == pytest.approx(doc["best_delta"], abs=1e-9)
+    assert ql.chsh_report(p).max_abs_delta == pytest.approx(doc["best_delta"], abs=1e-9)
 
 
 def test_qm_maximize_angles_reproduce_the_box_through_qm_angles(run):
@@ -100,7 +100,13 @@ def test_huge_amplitudes_are_a_domain_failure(run, mode):
     (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
     (["qm", "--state", "singlet", "--angles", "inf", "0", "0", "0"], "--angles"),
     (["qm", "--state", "nan,0,0,0", "--maximize"], "--state"),
-], ids=["free", "m16", "angles", "state"])
+    # argparse took a leading -inf or -nan for an option name: "expected N argument(s)"
+    (["solve", "--free", "0", "0", "0", "0", "0", "0", "-inf"], "--free"),
+    (["solve", "--perfect-correlation", "--m16", "-inf"], "--m16"),
+    (["qm", "--state", "singlet", "--angles", "-Infinity", "0", "0", "0"], "--angles"),
+    (["qm", "--state", "-NaN,0,0,0", "--maximize"], "--state"),
+], ids=["free", "m16", "angles", "state", "free-neg-inf", "m16-neg-inf",
+        "angles-neg-infinity", "state-neg-nan"])
 def test_non_finite_numbers_are_usage_errors(run, argv, flag):
     code, out, err = run(argv, box_object_text(ql.pr_box()))
     assert code == 2
@@ -131,6 +137,10 @@ def test_negative_eps_in_scientific_notation_is_a_usage_error(run):
     code, out, err = run(["validate", "--eps", "-1e-3", str(fixture_path("prbox.box"))])
     assert (code, out) == (2, "")
     assert err == "error: --eps must be a finite number >= 0, got -0.001\n"
+    for text, value in (("-inf", "-inf"), ("-INFINITY", "-inf"), ("-nan", "nan")):
+        code, out, err = run(["validate", "--eps", text, str(fixture_path("prbox.box"))])
+        assert (code, out) == (2, "")
+        assert err == f"error: --eps must be a finite number >= 0, got {value}\n"
 
 
 def test_qm_solve_forward_round_trip(run):

@@ -202,7 +202,7 @@ def test_measures_parse_errors(text, fragment):
 def test_box_fixtures_match_builders(name, builder):
     p = parse_box(fixture_path(name).read_text())
     assert np.array_equal(p, builder())
-    assert ql.is_consistent(p)
+    assert not any(ql.check_consistency(p).values())
 
 
 def test_measures_fixture_matches_extremal_model():
@@ -213,11 +213,12 @@ def test_measures_fixture_matches_extremal_model():
 
 def test_failure_fixtures():
     bad_norm = parse_box(fixture_path("broken-normalization.box").read_text())
-    assert ql.check_normalization(bad_norm)
+    assert ql.check_consistency(bad_norm)["normalization"]
 
     bad_signal = parse_box(fixture_path("broken-signaling.box").read_text())
-    assert not ql.check_normalization(bad_signal)
-    assert ql.check_no_signaling(bad_signal)
+    checks = ql.check_consistency(bad_signal)
+    assert not checks["normalization"]
+    assert checks["no_signaling"]
 
     with pytest.raises(ParseError):
         parse_box(fixture_path("broken-parse.box").read_text())

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
-from quasilocal import model
+from quasilocal import fileio, model
 from conftest import random_consistent_box, random_nonnegative_measures, random_signed_measures
 
 RT2 = np.sqrt(2.0)
@@ -40,7 +40,7 @@ def test_strategy_patterns_match_table():
 
 def test_pattern_index_roundtrip():
     for i, pattern in enumerate(STRATEGY_TABLE):
-        assert ql.pattern_index(pattern) == i
+        assert fileio._PATTERN_INDEX[pattern] == i
         assert ql.strategy_pattern(i) == pattern
         assert ql.strategy_index(*ql.strategy_outcomes(i)) == i
 
@@ -76,8 +76,8 @@ def test_invalid_encoding_inputs():
         ql.strategy_index(0, 1, 1, 1)
     with pytest.raises(ValueError):
         ql.prob_index(3, 1, 1, 1)
-    with pytest.raises(ValueError):
-        ql.pattern_index("+++")
+    with pytest.raises(ValueError, match="pattern must have 4 characters"):
+        ql.parse_measures("+++ 1\n")
     with pytest.raises(ValueError):
         ql.strategy_outcomes(16)
 
@@ -130,13 +130,13 @@ def test_forward_rejects_bad_shape():
 # ---------------------------------------------------------------------------
 
 def test_normalization_uniform_ok():
-    assert ql.check_normalization(ql.uniform_box()) == []
+    assert ql.check_consistency(ql.uniform_box())["normalization"] == []
 
 
 def test_normalization_reports_bad_block():
     p = ql.uniform_box()
     p[0] = 0.5  # block (a1,b1) now sums to 1.25
-    bad = ql.check_normalization(p)
+    bad = ql.check_consistency(p)["normalization"]
     assert len(bad) == 1
     assert (bad[0].j, bad[0].k) == (1, 1)
     assert bad[0].total == pytest.approx(1.25)
@@ -144,12 +144,12 @@ def test_normalization_reports_bad_block():
 
 def test_normalization_tsirelson_ok():
     # each block holds two large and two small entries: 2*(2+r2)/8 + 2*(2-r2)/8 = 1
-    assert ql.check_normalization(ql.tsirelson_box()) == []
+    assert ql.check_consistency(ql.tsirelson_box())["normalization"] == []
 
 
 def test_no_signaling_of_any_model_image(rng=np.random.default_rng(11)):
     for m in random_signed_measures(rng, count=50):
-        assert ql.check_no_signaling(ql.forward_map(m)) == []
+        assert ql.check_consistency(ql.forward_map(m))["no_signaling"] == []
 
 
 def test_no_signaling_pr_box():
@@ -160,7 +160,7 @@ def test_no_signaling_pr_box():
             for k in (1, 2):
                 marginal = p[ql.prob_index(j, k, m, 1)] + p[ql.prob_index(j, k, m, -1)]
                 assert marginal == pytest.approx(0.5)
-    assert ql.check_no_signaling(p) == []
+    assert ql.check_consistency(p)["no_signaling"] == []
 
 
 def test_no_signaling_detects_signaling_box():
@@ -171,7 +171,7 @@ def test_no_signaling_detects_signaling_box():
     p[ql.prob_index(2, 1, 1, 1)] = 1.0                     # block (a2,b1) = (1,0,0,0)
     p[ql.prob_index(2, 2, -1, 1)] = 0.5                    # block (a2,b2) = (0,0,.5,.5)
     p[ql.prob_index(2, 2, -1, -1)] = 0.5
-    bad = ql.check_no_signaling(p)
+    bad = ql.check_consistency(p)["no_signaling"]
     assert bad, "constructed signaling box must be flagged"
     # the A marginal for a2 = +1 is 1 under b1 but 0 under b2
     flagged = {(v.party, v.setting, v.outcome) for v in bad}
@@ -179,14 +179,14 @@ def test_no_signaling_detects_signaling_box():
 
 
 def test_derived_relations_uniform_and_tsirelson():
-    assert ql.check_derived_relations(ql.uniform_box()) == []
-    assert ql.check_derived_relations(ql.tsirelson_box()) == []
+    assert ql.check_consistency(ql.uniform_box())["derived_relations"] == []
+    assert ql.check_consistency(ql.tsirelson_box())["derived_relations"] == []
 
 
 def test_derived_relations_flags_perturbed_entry():
     p = ql.tsirelson_box()
     p[1] = 0.3  # p2
-    bad = ql.check_derived_relations(p)
+    bad = ql.check_consistency(p)["derived_relations"]
     assert any(v.index == 1 for v in bad)
 
 
@@ -195,7 +195,7 @@ def test_model_images_satisfy_derived_relations(weights):
     m = np.array(weights)
     m += (1.0 - m.sum()) / 16.0
     p = ql.forward_map(m)
-    assert ql.check_derived_relations(p, 1e-9) == []
+    assert ql.check_consistency(p, 1e-9)["derived_relations"] == []
 
 
 def test_derived_equivalent_to_normalization_plus_no_signaling():
@@ -210,9 +210,9 @@ def test_derived_equivalent_to_normalization_plus_no_signaling():
         candidates.append(q)
     eps = 1e-9
     for p in candidates:
-        derived_ok = not ql.check_derived_relations(p, eps)
-        direct_ok = (not ql.check_normalization(p, eps)
-                     and not ql.check_no_signaling(p, eps))
+        checks = ql.check_consistency(p, eps)
+        derived_ok = not checks["derived_relations"]
+        direct_ok = not checks["normalization"] and not checks["no_signaling"]
         assert derived_ok == direct_ok
 
 
@@ -243,15 +243,9 @@ def test_check_consistency_rejects_bad_eps(eps):
     unnormalized = np.full(16, 0.5)
     calls = {
         "check_consistency": lambda e: ql.check_consistency(signalling, e),
-        "is_consistent": lambda e: ql.is_consistent(signalling, e),
         "require_consistent": lambda e: ql.require_consistent(signalling, e),
-        "check_range": lambda e: ql.check_range(signalling, e),
-        "check_normalization": lambda e: ql.check_normalization(unnormalized, e),
-        "check_no_signaling": lambda e: ql.check_no_signaling(signalling, e),
-        "check_derived_relations": lambda e: ql.check_derived_relations(signalling, e),
         "correlation": lambda e: ql.correlation(unnormalized, 1, 1, e),
         "chsh": lambda e: ql.chsh(unnormalized, eps=e),
-        "max_abs_chsh": lambda e: ql.max_abs_chsh(unnormalized, e),
         "chsh_report": lambda e: ql.chsh_report(unnormalized, e),
         "chsh_lower_bound": lambda e: ql.chsh_lower_bound(unnormalized, e),
         "chsh_from_measures": lambda e: ql.chsh_from_measures(unnormalized, e),
@@ -278,9 +272,9 @@ def test_check_consistency_rejects_bad_eps(eps):
 
 def test_check_range():
     p = ql.uniform_box()
-    assert ql.check_range(p) == []
+    assert ql.check_consistency(p)["range"] == []
     p[3] = 1.2
-    assert [v.index for v in ql.check_range(p)] == [3]
+    assert [v.index for v in ql.check_consistency(p)["range"]] == [3]
 
 
 # The relation table and the loop checks as they were typed out by hand: the
@@ -354,10 +348,6 @@ def test_checks_give_the_reference_violation_lists(seed, size, eps):
     i, j = rng.choice(4, 2, replace=False) + 4 * rng.integers(4)
     signalling[[i, j]] = signalling[[j, i]]
     for p in (perturbed, signalling, 1.5 * perturbed - 0.1):
-        assert ql.check_range(p, eps) == reference_check_range(p, eps)
-        assert ql.check_no_signaling(p, eps) == reference_check_no_signaling(p, eps)
-        assert (ql.check_derived_relations(p, eps)
-                == reference_check_derived_relations(p, eps))
         checks = ql.check_consistency(p, eps)
         assert checks["range"] == reference_check_range(p, eps)
         assert checks["no_signaling"] == reference_check_no_signaling(p, eps)
@@ -455,7 +445,7 @@ def test_chsh_matrix_matches_the_per_variant_loop(values):
     tol = 16 * np.finfo(float).eps * np.abs(p).sum()
     assert np.abs(np.array(ql.chsh_report(p).deltas) - loop).max() <= tol
     assert np.abs(np.array([ql.chsh(p, v) for v in ql.CHSH_VARIANTS]) - loop).max() <= tol
-    assert abs(ql.max_abs_chsh(p) - np.abs(loop).max()) <= tol
+    assert abs(ql.chsh_report(p).max_abs_delta - np.abs(loop).max()) <= tol
     assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
 
 
@@ -486,7 +476,8 @@ REQUIRE_UNNORMALIZED = (
 @pytest.mark.parametrize("evaluate, p, error", [
     pytest.param(ql.chsh, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh"),
     pytest.param(ql.chsh_report, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_report"),
-    pytest.param(ql.max_abs_chsh, UNNORMALIZED, CHSH_UNNORMALIZED, id="max_abs_chsh"),
+    pytest.param(lambda p: ql.chsh_report(p).max_abs_delta, UNNORMALIZED, CHSH_UNNORMALIZED,
+                 id="max_abs_chsh"),
     pytest.param(ql.chsh_lower_bound, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_lower_bound"),
     pytest.param(ql.require_consistent, UNNORMALIZED, REQUIRE_UNNORMALIZED,
                  id="require_consistent"),
@@ -616,7 +607,7 @@ def test_total_negativity():
 
 def test_canonical_boxes_are_consistent():
     for p in (ql.uniform_box(), ql.pr_box(), ql.tsirelson_box(), ql.deterministic_box(0)):
-        assert ql.is_consistent(p)
+        assert not any(ql.check_consistency(p).values())
 
 
 def test_box_values():

@@ -25,7 +25,7 @@ def family_min_negativity(p):
     """
     base = ql.solve(p)
     coeffs = np.column_stack(
-        [ql.solve(p, ql.FreeParameters(*np.eye(7)[j])) - base for j in range(7)])
+        [ql.solve(p, np.eye(7)[j]) - base for j in range(7)])
     result = linprog(
         c=np.concatenate([np.zeros(7), np.ones(16)]),
         A_ub=np.hstack([-coeffs, -np.eye(16)]), b_ub=base,
@@ -118,7 +118,7 @@ def test_box_consistent_only_to_half_eps_is_reproduced_within_eps():
     rng = np.random.default_rng(67)
     for _ in range(400):
         p = vertex_mixture(rng) + rng.uniform(-0.1, 0.1, 16) * eps
-        assert ql.is_consistent(p, 0.5 * eps)
+        assert not any(ql.check_consistency(p, 0.5 * eps).values())
         result = ql.min_negativity(p, eps)
         p_hat = F @ ql.solve(p, eps=eps)
         assert np.abs(F @ result.witness - p_hat).max() <= 1e-15
@@ -135,7 +135,7 @@ def test_facet_box_whose_delta_rounds_above_two():
 
 def test_out_of_range_box_that_satisfies_the_relations_is_rejected():
     p = 1.5 * ql.pr_box() - 0.5 * ql.uniform_box()   # entries 0.625 and -0.125
-    assert ql.check_derived_relations(p) == []
+    assert ql.check_consistency(p)["derived_relations"] == []
     with pytest.raises(ql.ConsistencyError):
         ql.min_negativity(p)
 
@@ -200,8 +200,8 @@ def test_witness_is_from_the_family():
         assert_closed_form(p, result)
         assert result.witness.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(ql.forward_map(result.witness), p, atol=1e-6)
-        rebuilt = ql.solve(p, result.witness_free_params)
-        assert np.allclose(rebuilt, result.witness, atol=1e-12)
+        rebuilt = ql.solve(p, result.witness[list(ql.FREE_INDICES)])
+        assert np.abs(rebuilt - result.witness).max() <= 1e-15
         assert result.min_negativity == pytest.approx(
             ql.total_negativity(result.witness), abs=1e-15)
 

@@ -248,7 +248,7 @@ def test_unclamped_born_boxes_are_consistent():
     boxes = np.array([ql.generate_probability_set(s) for s in scenarios])
     assert boxes.min() >= -1e-15
     assert (boxes < 0.0).any()
-    assert all(ql.is_consistent(p, 1e-12) for p in boxes)
+    assert all(not any(ql.check_consistency(p, 1e-12).values()) for p in boxes)
 
 
 def test_singlet_correlation_law():
@@ -279,7 +279,7 @@ def test_flip_maps_anticorrelation_to_perfect_correlation():
     flipped = ql.flip_outcomes(p, "B")
     assert flipped[1] == pytest.approx(0.0, abs=1e-12)
     assert flipped[2] == pytest.approx(0.0, abs=1e-12)
-    assert ql.is_consistent(flipped)
+    assert not any(ql.check_consistency(flipped).values())
     m = ql.perfect_correlation_solution(flipped, 0.25)
     assert np.allclose(ql.forward_map(m), flipped, atol=1e-9)
 
@@ -315,7 +315,7 @@ def test_flip_is_an_involution_and_preserves_consistency():
     for party in ("A", "B"):
         p = ql.generate_probability_set(random_scenario(rng))
         flipped = ql.flip_outcomes(p, party)
-        assert ql.is_consistent(flipped)
+        assert not any(ql.check_consistency(flipped).values())
         assert np.allclose(ql.flip_outcomes(flipped, party), p, atol=1e-15)
     with pytest.raises(ValueError):
         ql.flip_outcomes(p, "C")
@@ -437,7 +437,7 @@ def test_maximize_matches_reference_grid(resolution, make_state):
         best, _ = reference_maximize(state, resolution)
         assert best - 1e-12 <= result.best_delta <= best + grid_allowance(resolution)
         p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
-        assert ql.max_abs_chsh(p) == pytest.approx(result.best_delta, abs=1e-12)
+        assert ql.chsh_report(p).max_abs_delta == pytest.approx(result.best_delta, abs=1e-12)
 
 
 _NEAR_Y = cmath.exp(1j * (math.pi / 2 - 1e-3))
@@ -476,7 +476,7 @@ def assert_xz_closed_form(state):
     assert result.directions == tuple(ql.MeasurementDirection.from_xz_angle(t)
                                       for t in result.angles_deg)
     p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
-    assert ql.max_abs_chsh(p) == pytest.approx(result.best_delta, abs=1e-12)
+    assert ql.chsh_report(p).max_abs_delta == pytest.approx(result.best_delta, abs=1e-12)
 
 
 def test_maximize_is_the_xz_closed_form_on_special_states():
@@ -540,7 +540,7 @@ def test_maximize_degenerate_blocks(amplitudes, best):
     result = ql.maximize_chsh(state)
     assert result.best_delta == best
     p = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
-    assert ql.max_abs_chsh(p) == pytest.approx(best, abs=1e-12)
+    assert ql.chsh_report(p).max_abs_delta == pytest.approx(best, abs=1e-12)
 
 
 @pytest.mark.parametrize("vector, angle", [
@@ -562,7 +562,7 @@ def test_maximize_singlet_reaches_quantum_ceiling():
     assert result.best_delta == pytest.approx(2 * RT2, abs=1e-12)
     # the reported directions reproduce the reported value
     p = ql.generate_probability_set(ql.QubitScenario(ql.singlet(), *result.directions))
-    assert ql.max_abs_chsh(p) == pytest.approx(result.best_delta, abs=1e-12)
+    assert ql.chsh_report(p).max_abs_delta == pytest.approx(result.best_delta, abs=1e-12)
 
 
 def test_maximize_product_state_stays_local():
@@ -597,5 +597,5 @@ def test_generated_sets_feed_the_solver_and_optimizer():
         p = ql.generate_probability_set(scenario)
         m = ql.solve(p)
         assert np.allclose(ql.forward_map(m), p, atol=1e-9)
-        if ql.max_abs_chsh(p) > 2.0 + 1e-9:
+        if ql.chsh_report(p).max_abs_delta > 2.0 + 1e-9:
             assert ql.min_negativity(p).min_negativity > 0.0

@@ -1,5 +1,7 @@
 """Solution-family tests: box embedding, reconstruction, inversion, perfect correlation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -79,7 +81,7 @@ def consistent_boxes():
 @given(consistent_boxes(), st.lists(st.floats(-1000, 1000), min_size=7, max_size=7))
 def test_general_solution_matches_the_hand_formulas(p, free):
     ind = p[IND]
-    m = ql.solve(p, ql.FreeParameters(*free))
+    m = ql.solve(p, free)
     assert np.abs(m - reference_general_solution(ind, free)).max() <= family_bound(ind, free)
     assert np.array_equal(m[list(ql.FREE_INDICES)], free)
 
@@ -172,19 +174,19 @@ def test_reconstruct_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_general_solution_uniform():
-    f = ql.FreeParameters(*[1 / 16] * 7)
+    f = [1 / 16] * 7
     assert np.allclose(ql.solve(ql.box_from_independent([0.25] * 8), f), 1 / 16, atol=1e-15)
 
 
 def test_general_solution_extremal():
     p = ql.box_from_independent([(2 + RT2) / 8] * 8)
-    f = ql.FreeParameters(*[(1 + RT2) / 16] * 7)
+    f = [(1 + RT2) / 16] * 7
     assert np.allclose(ql.solve(p, f), extremal_measures(), atol=1e-15)
 
 
 def test_general_solution_pr_box_with_chosen_free_weights():
     p = ql.box_from_independent([0.5] * 8)
-    m = ql.solve(p, ql.FreeParameters(0, 0, 0, 0, 0.5, 0.5, 0))
+    m = ql.solve(p, [0, 0, 0, 0, 0.5, 0.5, 0])
     assert np.allclose(m, PR_WITNESS, atol=1e-15)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(ql.forward_map(m), ql.pr_box(), atol=1e-12)
@@ -193,9 +195,9 @@ def test_general_solution_pr_box_with_chosen_free_weights():
 
 def test_solve_examples():
     assert np.allclose(
-        ql.solve(ql.uniform_box(), ql.FreeParameters(*[1 / 16] * 7)), 1 / 16, atol=1e-15)
+        ql.solve(ql.uniform_box(), [1 / 16] * 7), 1 / 16, atol=1e-15)
     assert np.allclose(
-        ql.solve(ql.tsirelson_box(), ql.FreeParameters(*[(1 + RT2) / 16] * 7)),
+        ql.solve(ql.tsirelson_box(), [(1 + RT2) / 16] * 7),
         extremal_measures(), atol=1e-14)
     # default free weights: still a valid normalized model
     rng = np.random.default_rng(9)
@@ -215,7 +217,7 @@ def box_outside_the_range_at_the_default_eps():
 
 def test_solve_range_checks_at_the_callers_eps():
     p = box_outside_the_range_at_the_default_eps()
-    assert ql.is_consistent(p, 1e-5)
+    assert not any(ql.check_consistency(p, 1e-5).values())
     m = ql.solve(p, eps=1e-5)
     assert np.abs(ql.forward_map(m) - p).max() <= 1e-5
     with pytest.raises(ql.ConsistencyError):
@@ -232,21 +234,36 @@ def test_box_from_independent_round_trips_at_the_callers_eps():
         ql.require_consistent(rebuilt)
 
 
-def test_free_parameters_helpers():
-    f = ql.FreeParameters.from_sequence([1, 2, 3, 4, 5, 6, 7])
-    assert f.m2 == 1 and f.m16 == 7
-    assert np.array_equal(f.as_array(), np.arange(1.0, 8.0))
-    with pytest.raises(ValueError):
-        ql.FreeParameters.from_sequence([1, 2, 3])
-    with pytest.raises(ValueError):
-        ql.FreeParameters(m2=np.inf)
+FREE = [0.5, -0.25, 1e-3, 0.0, 3.0, -7.5, 0.125]
+NOT_FINITE = "free weights contain non-finite entries"
+
+
+@pytest.mark.parametrize("free, error", [
+    (FREE, None),
+    (tuple(FREE), None),
+    (np.array(FREE), None),
+    (FREE[:6], "expected 7 free weights, got shape (6,)"),
+    (FREE + [0.0], "expected 7 free weights, got shape (8,)"),
+    (FREE[:6] + [np.nan], NOT_FINITE),
+    (FREE[:6] + [np.inf], NOT_FINITE),
+    ([-np.inf] + FREE[1:], NOT_FINITE),
+], ids=["list", "tuple", "ndarray", "6", "8", "nan", "inf", "-inf"])
+def test_solve_takes_seven_finite_free_weights(free, error):
+    p = ql.tsirelson_box()
+    if error is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            ql.solve(p, free)
+        return
+    m = ql.solve(p, free)
+    assert np.array_equal(m, ql.solve(p, FREE))
+    assert np.array_equal(m[list(ql.FREE_INDICES)], FREE)
 
 
 @given(st.lists(st.floats(-1000, 1000), min_size=7, max_size=7),
        st.integers(0, 2 ** 32 - 1))
 def test_universal_roundtrip(free_values, seed):
     p = random_consistent_box(np.random.default_rng(seed))
-    m = ql.solve(p, ql.FreeParameters.from_sequence(free_values))
+    m = ql.solve(p, free_values)
     assert abs(m.sum() - 1.0) < 1e-9
     assert np.allclose(ql.forward_map(m), p, atol=1e-9)
 
@@ -255,10 +272,8 @@ def test_solve_is_affine_in_free_weights():
     rng = np.random.default_rng(13)
     p = random_consistent_box(rng)
     f0, f1, f2 = (rng.uniform(-3, 3, 7) for _ in range(3))
-    lhs = (ql.solve(p, ql.FreeParameters(*f1))
-           + ql.solve(p, ql.FreeParameters(*f2))
-           - ql.solve(p, ql.FreeParameters(*f0)))
-    rhs = ql.solve(p, ql.FreeParameters(*(f1 + f2 - f0)))
+    lhs = ql.solve(p, f1) + ql.solve(p, f2) - ql.solve(p, f0)
+    rhs = ql.solve(p, f1 + f2 - f0)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -268,7 +283,7 @@ def test_sigma1_depends_only_on_the_box():
         p = random_consistent_box(rng)
         expected = 0.5 * (3.0 - p[list(ql.INDEPENDENT_INDICES)].sum())
         for _ in range(10):
-            f = ql.FreeParameters(*rng.uniform(-10, 10, 7))
+            f = rng.uniform(-10, 10, 7)
             assert ql.sigmas(ql.solve(p, f)).sigma1 == pytest.approx(expected, abs=1e-9)
 
 
@@ -341,7 +356,5 @@ def test_perfect_correlation_matches_general_solution():
         p = perfect_correlation_box(rng)
         m16 = rng.uniform(-1.0, 1.0)
         special = ql.perfect_correlation_solution(p, m16)
-        implied = ql.FreeParameters(
-            m2=special[1], m3=special[2], m7=0.0, m10=0.0,
-            m14=special[13], m15=special[14], m16=special[15])
+        implied = [special[1], special[2], 0.0, 0.0, special[13], special[14], special[15]]
         assert np.allclose(special, ql.solve(p, implied), atol=1e-12)
