@@ -182,7 +182,14 @@ def _cmd_solve(args) -> int:
     else:
         if args.m16 is not None:
             raise _Failure(EXIT_USAGE, "--m16 is only meaningful with --perfect-correlation")
-        m = solver.solve(p, _free_parameters(args), eps)
+        free = _free_parameters(args)
+        try:
+            m = solver.solve(p, free, eps)
+        except model.ConsistencyError:
+            raise
+        except ValueError as exc:       # finite free weights whose solution overflows
+            raise _Failure(EXIT_USAGE, "argument {}: {}".format(
+                "--free" if args.free_file is None else "--free-file", exc)) from None
 
     if args.format == "json":
         obj = fileio.measures_object(m)
@@ -198,11 +205,14 @@ def _cmd_solve(args) -> int:
 def _cmd_forward(args) -> int:
     eps = _resolve_eps(args)
     m = fileio.parse_measures(_read_text(args.input))
-    total = float(m.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(m.sum())
+        p = model.forward_map(m)
+    if not np.isfinite(p).all():
+        raise _Failure(EXIT_DOMAIN, "the forward image is not finite: the weights overflow")
     if abs(total - 1.0) > eps:
         print(f"warning: measures sum to {fileio.format_value(total)}, not 1",
               file=sys.stderr)
-    p = model.forward_map(m)
     if args.format == "json":
         _print_json(fileio.box_object(p))
     else:

@@ -38,7 +38,11 @@ differences, the relation differences and the largest |CHSH sum|.  numpy is kept
 sets the last bit: the block sums, the relation product
 DEPENDENT_SIGNS @ p_ind and the CHSH product, so every value stays
 bit-identical to the all-numpy checks kept as the reference in
-tests/test_checks_reference.py.
+tests/test_checks_reference.py.  The two gates, the violation scan and the
+block check with the CHSH product, are memoized by the box's float64 bytes
+and eps, 4 boxes each (a pipeline gates two, p and its rebuilt box), so a
+repeated gate of the same bytes is a lookup: equal bytes are equal values,
+and a bad eps raises on the miss, so it is never stored.
 
 Every function that takes a tolerance eps raises ValueError unless eps is
 finite and nonnegative: a NaN eps would pass every check and an infinite one
@@ -48,6 +52,7 @@ public function can skip the check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -372,13 +377,16 @@ def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
     return found
 
 
-def _violations(p: np.ndarray, eps: float) -> dict[str, list]:
-    return {
-        "range": _range_violations(p, eps),
-        "normalization": _block_violations(p, eps),
-        "no_signaling": _marginal_violations(p, eps),
-        "derived_relations": _relation_violations(p, eps),
-    }
+@functools.lru_cache(maxsize=4)
+def _violations(key: bytes, eps: float) -> tuple[tuple[str, tuple], ...]:
+    """(check name, violations) of the box whose float64 bytes are key."""
+    p = np.frombuffer(key)
+    return (
+        ("range", tuple(_range_violations(p, eps))),
+        ("normalization", tuple(_block_violations(p, eps))),
+        ("no_signaling", tuple(_marginal_violations(p, eps))),
+        ("derived_relations", tuple(_relation_violations(p, eps))),
+    )
 
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
@@ -396,14 +404,14 @@ def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     combined.
     """
     _check_eps(eps)
-    return _violations(as_probability_set(p), eps)
+    return {name: list(vs) for name, vs in _violations(as_probability_set(p).tobytes(), eps)}
 
 
 def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Return p as an array, raising ConsistencyError that lists every
     violation if any check fails at eps."""
     p = as_probability_set(p)
-    violations = [v for vs in _violations(p, eps).values() for v in vs]
+    violations = [v for _, vs in _violations(p.tobytes(), eps) for v in vs]
     if violations:
         lines = "; ".join(v.describe() for v in violations)
         raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
@@ -524,16 +532,18 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     return float(block[0] + block[3] - block[1] - block[2])
 
 
-def _chsh_deltas(p: np.ndarray, eps: float) -> np.ndarray:
-    """The 8 CHSH sums of p, aligned with CHSH_VARIANTS.
+@functools.lru_cache(maxsize=4)
+def _chsh_deltas(key: bytes, eps: float) -> tuple[float, ...]:
+    """The 8 CHSH sums of the box with float64 bytes key, aligned with CHSH_VARIANTS.
 
     Requires every block normalized within eps.
     """
+    p = np.frombuffer(key)
     bad = _block_violations(p, eps)
     if bad:
         raise ConsistencyError(
             "cannot evaluate CHSH on an unnormalized probability set", bad)
-    return CHSH_MATRIX @ p
+    return tuple((CHSH_MATRIX @ p).tolist())
 
 
 def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) -> float:
@@ -543,7 +553,7 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     passing that check, the canonical variant equals
     2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
     """
-    return float(_chsh_deltas(as_probability_set(p), eps)[_variant_row(variant)])
+    return _chsh_deltas(as_probability_set(p).tobytes(), eps)[_variant_row(variant)]
 
 
 def _normalized_measure(m, eps: float) -> np.ndarray:
@@ -562,7 +572,7 @@ def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
     return 2.0 * (1.0 - 2.0 * _sigmas(_normalized_measure(m, eps)).sigma1)
 
 
-def _max_abs(values: list[float]) -> float:
+def _max_abs(values) -> float:
     """Largest |v|, or NaN when any v is NaN, as numpy's max gives."""
     magnitudes = [abs(v) for v in values]
     return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
@@ -595,8 +605,8 @@ class ChshReport:
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
-    deltas = _chsh_deltas(as_probability_set(p), eps).tolist()
-    return ChshReport(tuple(deltas), _max_abs(deltas), eps)
+    deltas = _chsh_deltas(as_probability_set(p).tobytes(), eps)
+    return ChshReport(deltas, _max_abs(deltas), eps)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .model import (
     _INDEPENDENT,
     _STRATEGY_CHSH,
     _box_from_independent,
+    _max_abs,
     _total_negativity,
     chsh,
     chsh_report,
@@ -49,10 +50,15 @@ _PR_MODELS.setflags(write=False)
 _PR_BOXES.setflags(write=False)
 
 
+def _bound(max_abs_delta: float) -> float:
+    return max((max_abs_delta - 2.0) / 4.0, 0.0)    # NaN first: max(nan, 0.0) is nan
+
+
 def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
     """Largest closed-form negativity bound over the 8 CHSH variants:
-    max(0, (|delta_v| - 2) / 4)."""
-    return max(0.0, (chsh_report(p, eps).max_abs_delta - 2.0) / 4.0)
+    max(0, (|delta_v| - 2) / 4), or NaN when a CHSH sum is NaN, as
+    ChshReport.max_abs_delta is."""
+    return _bound(chsh_report(p, eps).max_abs_delta)
 
 
 #: (a1, a2, the (b1, b2) column in q's order) of each strategy, in strategy
@@ -124,8 +130,9 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     """
     p = require_consistent(p, eps)
     p_hat = _box_from_independent(p[_INDEPENDENT])
-    # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the benchmark's
-    # tracer test (perfbench/tests) counts these 8 calls through negativity.chsh
+    # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the first computes
+    # all 8 and the other 7 hit model's cache.  The benchmark's tracer test
+    # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.
     deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]
     v = deltas.index(max(deltas))
     mu = max(0.0, (deltas[v] - 2.0) / 2.0)
@@ -135,10 +142,10 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
         local = (p_hat - mu * _PR_BOXES[v]) / (1.0 - mu)
         witness = mu * _PR_MODELS[v] + (1.0 - mu) * _fine_model(local)
     witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
-    max_abs_delta = max(map(abs, deltas))
+    max_abs_delta = _max_abs(deltas)
     return NegativityResult(
         min_negativity=_total_negativity(witness),
         witness=witness,
-        lower_bound=max(0.0, (max_abs_delta - 2.0) / 4.0),
+        lower_bound=_bound(max_abs_delta),
         feasible=max_abs_delta <= 2.0 + eps,
     )

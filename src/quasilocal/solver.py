@@ -68,8 +68,8 @@ def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
     result always sums to 1 and its forward map always reproduces p's
     independent entries and the dependent ones they imply.  Its sigma1
     equals (3 - sum of the independent probabilities) / 2 regardless of the
-    free weights.  Raises ValueError unless free has 7 finite entries, and
-    ConsistencyError if p fails a consistency check at eps.
+    free weights.  Raises ValueError unless free has 7 finite entries and the
+    result is finite, and ConsistencyError if p fails a check at eps.
     """
     m = np.zeros(16)
     x = np.zeros(16)                        # (1, p_ind, free)
@@ -82,7 +82,10 @@ def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
         x[9:] = m[_FREE] = free
     x[0] = 1.0
     x[1:9] = require_consistent(p, eps)[_INDEPENDENT]
-    m[_SOLVED] = _FAMILY @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        m[_SOLVED] = _FAMILY @ x
+    if not np.isfinite(m).all():
+        raise ValueError("the solution at these free weights is not finite")
     return m
 
 

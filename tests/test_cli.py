@@ -4,6 +4,7 @@ import io
 import json
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,33 @@ def test_free_parameter_file_matches_free(run, tmp_path, document):
     assert code == 0
     _, from_flag, _ = run(["solve", "--free", "0.5", "0", "0", "0", "0", "0", "-0.25"], box)
     assert from_file == from_flag
+
+
+@pytest.mark.parametrize("flag", ["--free", "--free-file"])
+def test_free_weights_whose_solution_overflows_are_usage_errors(run, tmp_path, flag):
+    # finite weights overflowed in the family's product: solve returned inf
+    # weights and total_negativity died on them with a traceback
+    weights = ["1.7e308", "1.7e308", "0", "0", "0", "0", "0"]
+    path = tmp_path / "free"
+    path.write_text(" ".join(weights))
+    argv = ["--free", *weights] if flag == "--free" else ["--free-file", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["solve", *argv], box_object_text(ql.pr_box()))
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {flag}: the solution at these free weights is not finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_forward_of_overflowing_weights_is_a_domain_failure(run, fmt):
+    # exited 0 after two numpy overflow warnings, with inf entries in its box
+    m = np.zeros(16)
+    m[[0, 1]] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["forward", "--format", fmt], json.dumps(measures_object(m)))
+    assert (code, out) == (1, "")
+    assert err == "error: the forward image is not finite: the weights overflow\n"
 
 
 def test_perfect_correlation_defaults_m16_to_zero(run):

@@ -618,3 +618,90 @@ def test_box_values():
     assert t[1] == pytest.approx((2 - RT2) / 8)
     d = ql.deterministic_box(0)
     assert d[[0, 4, 8, 12]].sum() == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# Memoized gates: the violation scan and the CHSH product are looked up by
+# the box's float64 bytes and eps
+# ---------------------------------------------------------------------------
+
+def uncached_checks(p, eps=ql.DEFAULT_EPS):
+    return {"range": model._range_violations(p, eps),
+            "normalization": model._block_violations(p, eps),
+            "no_signaling": model._marginal_violations(p, eps),
+            "derived_relations": model._relation_violations(p, eps)}
+
+
+def test_mutating_a_box_in_place_changes_the_next_verdict():
+    p = ql.uniform_box()
+    assert not any(ql.check_consistency(p).values())
+    assert ql.require_consistent(p) is p
+    assert ql.chsh(p) == 0.0
+    p[0] = 0.5                                  # block (a1, b1) now sums to 1.25
+    assert ql.check_consistency(p) == uncached_checks(p)
+    assert ql.check_consistency(p)["normalization"] == [model.BlockViolation(1, 1, 1.25)]
+    with pytest.raises(ql.ConsistencyError):
+        ql.require_consistent(p)
+    with pytest.raises(ql.ConsistencyError, match="unnormalized"):
+        ql.chsh(p)
+
+
+def test_mutating_the_returned_lists_changes_no_later_verdict():
+    p = np.linspace(-0.5, 1.5, 16)
+    expected = uncached_checks(p)
+    first = ql.check_consistency(p)
+    assert first == expected and expected["no_signaling"]
+    first["range"].append(model.RangeViolation(0, 9.0))
+    first["no_signaling"].clear()
+    assert ql.check_consistency(p) == expected
+    with pytest.raises(ql.ConsistencyError) as err:
+        ql.require_consistent(p)
+    assert err.value.violations == tuple(v for vs in expected.values() for v in vs)
+    report = ql.chsh_report(ql.tsirelson_box())
+    assert ql.chsh_report(ql.tsirelson_box()) == report
+
+
+def test_one_box_at_two_eps_values_gets_each_its_own_verdict():
+    p = ql.uniform_box()
+    p[1] += 1e-6                                # block (a1, b1) sums to 1 + 1e-6
+    for _ in range(2):
+        assert not any(ql.check_consistency(p, 1e-3).values())
+        assert ql.check_consistency(p, 1e-9) == uncached_checks(p, 1e-9)
+        assert ql.check_consistency(p, 1e-9)["normalization"]
+        assert ql.require_consistent(p, 1e-3) is p
+        with pytest.raises(ql.ConsistencyError):
+            ql.require_consistent(p, 1e-9)
+        assert ql.chsh(p, eps=1e-3) == pytest.approx(0.0, abs=1e-5)
+        with pytest.raises(ql.ConsistencyError):
+            ql.chsh(p, eps=1e-9)
+
+
+def test_signed_zeros_are_different_boxes():
+    # 0.0 == -0.0 and both hash alike, so a key of floats would mix them up;
+    # a relation violation carries the entry's own zero
+    for zero in (0.0, -0.0, 0.0):
+        p = np.full(16, zero)
+        assert repr(ql.check_consistency(p, 0.0)) == repr(uncached_checks(p, 0.0))
+        assert repr(ql.check_consistency(p, 0.0)["derived_relations"][0].actual) == repr(zero)
+        with pytest.raises(ql.ConsistencyError, match=f" = {zero!r}, but"):
+            ql.require_consistent(p, 0.0)
+    for zero in (0.0, -0.0, 0.0):
+        p = np.where(ql.pr_box() == 0.0, zero, ql.pr_box())
+        assert repr(ql.chsh_report(p).deltas) == repr(tuple((model.CHSH_MATRIX @ p).tolist()))
+
+
+def test_a_pipeline_scans_once_and_forms_the_chsh_product_twice():
+    p = ql.tsirelson_box()
+    p[1] += 1e-12                               # so the rebuilt box p_hat differs from p
+    p_hat = model._box_from_independent(p[model._INDEPENDENT])
+    assert p_hat.tobytes() != p.tobytes()
+    model._violations.cache_clear()
+    model._chsh_deltas.cache_clear()
+    ql.check_consistency(p)
+    ql.chsh_report(p)
+    ql.solve(p)
+    ql.min_negativity(p)
+    scans, products = model._violations.cache_info(), model._chsh_deltas.cache_info()
+    assert (scans.misses, scans.hits) == (1, 2)           # check, solve, min_negativity
+    assert (products.misses, products.hits) == (2, 7)     # p, then p_hat 8 times
+    assert scans.maxsize == products.maxsize == 4

@@ -158,6 +158,16 @@ def test_chsh_lower_bound_values():
     assert ql.chsh_lower_bound(ql.pr_box()) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_chsh_lower_bound_is_nan_when_the_chsh_maximum_is():
+    # normalized within 1e300, with CHSH sums +-inf and NaN, NaN not first;
+    # max(0.0, nan) is 0.0, a bound claiming no negativity is needed
+    p = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
+         0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(ql.chsh_report(p, 1e300).max_abs_delta)
+        assert np.isnan(ql.chsh_lower_bound(p, 1e300))
+
+
 def test_min_negativity_uniform():
     result = ql.min_negativity(ql.uniform_box())
     assert_closed_form(ql.uniform_box(), result)

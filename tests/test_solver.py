@@ -247,7 +247,8 @@ NOT_FINITE = "free weights contain non-finite entries"
     (FREE[:6] + [np.nan], NOT_FINITE),
     (FREE[:6] + [np.inf], NOT_FINITE),
     ([-np.inf] + FREE[1:], NOT_FINITE),
-], ids=["list", "tuple", "ndarray", "6", "8", "nan", "inf", "-inf"])
+    ([1.7e308, 1.7e308] + FREE[2:], "the solution at these free weights is not finite"),
+], ids=["list", "tuple", "ndarray", "6", "8", "nan", "inf", "-inf", "overflow"])
 def test_solve_takes_seven_finite_free_weights(free, error):
     p = ql.tsirelson_box()
     if error is not None:
