@@ -84,7 +84,12 @@ def _emit(text: str, out_path: str | None = None) -> None:
 
 
 def _print_json(obj, out_path: str | None = None) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:          # NaN or +-inf, which JSON has no literal for
+        raise _Failure(EXIT_DOMAIN, "the report holds a non-finite number, "
+                                    "which JSON cannot represent") from None
+    _emit(text + "\n", out_path)
 
 
 def _violation_json(violation) -> dict:
@@ -158,7 +163,7 @@ def _free_parameters(args) -> list[float] | None:
     return args.free
 
 
-def _negative_summary(m: np.ndarray) -> list[str]:
+def _negative_summary(m: np.ndarray, total: float) -> list[str]:
     negatives = [(i, m[i]) for i in range(16) if m[i] < 0.0]
     if not negatives:
         return ["negative measures: none"]
@@ -166,12 +171,14 @@ def _negative_summary(m: np.ndarray) -> list[str]:
         f"m{i + 1} ({model.STRATEGY_PATTERNS[i]}) = {fileio.format_value(v)}"
         for i, v in negatives)
     return [f"negative measures: {listing}",
-            f"total negativity: {fileio.format_value(model.total_negativity(m))}"]
+            f"total negativity: {fileio.format_value(total)}"]
 
 
 def _cmd_solve(args) -> int:
     eps = _resolve_eps(args)
     p = _load_box(args)
+    flag = ("--m16" if args.perfect_correlation
+            else "--free" if args.free_file is None else "--free-file")
 
     if args.perfect_correlation:
         if args.free is not None or args.free_file is not None:
@@ -188,17 +195,21 @@ def _cmd_solve(args) -> int:
         except model.ConsistencyError:
             raise
         except ValueError as exc:       # finite free weights whose solution overflows
-            raise _Failure(EXIT_USAGE, "argument {}: {}".format(
-                "--free" if args.free_file is None else "--free-file", exc)) from None
+            raise _Failure(EXIT_USAGE, f"argument {flag}: {exc}") from None
+    with np.errstate(over="ignore"):
+        total = model.total_negativity(m)
+    if not math.isfinite(total):        # finite weights whose negative parts overflow
+        raise _Failure(EXIT_USAGE,
+                       f"argument {flag}: the total negativity at these weights is not finite")
 
     if args.format == "json":
         obj = fileio.measures_object(m)
         obj["negative_patterns"] = [model.STRATEGY_PATTERNS[i]
                                     for i in range(16) if m[i] < 0.0]
-        obj["total_negativity"] = model.total_negativity(m)
+        obj["total_negativity"] = total
         _print_json(obj, args.out)
     else:
-        _emit(fileio.format_measures(m, comments=_negative_summary(m)), args.out)
+        _emit(fileio.format_measures(m, comments=_negative_summary(m, total)), args.out)
     return EXIT_OK
 
 

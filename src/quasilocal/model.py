@@ -15,9 +15,11 @@ machinery: correlation coefficients, the 8 CHSH sign variants, the
 complementary strategy-subset sums sigma1/sigma2, and the necessity verdict
 linking CHSH violation to negative weights.
 
-The encodings are decided in strategy_index and prob_index alone.
-FORWARD_MATRIX is built from them, and every other constant map is derived
-from it at import: the relation table DEPENDENT_SIGNS (a least-squares
+The encodings are stated once, as two tables: STRATEGY_OUTCOMES, the
+outcomes (a1, b1, a2, b2) of each strategy, and PROB_EVENTS, the event
+(j, k, m, n) of each probability.  Every index, label and permutation is
+read off them, FORWARD_MATRIX too, and every other constant map is derived
+from FORWARD_MATRIX at import: the relation table DEPENDENT_SIGNS (a least-squares
 solution, rounded to the nearest half), the strategies' CHSH values and the
 sigma1/sigma2 split.
 
@@ -34,11 +36,12 @@ On 16 entries numpy's fixed cost per call outweighs the arithmetic, so the
 checks that are exact in Python floats compare the floats of tolist(): the
 finiteness check, the range check, the marginals (each a sum of two
 entries, made 0.0 for -0.0 + -0.0 as numpy's sum is) with their
-differences, the relation differences and the largest |CHSH sum|.  numpy is kept for the sums and products whose summation order
-sets the last bit: the block sums, the relation product
-DEPENDENT_SIGNS @ p_ind and the CHSH product, so every value stays
-bit-identical to the all-numpy checks kept as the reference in
-tests/test_checks_reference.py.  The two gates, the violation scan and the
+differences, the relation differences and the largest |CHSH sum|.  numpy
+is kept for the sums and products whose summation order sets the last bit:
+the block sums, the relation product DEPENDENT_SIGNS @ p_ind and the CHSH
+product (both with numpy's overflow warnings off, as the Python floats
+overflow silently), so every value stays bit-identical to the all-numpy
+checks kept as the reference in tests/test_checks_reference.py.  The two gates, the violation scan and the
 block check with the CHSH product, are memoized by the box's float64 bytes
 and eps, 4 boxes each (a pipeline gates two, p and its rebuilt box), so a
 repeated gate of the same bytes is a lookup: equal bytes are equal values,
@@ -53,6 +56,7 @@ public function can skip the check.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,19 +83,6 @@ class ConsistencyError(ValueError):
 # Outcome / strategy / probability encodings
 # ---------------------------------------------------------------------------
 
-def outcome_bit(outcome: int) -> int:
-    """Map outcome +1 -> bit 0, -1 -> bit 1."""
-    if outcome == PLUS:
-        return 0
-    if outcome == MINUS:
-        return 1
-    raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-
-
-def bit_outcome(bit: int) -> int:
-    return PLUS if bit == 0 else MINUS
-
-
 def outcome_char(outcome: int) -> str:
     return "+" if outcome == PLUS else "-"
 
@@ -105,83 +96,70 @@ def char_outcome(ch: str) -> int:
     raise ValueError(f"outcome character must be '+' or '-', got {ch!r}")
 
 
-def strategy_index(a1: int, b1: int, a2: int, b2: int) -> int:
-    """Canonical 0-based index of the deterministic strategy with the given outcomes.
+#: Outcomes (a1, b1, a2, b2) of each strategy, row-major: 0 is ++++, 15 is ----.
+STRATEGY_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=4))
 
-    Strategies are ordered by the (a1, b1, a2, b2) outcome quadruple with +
-    sorting before -, i.e. index = 8*bit(a1) + 4*bit(b1) + 2*bit(a2) + bit(b2).
-    Index 0 is ++++, index 15 is ----.
-    """
-    return (8 * outcome_bit(a1) + 4 * outcome_bit(b1)
-            + 2 * outcome_bit(a2) + outcome_bit(b2))
+_OUTCOME_PAIRS = tuple(itertools.product(OUTCOMES, repeat=2))     # ++, +-, -+, --
+
+#: Event (j, k, m, n) of each joint probability p(a_j = m, b_k = n): a block
+#: of four per setting pair, in SETTING_PAIRS order, each in _OUTCOME_PAIRS order.
+PROB_EVENTS = tuple((j, k, m, n) for j, k in SETTING_PAIRS for m, n in _OUTCOME_PAIRS)
+
+STRATEGY_PATTERNS = tuple("".join(map(outcome_char, o)) for o in STRATEGY_OUTCOMES)
+PROB_LABELS = tuple(f"a{j}{outcome_char(m)}b{k}{outcome_char(n)}" for j, k, m, n in PROB_EVENTS)
+
+_STRATEGY_POSITION = {outcomes: i for i, outcomes in enumerate(STRATEGY_OUTCOMES)}
+_PROB_POSITION = {event: i for i, event in enumerate(PROB_EVENTS)}
+
+
+def _position(table: dict, key: tuple, outcomes: tuple) -> int:
+    """table[key], or ValueError naming the first of outcomes not +1 or -1."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        bad = [o for o in outcomes if o not in OUTCOMES] or outcomes
+        raise ValueError(f"outcome must be +1 or -1, got {bad[0]!r}") from None
+
+
+def strategy_index(a1: int, b1: int, a2: int, b2: int) -> int:
+    """Position of the strategy with the given outcomes in STRATEGY_OUTCOMES."""
+    return _position(_STRATEGY_POSITION, (a1, b1, a2, b2), (a1, b1, a2, b2))
 
 
 def strategy_outcomes(index: int) -> tuple[int, int, int, int]:
     """Outcomes (a1, b1, a2, b2) of the strategy at the given 0-based index."""
     if not 0 <= index < 16:
         raise ValueError(f"strategy index must be in 0..15, got {index}")
-    return tuple(bit_outcome((index >> shift) & 1) for shift in (3, 2, 1, 0))
+    return STRATEGY_OUTCOMES[index]
 
 
 def strategy_pattern(index: int) -> str:
     """Four-character +/- pattern of a strategy, slot order (a1, b1, a2, b2)."""
-    return "".join(outcome_char(o) for o in strategy_outcomes(index))
-
-
-STRATEGY_PATTERNS = tuple(strategy_pattern(i) for i in range(16))
+    strategy_outcomes(index)            # checks the index
+    return STRATEGY_PATTERNS[index]
 
 
 def prob_index(j: int, k: int, m: int, n: int) -> int:
-    """Canonical 0-based index of p(a_j = m, b_k = n).
-
-    Entries are grouped in blocks of 4 per setting pair, pair order
-    (a1,b1), (a1,b2), (a2,b1), (a2,b2); within a block the outcome pairs
-    run (+,+), (+,-), (-,+), (-,-).
-    """
+    """Position of the event p(a_j = m, b_k = n) in PROB_EVENTS."""
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
-    block = 2 * (j - 1) + (k - 1)
-    return 4 * block + 2 * outcome_bit(m) + outcome_bit(n)
-
-
-def block_slice(j: int, k: int) -> slice:
-    """Slice selecting the 4 entries of setting pair (a_j, b_k)."""
-    start = prob_index(j, k, PLUS, PLUS)
-    return slice(start, start + 4)
+    return _position(_PROB_POSITION, (j, k, m, n), (m, n))
 
 
 def prob_label(index: int) -> str:
     """Human-readable label of a probability entry, e.g. 'a1+b1+'."""
-    block, offset = divmod(index, 4)
-    j, k = block // 2 + 1, block % 2 + 1
-    m = bit_outcome(offset >> 1)
-    n = bit_outcome(offset & 1)
-    return f"a{j}{outcome_char(m)}b{k}{outcome_char(n)}"
+    return PROB_LABELS[index]
 
 
-PROB_LABELS = tuple(prob_label(i) for i in range(16))
-
-
-#: prob_index(j, k, m, n) on axes (j, k, bit(m), bit(n)).
+#: prob_index(j, k, m, n) on axes (j, k, m, n), outcomes in OUTCOMES order.
 _PROB_INDEX = np.array([[[[prob_index(j, k, m, n) for n in OUTCOMES] for m in OUTCOMES]
                          for k in (1, 2)] for j in (1, 2)])
 
-
-def _build_forward_matrix() -> np.ndarray:
-    # one-hot outcome bits on axes (strategy, slot a1/b1/a2/b2, bit); entry
-    # p(a_j = m, b_k = n) counts a strategy when A's bit at a_j is bit(m) and
-    # B's bit at b_k is bit(n)
-    bits = [[outcome_bit(o) for o in strategy_outcomes(s)] for s in range(16)]
-    one_hot = np.eye(2)[bits]
-    F = np.empty((16, 16))
-    F[_PROB_INDEX] = np.einsum("sjm,skn->jkmns", one_hot[:, 0::2], one_hot[:, 1::2])
-    return F
-
-
-#: 0/1 matrix mapping a measure vector to its 16 joint probabilities.
-#: Row i has exactly four ones; each block of four rows partitions the
-#: strategies, so every block sum of the image equals the total weight.
-FORWARD_MATRIX = _build_forward_matrix()
+#: 0/1 matrix mapping a measure vector to its 16 joint probabilities: entry
+#: (i, s) is 1 when strategy s gives event i.  Each block of four rows
+#: partitions the strategies, so every block sum of the image is the total weight.
+FORWARD_MATRIX = np.array([[float(s[0::2][j - 1] == m and s[1::2][k - 1] == n)
+                            for s in STRATEGY_OUTCOMES] for j, k, m, n in PROB_EVENTS])
 FORWARD_MATRIX.setflags(write=False)
 
 
@@ -370,7 +348,9 @@ def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
     _check_eps(eps)
     v = p.tolist()
     found = []
-    for i, signed_sum in zip(DEPENDENT_INDICES, (DEPENDENT_SIGNS @ p[_INDEPENDENT]).tolist()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed_sums = (DEPENDENT_SIGNS @ p[_INDEPENDENT]).tolist()
+    for i, signed_sum in zip(DEPENDENT_INDICES, signed_sums):
         expected = 0.5 * (1.0 + signed_sum)
         if abs(v[i] - expected) > eps:
             found.append(RelationViolation(i, expected, v[i]))
@@ -472,26 +452,17 @@ class ChshVariant:
 
 CANONICAL_VARIANT = ChshVariant((2, 2), 1)
 
-CHSH_VARIANTS = (
-    CANONICAL_VARIANT,
-    ChshVariant((1, 1), 1),
-    ChshVariant((1, 2), 1),
-    ChshVariant((2, 1), 1),
-    ChshVariant((2, 2), -1),
-    ChshVariant((1, 1), -1),
-    ChshVariant((1, 2), -1),
-    ChshVariant((2, 1), -1),
-)
+#: Overall sign +1 then -1, each with the canonical negated pair first.
+CHSH_VARIANTS = tuple(
+    ChshVariant(pair, sign) for sign in (1, -1)
+    for pair in sorted(SETTING_PAIRS, key=lambda pair: pair != CANONICAL_VARIANT.negated_pair))
 
 
 #: CHSH sums as one linear map: row v of CHSH_MATRIX @ p is the sum of
 #: CHSH_VARIANTS[v] for a normalized probability set p.  Each block of four
-#: columns is one setting pair's correlation, p(+,+) - p(+,-) - p(-,+) + p(-,-).
-CHSH_MATRIX = (
-    np.array([[v.overall_sign * v.pair_sign(j, k) for j, k in SETTING_PAIRS]
-              for v in CHSH_VARIANTS], dtype=float)
-    @ np.kron(np.eye(4), [1.0, -1.0, -1.0, 1.0])
-)
+#: columns is one setting pair's correlation, the sum of m * n * p(m, n).
+CHSH_MATRIX = np.array([[v.overall_sign * v.pair_sign(j, k) * m * n for j, k, m, n in PROB_EVENTS]
+                        for v in CHSH_VARIANTS], dtype=float)
 CHSH_MATRIX.setflags(write=False)
 
 #: Row v holds each strategy's CHSH value (+-2) under CHSH_VARIANTS[v].
@@ -523,7 +494,9 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     """
     p = as_probability_set(p)
     _check_eps(eps)
-    block = p[block_slice(j, k)]
+    if (j, k) not in SETTING_PAIRS:
+        raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
+    block = p.reshape(4, 4)[SETTING_PAIRS.index((j, k))]
     total = float(block.sum())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(
@@ -543,7 +516,8 @@ def _chsh_deltas(key: bytes, eps: float) -> tuple[float, ...]:
     if bad:
         raise ConsistencyError(
             "cannot evaluate CHSH on an unnormalized probability set", bad)
-    return tuple((CHSH_MATRIX @ p).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple((CHSH_MATRIX @ p).tolist())
 
 
 def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) -> float:

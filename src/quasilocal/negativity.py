@@ -29,7 +29,10 @@ from .model import (
     CHSH_VARIANTS,
     DEFAULT_EPS,
     FORWARD_MATRIX,
+    OUTCOMES,
+    STRATEGY_OUTCOMES,
     _INDEPENDENT,
+    _OUTCOME_PAIRS,
     _STRATEGY_CHSH,
     _box_from_independent,
     _max_abs,
@@ -61,10 +64,10 @@ def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
     return _bound(chsh_report(p, eps).max_abs_delta)
 
 
-#: (a1, a2, the (b1, b2) column in q's order) of each strategy, in strategy
-#: order: m = T_1[a1][b1, b2] * P(A2 = a2 | b1, b2).
-_FINE_TERMS = tuple((a1, a2, b) for a1 in (0, 1) for b1 in (0, 2) for a2 in (0, 1)
-                    for b in (b1, b1 + 1))
+#: (a1, a2, the (b1, b2) column in q's order, _OUTCOME_PAIRS) of each strategy, in
+#: strategy order, a1 and a2 as positions in OUTCOMES: m = T_1[a1][b1, b2] * P(A2 = a2 | b1, b2).
+_FINE_TERMS = tuple((OUTCOMES.index(a1), OUTCOMES.index(a2), _OUTCOME_PAIRS.index((b1, b2)))
+                    for a1, b1, a2, b2 in STRATEGY_OUTCOMES)
 
 
 def _fine_model(box: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import OUTCOMES, _PROB_INDEX, as_probability_set
+from .model import OUTCOMES, as_probability_set
 
 _UNIT_EPS = 1e-12
 
@@ -124,11 +124,9 @@ def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
     relations to floating-point accuracy.  Not clamped: rounding can leave a
     zero probability a few 1e-17 below 0.
     """
-    p = np.empty(16)
-    p[_PROB_INDEX] = np.einsum("jmu,uv,knv->jkmn", _outcome_vectors((scenario.a1, scenario.a2)),
-                               scenario.state.correlation_tensor,
-                               _outcome_vectors((scenario.b1, scenario.b2))) / 4.0
-    return p
+    return np.einsum("jmu,uv,knv->jkmn", _outcome_vectors((scenario.a1, scenario.a2)),
+                     scenario.state.correlation_tensor,
+                     _outcome_vectors((scenario.b1, scenario.b2))).reshape(16) / 4.0
 
 
 def flip_outcomes(p, party: str) -> np.ndarray:
@@ -139,11 +137,11 @@ def flip_outcomes(p, party: str) -> np.ndarray:
     (p2 = p3 = 0), the form the perfect-correlation solver expects.
     """
     p = as_probability_set(p)
-    # bit 1 of a probability index is A's outcome bit, bit 0 is B's (prob_index)
-    bit = {"A": 2, "B": 1}.get(party)
-    if bit is None:
+    # the canonical order is row-major on axes (j, k, m, n) (model.PROB_EVENTS)
+    axis = {"A": 2, "B": 3}.get(party)
+    if axis is None:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return p[np.arange(16) ^ bit]
+    return np.flip(p.reshape(2, 2, 2, 2), axis).flatten()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ settings.register_profile(
 )
 settings.load_profile("default")
 
+#: A box with entries near the float maximum: at eps 1e300 its relation
+#: product DEPENDENT_SIGNS @ p_ind and its CHSH product overflow to +-inf and NaN.
+OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
+               0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
+
 
 def random_nonnegative_measures(rng, count=1):
     """Random nonnegative normalized weight vectors, shape (count, 16)."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import quasilocal as ql
 from quasilocal import cli
 from quasilocal.fileio import box_object, fixture_path, format_box, measures_object, parse_box
+from conftest import OVERFLOWING
 
 
 @pytest.fixture
@@ -254,6 +255,36 @@ def test_free_weights_whose_solution_overflows_are_usage_errors(run, tmp_path, f
         code, out, err = run(["solve", *argv], box_object_text(ql.pr_box()))
     assert (code, out) == (2, "")
     assert err == f"error: argument {flag}: the solution at these free weights is not finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("flag", ["--m16", "--free", "--free-file"])
+def test_weights_whose_total_negativity_overflows_are_usage_errors(run, tmp_path, flag, fmt):
+    # exited 0 after a numpy overflow warning, reporting a total negativity of
+    # inf, which the JSON report wrote as Infinity, not JSON
+    path = tmp_path / "free"
+    path.write_text("-1e308 0 0 0 0 0 0")
+    argv = {"--m16": ["--perfect-correlation", "--m16", "1e308"],
+            "--free": ["--free", "-1e308", "0", "0", "0", "0", "0", "0"],
+            "--free-file": ["--free-file", str(path)]}[flag]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["solve", *argv, "--format", fmt, str(fixture_path("prbox.box"))])
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {flag}: the total negativity at these weights is not finite\n"
+
+
+def test_a_json_report_holding_a_non_finite_number_is_a_domain_failure(run):
+    # validate wrote "expected": Infinity, which no JSON parser accepts
+    box = box_object_text(OVERFLOWING)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["validate", "--eps", "1e300", "--format", "json"], box)
+        assert (code, out) == (1, "")
+        assert err == "error: the report holds a non-finite number, which JSON cannot represent\n"
+        code, out, err = run(["validate", "--eps", "1e300"], box)
+    assert (code, err) == (1, "")
+    assert "but the independent entries imply inf" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

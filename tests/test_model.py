@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import fileio, model
-from conftest import random_consistent_box, random_nonnegative_measures, random_signed_measures
+from conftest import (OVERFLOWING, random_consistent_box, random_nonnegative_measures,
+                      random_signed_measures)
 
 RT2 = np.sqrt(2.0)
 
@@ -34,8 +36,31 @@ JOINT_TERMS = (
 )
 
 
+#: Event (j, k, m, n) of p(a_j = m, b_k = n) and label of p1 .. p16.
+PROB_TABLE = (
+    ((1, 1, +1, +1), "a1+b1+"), ((1, 1, +1, -1), "a1+b1-"),
+    ((1, 1, -1, +1), "a1-b1+"), ((1, 1, -1, -1), "a1-b1-"),
+    ((1, 2, +1, +1), "a1+b2+"), ((1, 2, +1, -1), "a1+b2-"),
+    ((1, 2, -1, +1), "a1-b2+"), ((1, 2, -1, -1), "a1-b2-"),
+    ((2, 1, +1, +1), "a2+b1+"), ((2, 1, +1, -1), "a2+b1-"),
+    ((2, 1, -1, +1), "a2-b1+"), ((2, 1, -1, -1), "a2-b1-"),
+    ((2, 2, +1, +1), "a2+b2+"), ((2, 2, +1, -1), "a2+b2-"),
+    ((2, 2, -1, +1), "a2-b2+"), ((2, 2, -1, -1), "a2-b2-"),
+)
+
+
 def test_strategy_patterns_match_table():
     assert ql.STRATEGY_PATTERNS == STRATEGY_TABLE
+    assert tuple("".join("+" if o == 1 else "-" for o in outcomes)
+                 for outcomes in model.STRATEGY_OUTCOMES) == STRATEGY_TABLE
+
+
+def test_probability_layout_matches_table():
+    assert model.PROB_EVENTS == tuple(event for event, _ in PROB_TABLE)
+    assert ql.PROB_LABELS == tuple(label for _, label in PROB_TABLE)
+    for i, (event, label) in enumerate(PROB_TABLE):
+        assert ql.prob_index(*event) == i
+        assert ql.prob_label(i) == label
 
 
 def test_pattern_index_roundtrip():
@@ -72,14 +97,21 @@ def test_forward_matrix_matches_joint_terms():
 
 
 def test_invalid_encoding_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 0$"):
         ql.strategy_index(0, 1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got \[1\]$"):
+        ql.strategy_index(1, 1, [1], 1)
+    with pytest.raises(ValueError, match=r"^setting indices must be 1 or 2, got j=3, k=1$"):
         ql.prob_index(3, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^setting indices must be 1 or 2, got j=1, k=0$"):
+        ql.prob_index(1, 0, 0, 1)
+    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 2$"):
+        ql.prob_index(1, 2, 1, 2)
     with pytest.raises(ValueError, match="pattern must have 4 characters"):
         ql.parse_measures("+++ 1\n")
-    with pytest.raises(ValueError):
-        ql.strategy_outcomes(16)
+    for lookup in (ql.strategy_outcomes, ql.strategy_pattern):
+        with pytest.raises(ValueError, match=r"^strategy index must be in 0\.\.15, got 16$"):
+            lookup(16)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +398,12 @@ def test_correlation_values():
     assert ql.correlation(ql.uniform_box(), 1, 1) == pytest.approx(0.0)
     # hand evaluation on the extremal box: ((2+r2) + (2+r2) - (2-r2) - (2-r2)) / 8
     assert ql.correlation(ql.tsirelson_box(), 1, 1) == pytest.approx(RT2 / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 3), (3, 1)])
+def test_correlation_rejects_a_setting_pair_outside_the_layout(j, k):
+    with pytest.raises(ValueError, match=f"^setting indices must be 1 or 2, got j={j}, k={k}$"):
+        ql.correlation(ql.uniform_box(), j, k)
 
 
 def test_correlation_rejects_unnormalized_block():
@@ -688,6 +726,26 @@ def test_signed_zeros_are_different_boxes():
     for zero in (0.0, -0.0, 0.0):
         p = np.where(ql.pr_box() == 0.0, zero, ql.pr_box())
         assert repr(ql.chsh_report(p).deltas) == repr(tuple((model.CHSH_MATRIX @ p).tolist()))
+
+
+def test_gates_on_an_overflowing_box_warn_nothing_and_match_the_helpers():
+    p = np.array(OVERFLOWING)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = uncached_checks(p, 1e300)
+        deltas = tuple((model.CHSH_MATRIX @ p).tolist())
+    assert "inf" in repr(expected["derived_relations"]) and "nan" in repr(deltas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model._violations.cache_clear()
+        checks = ql.check_consistency(p, 1e300)
+        model._violations.cache_clear()
+        with pytest.raises(ql.ConsistencyError) as err:
+            ql.require_consistent(p, 1e300)
+        model._chsh_deltas.cache_clear()
+        report = ql.chsh_report(p, 1e300)
+    assert repr(checks) == repr(expected)
+    assert repr(err.value.violations) == repr(tuple(v for vs in expected.values() for v in vs))
+    assert repr(report.deltas) == repr(deltas)
 
 
 def test_a_pipeline_scans_once_and_forms_the_chsh_product_twice():
