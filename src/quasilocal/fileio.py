@@ -108,10 +108,7 @@ def _fill(values: dict[int, float], kind: str, labels) -> np.ndarray:
     missing = [labels[i] for i in range(16) if i not in values]
     if missing:
         raise ParseError(f"{kind} document is missing entries: {', '.join(missing)}")
-    out = np.empty(16)
-    for i, v in values.items():
-        out[i] = v
-    return out
+    return np.array([values[i] for i in range(16)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,45 +126,49 @@ def _box_label_index(label: str) -> int:
     return index
 
 
-#: (a-setting, sign, b-setting, sign) tokens of a box data line, settings
-#: lowercased, -> canonical index: every spelling _setting and _outcome accept.
-_BOX_LINE_INDEX = {(f"a{j}", m, f"b{k}", n): prob_index(j, k, char_outcome(m), char_outcome(n))
-                   for j in (1, 2) for k in (1, 2) for m in "+-−" for n in "+-−"}
+#: (a-setting, sign, b-setting, sign) tokens of a box data line -> canonical
+#: index: every spelling _setting and _outcome accept, settings in either case.
+_BOX_LINE_INDEX = {(a, m, b, n): prob_index(j, k, char_outcome(m), char_outcome(n))
+                   for j in (1, 2) for k in (1, 2) for a in (f"a{j}", f"A{j}")
+                   for b in (f"b{k}", f"B{k}") for m in "+-−" for n in "+-−"}
 
 
 def parse_box(text: str) -> np.ndarray:
     """Parse a box document (text or JSON) into a canonical 16-entry array."""
     doc = _maybe_json(text)
-    values: dict[int, float] = {}
     if doc is not None:
         table = doc.get("probabilities")
         if not isinstance(table, dict):
             raise ParseError('JSON box document needs a "probabilities" object')
+        entries: dict[int, float] = {}
         for label, value in table.items():
             idx = _box_label_index(str(label))
-            if idx in values:
+            if idx in entries:
                 raise ParseError(f"duplicate probability entry {PROB_LABELS[idx]!r}")
-            values[idx] = _json_number(value, f"probability {label!r}")
-        return _fill(values, "box", PROB_LABELS)
+            entries[idx] = _json_number(value, f"probability {label!r}")
+        return _fill(entries, "box", PROB_LABELS)
 
-    for lineno, line in _clean_lines(text):
-        tokens = line.split()
+    values: list[float | None] = [None] * 16
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         if len(tokens) != 5:
-            raise ParseError(
-                f"line {lineno}: expected 'a<j> <+/-> b<k> <+/-> <value>', got {line!r}")
-        idx = _BOX_LINE_INDEX.get((tokens[0].lower(), tokens[1], tokens[2].lower(), tokens[3]))
+            raise ParseError(f"line {lineno}: expected 'a<j> <+/-> b<k> <+/-> <value>', "
+                             f"got {raw.split('#', 1)[0].strip()!r}")
+        idx = _BOX_LINE_INDEX.get((tokens[0], tokens[1], tokens[2], tokens[3]))
         if idx is None:
             # a bad label token: reading token by token raises the ParseError naming it
             j, m = _setting(tokens[0], "a", lineno), _outcome(tokens[1], lineno)
             k, n = _setting(tokens[2], "b", lineno), _outcome(tokens[3], lineno)
             idx = prob_index(j, k, m, n)
         value = _parse_number(tokens[4], lineno)
-        if idx in values:
+        if values[idx] is not None:
             raise ParseError(f"line {lineno}: duplicate entry {PROB_LABELS[idx]!r}")
         values[idx] = value
-    if len(values) != 16:
-        raise ParseError(f"box document has {len(values)} data lines, expected 16")
-    return _fill(values, "box", PROB_LABELS)
+    if None in values:      # a 17th line would be a duplicate
+        raise ParseError(f"box document has {16 - values.count(None)} data lines, expected 16")
+    return np.array(values)
 
 
 def format_box(p, comments=()) -> str:
@@ -232,13 +233,14 @@ def parse_measures(text: str) -> np.ndarray:
     return _fill(values, "measure", STRATEGY_PATTERNS)
 
 
+#: A measure text document without comments, one %.17g slot per strategy.
+_MEASURES_TEMPLATE = "".join(f"{pattern} %.17g\n" for pattern in STRATEGY_PATTERNS)
+
+
 def format_measures(m, comments=()) -> str:
     """Render a measure vector as a measure text document."""
     values = np.asarray(m, dtype=float).tolist()
-    lines = [f"{pattern} {format_value(v)}"
-             for pattern, v in zip(STRATEGY_PATTERNS, values, strict=True)]
-    lines.extend(f"# {c}" for c in comments)
-    return "\n".join(lines) + "\n"
+    return _MEASURES_TEMPLATE % tuple(values) + "".join(f"# {c}\n" for c in comments)
 
 
 def measures_object(m) -> dict:

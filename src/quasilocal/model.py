@@ -327,7 +327,8 @@ def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
 
 def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
     _check_eps(eps)
-    totals = p.reshape(4, 4).sum(axis=1).tolist()
+    # numpy's order for a 4-entry sum, without its overflow warning
+    totals = [0.0 + a + b + c + d for a, b, c, d in p.reshape(4, 4).tolist()]
     return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
             if abs(total - 1.0) > eps]
 
@@ -496,13 +497,13 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     _check_eps(eps)
     if (j, k) not in SETTING_PAIRS:
         raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
-    block = p.reshape(4, 4)[SETTING_PAIRS.index((j, k))]
-    total = float(block.sum())
+    pp, pm, mp, mm = p.reshape(4, 4)[SETTING_PAIRS.index((j, k))].tolist()
+    total = 0.0 + pp + pm + mp + mm           # numpy's summation order, no warning
     if abs(total - 1.0) > eps:
         raise ConsistencyError(
             f"block (a{j},b{k}) is not normalized (sum = {total!r})",
             [BlockViolation(j, k, total)])
-    return float(block[0] + block[3] - block[1] - block[2])
+    return pp + mm - pm - mp
 
 
 @functools.lru_cache(maxsize=4)

@@ -6,17 +6,17 @@ model of p does better.  The bound holds for every model: a variant sum of
 delta forces one of its two complementary 8-strategy sums below zero by
 (|delta| - 2) / 4, and the negative weights must cover that deficit.
 
-The witness attaining it is built in two steps.  First, let v be the variant
-with the largest signed sum delta_v and mu = max(0, (delta_v - 2) / 2).  Then
-p = mu * PR_v + (1 - mu) * L, where PR_v is the PR box of variant v and L is
-a local box on the facet CHSH_v = 2 (Barrett et al., Phys. Rev. A 71, 022101
-(2005)).  PR_v has the model (1 + C_v) / 16, where C_v(s) = +-2 is the
-variant's value on strategy s: it puts -1/16 on the 8 strategies with
-C_v = -2, so its negativity is exactly 1/2.  Second, L has a nonnegative
-model glued from two three-variable marginals (Fine, Phys. Rev. Lett. 48,
-291 (1982)); since L lies on the facet, that model puts no weight on the
-strategies with C_v = -2.  The mixture of the two models therefore carries
-negativity mu / 2, the bound.
+The witness attaining it is one constant matrix per variant.  Let v be the
+variant with the largest signed sum delta_v and mu = (delta_v - 2) / 2.  A
+nonlocal box (mu > 0) is p = mu * PR_v + (1 - mu) * L, where PR_v is the PR
+box of variant v and L a local box on the facet CHSH_v = 2 (Barrett et al.,
+Phys. Rev. A 71, 022101 (2005)).  PR_v has the model (1 + C_v) / 16, where
+C_v(s) = +-2 is the variant's value on strategy s, with negativity exactly
+1/2.  The facet is a simplex with the 8 strategies of C_v = +2 as vertices,
+so L has one model, nonnegative, and the mixture of the two carries mu / 2,
+the bound.  Being linear in x = (1, p_ind), it is _WITNESS[v] @ x.  A local
+box (mu = 0) gets a nonnegative model glued from two three-variable
+marginals (Fine, Phys. Rev. Lett. 48, 291 (1982)).
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
     FORWARD_MATRIX,
     OUTCOMES,
     STRATEGY_OUTCOMES,
+    _BOX_EMBEDDING,
     _INDEPENDENT,
     _OUTCOME_PAIRS,
     _STRATEGY_CHSH,
-    _box_from_independent,
     _max_abs,
     _total_negativity,
     chsh,
@@ -45,12 +46,18 @@ from .model import (
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
 
-#: Row v: the model (1 + C_v) / 16 of variant v's PR box, and that box.
-#: Every entry of both is a multiple of 1/16, so both are exact.
-_PR_MODELS = (1.0 + _STRATEGY_CHSH) / 16.0
-_PR_BOXES = _PR_MODELS @ FORWARD_MATRIX.T
-_PR_MODELS.setflags(write=False)
-_PR_BOXES.setflags(write=False)
+#: Column v: the model (1 + C_v) / 16 of variant v's PR box; multiples of 1/16, exact.
+_PR_MODELS = (1.0 + _STRATEGY_CHSH)[:, :, None] / 16.0
+
+#: Row v: mu = (delta_v - 2) / 2 of variant v, linear in x = (1, p_ind).
+_MU = (CHSH_MATRIX @ _BOX_EMBEDDING - 2.0 * np.eye(1, 9))[:, None, :] / 2.0
+#: _WITNESS[v] @ x = mu * PR_v's model + the unique model of p_hat - mu * PR_v on
+#: the facet: the pseudo-inverse of F's 8 C_v = +2 columns (rank 8) maps it there.
+#: Each entry is a multiple of 1/64 up to 1.8e-15, so rounding makes it exact.
+_WITNESS = np.round(64.0 * (
+    np.linalg.pinv(FORWARD_MATRIX * (_STRATEGY_CHSH > 0)[:, None, :])
+    @ (_BOX_EMBEDDING - FORWARD_MATRIX @ _PR_MODELS * _MU) + _PR_MODELS * _MU)) / 64.0
+_WITNESS.setflags(write=False)
 
 
 def _bound(max_abs_delta: float) -> float:
@@ -126,25 +133,24 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     Requires p consistent within eps: the construction holds only on the
     no-signalling polytope, so ConsistencyError is raised otherwise.  The
     witness reproduces p_hat, the box rebuilt from p's 8 independent
-    entries, so it is off p by at most eps: the residual p_hat - F @ w of
-    the construction (rounding, or an entry of p_hat below 0) is removed by
-    its minimum-norm preimage.  The returned minimum is recomputed from the
-    witness, so the witness and the reported value always agree.
+    entries, so it is off p by at most eps; for a local box the residual
+    p_hat - F @ w of Fine's gluing (rounding, or an entry of p_hat below 0) is
+    removed by its minimum-norm preimage.  The returned minimum is recomputed
+    from the witness, so the witness and the reported value always agree.
     """
     p = require_consistent(p, eps)
-    p_hat = _box_from_independent(p[_INDEPENDENT])
+    x = np.concatenate(([1.0], p[_INDEPENDENT]))
+    p_hat = _BOX_EMBEDDING @ x
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the first computes
     # all 8 and the other 7 hit model's cache.  The benchmark's tracer test
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.
     deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]
     v = deltas.index(max(deltas))
-    mu = max(0.0, (deltas[v] - 2.0) / 2.0)
-    if mu >= 1.0:
-        witness = _PR_MODELS[v]
+    if deltas[v] > 2.0:
+        witness = _WITNESS[v] @ x
     else:
-        local = (p_hat - mu * _PR_BOXES[v]) / (1.0 - mu)
-        witness = mu * _PR_MODELS[v] + (1.0 - mu) * _fine_model(local)
-    witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+        witness = _fine_model(p_hat)
+        witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
     max_abs_delta = _max_abs(deltas)
     return NegativityResult(
         min_negativity=_total_negativity(witness),

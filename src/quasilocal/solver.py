@@ -101,9 +101,10 @@ def perfect_correlation_solution(p, m16: float = 0.0,
     p8 + p9 + p15 > 1 (canonical CHSH above 2) one of the two is negative.
     """
     p = require_consistent(p, eps)
-    if abs(p[1]) > eps or abs(p[2]) > eps:
+    p2, p3 = p[1:3].tolist()
+    if abs(p2) > eps or abs(p3) > eps:
         raise ConsistencyError(
-            f"perfect correlation requires p2 = p3 = 0, got p2 = {p[1]!r}, p3 = {p[2]!r}")
+            f"perfect correlation requires p2 = p3 = 0, got p2 = {p2!r}, p3 = {p3!r}")
     if not np.isfinite(m16):
         raise ValueError(f"m16 must be finite, got {m16!r}")
     m = np.zeros(16)

@@ -5,10 +5,13 @@ from tolist().  The reference versions below compare numpy arrays through
 boolean masks.  Both must give the same violations, with the same types and
 indices and floats equal bit for bit, and the same exception messages, also
 on entries at -eps and 1 + eps, -0.0, sums that overflow, NaN and +-inf.
+The block sums, in Python floats, must also raise no overflow warning where
+numpy's reduce does.
 """
 
 import math
 import struct
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -101,6 +104,17 @@ def ref_chsh_report(values, eps):
     return model.ChshReport(tuple(deltas.tolist()), float(np.abs(deltas).max()), eps)
 
 
+def ref_correlation(p, j, k, eps):
+    p = ref_vector16(p, "probability set")
+    _check_eps(eps)
+    block = p.reshape(4, 4)[SETTING_PAIRS.index((j, k))]
+    total = float(block.sum())
+    if abs(total - 1.0) > eps:
+        raise ConsistencyError(f"block (a{j},b{k}) is not normalized (sum = {total!r})",
+                               [BlockViolation(j, k, total)])
+    return float(block[0] + block[3] - block[1] - block[2])
+
+
 PAIRS = (
     (model._range_violations, ref_range_violations),
     (model._block_violations, ref_block_violations),
@@ -127,13 +141,19 @@ def key(value):
     return (type(value), value)
 
 
+def warning_outcome(fn, *args):
+    """key of fn's result, or of the ValueError it raises; a numpy warning,
+    raised as an error by the caller's filter, propagates."""
+    try:
+        return ("returned", key(fn(*args)))
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc), key(getattr(exc, "violations", ())))
+
+
 def outcome(fn, *args):
-    """key of fn's result, or of the ValueError it raises."""
+    """warning_outcome with numpy's warnings off."""
     with np.errstate(all="ignore"):
-        try:
-            return ("returned", key(fn(*args)))
-        except ValueError as exc:
-            return ("raised", type(exc), str(exc), key(getattr(exc, "violations", ())))
+        return warning_outcome(fn, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +195,9 @@ EXAMPLES = [
     ([0.0, 1.0] + [0.25] * 14, 0.0),
     ([1e308] * 16, 1e-9),                                         # every sum overflows
     ([1e308, -1e308, 1e308, 1e308] + [0.25] * 12, 1e-9),
+    ([1.5e308] * 16, 1e300),                                      # inf blocks at a huge eps
+    ([1.7e308, -0.0, 1.7e308, -1.7e308, -0.0, -0.0, -0.0, -0.0,   # overflow, then back
+      -1e308, -1e308, 1e308, 1.0, 0.25, 0.25, 0.25, 0.25], 1e300),
     ([math.nan] + [0.25] * 15, 1e-9),
     ([math.inf, -math.inf] + [0.25] * 14, 0.0),
     ([0.25] * 15, 1e-9),                                          # wrong shape
@@ -227,3 +250,24 @@ def test_overflowing_box_has_a_nan_chsh_maximum():
         maximum = model.chsh_report(OVERFLOWING, 1e300).max_abs_delta
     assert not math.isnan(report.deltas[0]) and any(math.isnan(d) for d in report.deltas)
     assert math.isnan(report.max_abs_delta) and math.isnan(maximum)
+
+
+#: Block entries whose sums overflow, cancel or keep a signed zero.
+BLOCK_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25, 1e308, -1e308, 1.7e308,
+                                         -1.7e308, 5e-324, -5e-324]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(BLOCK_ENTRY, min_size=16, max_size=16),
+       st.sampled_from([0.0, 1e-9, 1e300, 1.7e308]))
+@example([1.5e308] * 16, 1e300)
+@example([-0.0] * 16, 0.0)
+def test_block_sums_match_numpy_bit_for_bit_without_a_warning(values, eps):
+    arr = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [warning_outcome(model._block_violations, arr, eps)]
+        got += [warning_outcome(model.correlation, values, j, k, eps) for j, k in SETTING_PAIRS]
+    want = [outcome(ref_block_violations, arr, eps)]
+    want += [outcome(ref_correlation, values, j, k, eps) for j, k in SETTING_PAIRS]
+    assert got == want

@@ -287,6 +287,18 @@ def test_a_json_report_holding_a_non_finite_number_is_a_domain_failure(run):
     assert "but the independent entries imply inf" in out
 
 
+@pytest.mark.parametrize("command, eps", [("validate", "1e300"), ("chsh", "1e300"),
+                                          ("negativity", "1e300"), ("solve", "0")])
+def test_block_sums_that_overflow_are_reported_without_a_warning(run, command, eps):
+    # each block sums to inf: numpy's reduce printed "overflow encountered in
+    # reduce" on stderr before the report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run([command, "--eps", eps], format_box(np.full(16, 1.5e308)))
+    assert code == 1
+    assert "block (a1,b1) sums to inf, expected 1" in out + err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_forward_of_overflowing_weights_is_a_domain_failure(run, fmt):
     # exited 0 after two numpy overflow warnings, with inf entries in its box

@@ -54,6 +54,24 @@ def reference_parse_box(text):
     return fileio._fill(values, "box", ql.PROB_LABELS)
 
 
+def reference_format_measures(m, comments=()):
+    """The line-by-line rendering of a measure text document: the reference
+    for format_measures' template."""
+    values = np.asarray(m, dtype=float).tolist()
+    lines = [f"{pattern} {fileio.format_value(v)}"
+             for pattern, v in zip(ql.STRATEGY_PATTERNS, values, strict=True)]
+    lines.extend(f"# {c}" for c in comments)
+    return "\n".join(lines) + "\n"
+
+
+#: Finite floats, with signed zeros and magnitudes near 1e-300 and 1e300.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+                                         1.7976931348623157e308, 0.1, 1 / 3]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+FIXTURE_BOXES = ("deterministic.box", "prbox.box", "tsirelson.box", "uniform.box",
+                 "broken-normalization.box", "broken-signaling.box")
+
+
 #: Tokens that are wrong in some or every label slot.
 BAD_LABEL_TOKENS = ("a3", "b0", "c1", "A", "a1b", "b1", "a2", "+", "-", "−", "*", "+-", "x")
 
@@ -144,7 +162,27 @@ def test_parse_box_matches_the_token_by_token_reference(text):
             parse_box(text)
         assert str(err.value) == str(exc)
     else:
-        assert np.array_equal(parse_box(text), expected)
+        assert parse_box(text).tobytes() == expected.tobytes()
+
+
+@given(st.lists(EDGE_FLOATS, min_size=16, max_size=16),
+       st.lists(st.text("abc #+-", max_size=5), max_size=2))
+def test_text_documents_match_the_line_by_line_references(values, comments):
+    m = np.array(values)
+    assert format_measures(m, comments) == reference_format_measures(m, comments)
+    text = format_box(m, comments)
+    assert parse_box(text).tobytes() == reference_parse_box(text).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("name", FIXTURE_BOXES)
+def test_fixtures_read_and_write_as_the_line_by_line_references(name):
+    text = fixture_path(name).read_text()
+    p = parse_box(text)
+    assert p.tobytes() == reference_parse_box(text).tobytes()
+    assert format_measures(p, [name]) == reference_format_measures(p, [name])
+    if not any(ql.check_consistency(p).values()):
+        witness = ql.min_negativity(p).witness
+        assert format_measures(witness) == reference_format_measures(witness)
 
 
 def test_line_order_is_free():
@@ -208,6 +246,7 @@ def test_box_fixtures_match_builders(name, builder):
 def test_measures_fixture_matches_extremal_model():
     m = parse_measures(fixture_path("tsirelson.measures").read_text())
     assert np.array_equal(m, extremal_measures())
+    assert format_measures(m) == reference_format_measures(m)
     assert np.allclose(ql.forward_map(m), ql.tsirelson_box(), atol=1e-15)
 
 

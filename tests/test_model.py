@@ -617,6 +617,18 @@ def test_necessity_verdict_examples():
     assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, True)
 
 
+def test_necessity_verdict_at_sigma1_equal_to_minus_eps():
+    # sigma1 = -eps exactly is inside the tolerance: the interval is closed
+    m = np.zeros(16)
+    m[ql.SIGMA1_STRATEGIES[0]] = -1 / 16
+    m[ql.SIGMA2_STRATEGIES[0]] = 17 / 16
+    assert ql.sigmas(m).sigma1 == -1 / 16
+    v = ql.negativity_necessity_verdict(m, eps=1 / 16)
+    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, True)
+    v = ql.negativity_necessity_verdict(m, eps=np.nextafter(1 / 16, 0.0))
+    assert v.violates_canonical_chsh
+
+
 def test_violation_implies_negative_entry():
     rng = np.random.default_rng(31)
     measures = list(random_signed_measures(rng, count=500))
