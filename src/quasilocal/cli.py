@@ -196,8 +196,7 @@ def _cmd_solve(args) -> int:
             raise
         except ValueError as exc:       # finite free weights whose solution overflows
             raise _Failure(EXIT_USAGE, f"argument {flag}: {exc}") from None
-    with np.errstate(over="ignore"):
-        total = model.total_negativity(m)
+    total = model.total_negativity(m)
     if not math.isfinite(total):        # finite weights whose negative parts overflow
         raise _Failure(EXIT_USAGE,
                        f"argument {flag}: the total negativity at these weights is not finite")

@@ -29,23 +29,19 @@ defined below; weights may be negative and probabilities produced from
 negative weights may leave [0, 1].  No function clamps or normalizes its
 input silently.
 
-Each public function coerces and validates its input once, through
-as_probability_set or as_measure_vector, and does its work on `_`-prefixed
-helpers that take the validated float array and never coerce it again.
-On 16 entries numpy's fixed cost per call outweighs the arithmetic, so the
-checks that are exact in Python floats compare the floats of tolist(): the
-finiteness check, the range check, the marginals (each a sum of two
-entries, made 0.0 for -0.0 + -0.0 as numpy's sum is) with their
-differences, the relation differences and the largest |CHSH sum|.  numpy
-is kept for the sums and products whose summation order sets the last bit:
-the block sums, the relation product DEPENDENT_SIGNS @ p_ind and the CHSH
-product (both with numpy's overflow warnings off, as the Python floats
-overflow silently), so every value stays bit-identical to the all-numpy
-checks kept as the reference in tests/test_checks_reference.py.  The two gates, the violation scan and the
-block check with the CHSH product, are memoized by the box's float64 bytes
-and eps, 4 boxes each (a pipeline gates two, p and its rebuilt box), so a
-repeated gate of the same bytes is a lookup: equal bytes are equal values,
-and a bad eps raises on the miss, so it is never stored.
+Each public function coerces and validates its input once.  The gates
+check_consistency, require_consistent, chsh and chsh_report coerce by shape
+only and read one _Box per box, memoized by its float64 bytes and eps, 4 deep
+(a pipeline gates p and its rebuilt box).  Making one checks finiteness and
+eps, so a bad box or eps is never stored, and sums the blocks; the violation
+scan and the 8 CHSH sums run when first asked for.  On 16 entries numpy's
+fixed cost per call outweighs the arithmetic, so the checks compare Python
+floats, and the block sums, the marginals (0.0 for -0.0 + -0.0) and the sums
+of weights (_sum) add them in numpy's order, overflowing without a warning.
+The relation product DEPENDENT_SIGNS @ p_ind and the CHSH product stay numpy,
+in np.errstate only when they could overflow (_product), so every value is
+bit-identical to the all-numpy reference in tests/test_checks_reference.py.
+A difference is a violation unless |d| <= eps: a NaN difference fails.
 
 Every function that takes a tolerance eps raises ValueError unless eps is
 finite and nonnegative: a NaN eps would pass every check and an infinite one
@@ -58,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,10 +175,15 @@ def _embedding(strategies, coordinates) -> np.ndarray:
     return _half_integer_solve(basis.T, F.T).T
 
 
-def _vector16(values, name: str) -> np.ndarray:
+def _shaped16(values, name: str = "probability set") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (16,):
         raise ValueError(f"{name} must have exactly 16 entries, got shape {arr.shape}")
+    return arr
+
+
+def _vector16(values, name: str) -> np.ndarray:
+    arr = _shaped16(values, name)
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -295,7 +297,12 @@ _MARGINAL_TERMS = tuple(zip(_MARGINAL_LABELS, np.concatenate(
 
 
 def _box_from_independent(ind: np.ndarray) -> np.ndarray:
-    return _BOX_EMBEDDING @ np.concatenate(([1.0], ind))
+    """The box from ind in the relation check's own arithmetic: a box
+    consistent at eps rebuilds to one within eps of it in the check's numbers."""
+    box = np.empty(16)
+    box[_INDEPENDENT] = ind
+    box[_DEPENDENT] = 0.5 * (1.0 + DEPENDENT_SIGNS @ ind)
+    return box
 
 
 def box_from_independent(independent) -> np.ndarray:
@@ -318,56 +325,74 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and nonnegative, got {eps!r}")
 
 
-def _range_violations(p: np.ndarray, eps: float) -> list[RangeViolation]:
-    _check_eps(eps)
-    low, high = -eps, 1.0 + eps
-    return [RangeViolation(i, value) for i, value in enumerate(p.tolist())
-            if value < low or value > high]
+def _sum(values: list) -> float:
+    """Sum of 8 or 16 floats in numpy's pairwise order, without its overflow warning."""
+    r = values if len(values) == 8 else [a + b for a, b in zip(values[:8], values[8:])]
+    return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-def _block_violations(p: np.ndarray, eps: float) -> list[BlockViolation]:
-    _check_eps(eps)
-    # numpy's order for a 4-entry sum, without its overflow warning
-    totals = [0.0 + a + b + c + d for a, b, c, d in p.reshape(4, 4).tolist()]
-    return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
-            if abs(total - 1.0) > eps]
+#: Every constant matrix multiplied here has entries of at most 1 in magnitude,
+#: so no partial sum of its product with x overflows while sum |x| stays below this.
+_UNGUARDED_SIZE = 0.5 * sys.float_info.max
 
 
-def _marginal_violations(p: np.ndarray, eps: float) -> list[MarginalViolation]:
-    _check_eps(eps)
-    v = p.tolist()
-    found = []
-    for label, (i1, i2, j1, j2) in _MARGINAL_TERMS:
-        # + 0.0 turns -0.0 + -0.0 into 0.0, as numpy's sum does
-        marginal_1, marginal_2 = v[i1] + v[i2] + 0.0, v[j1] + v[j2] + 0.0
-        if abs(marginal_1 - marginal_2) > eps:
-            found.append(MarginalViolation(*label, marginal_1, marginal_2))
-    return found
-
-
-def _relation_violations(p: np.ndarray, eps: float) -> list[RelationViolation]:
-    _check_eps(eps)
-    v = p.tolist()
-    found = []
+def _product(matrix: np.ndarray, x: np.ndarray, size: float) -> np.ndarray:
+    """matrix @ x for sum |x| <= size; np.errstate, which costs more than the
+    product, is entered only when size reaches _UNGUARDED_SIZE."""
+    if size < _UNGUARDED_SIZE:
+        return matrix @ x
     with np.errstate(over="ignore", invalid="ignore"):
-        signed_sums = (DEPENDENT_SIGNS @ p[_INDEPENDENT]).tolist()
-    for i, signed_sum in zip(DEPENDENT_INDICES, signed_sums):
-        expected = 0.5 * (1.0 + signed_sum)
-        if abs(v[i] - expected) > eps:
-            found.append(RelationViolation(i, expected, v[i]))
-    return found
+        return matrix @ x
 
 
-@functools.lru_cache(maxsize=4)
-def _violations(key: bytes, eps: float) -> tuple[tuple[str, tuple], ...]:
-    """(check name, violations) of the box whose float64 bytes are key."""
-    p = np.frombuffer(key)
-    return (
-        ("range", tuple(_range_violations(p, eps))),
-        ("normalization", tuple(_block_violations(p, eps))),
-        ("no_signaling", tuple(_marginal_violations(p, eps))),
-        ("derived_relations", tuple(_relation_violations(p, eps))),
-    )
+class _Box:
+    """A probability set at one eps as the gates see it (see the module docstring)."""
+
+    def __init__(self, key: bytes, eps: float):
+        self.p = np.frombuffer(key)
+        self.values = v = self.p.tolist()
+        self.size = sum(map(abs, v))
+        if not math.isfinite(self.size):        # a non-finite entry, or an overflow
+            _vector16(v, "probability set")
+        _check_eps(eps)
+        self.eps = eps
+        totals = (0.0 + v[0] + v[1] + v[2] + v[3], 0.0 + v[4] + v[5] + v[6] + v[7],
+                  0.0 + v[8] + v[9] + v[10] + v[11], 0.0 + v[12] + v[13] + v[14] + v[15])
+        self.unnormalized = tuple([BlockViolation(j, k, total) for (j, k), total
+                                   in zip(SETTING_PAIRS, totals) if not abs(total - 1.0) <= eps])
+        self._violations = self._deltas = None
+
+    def violations(self) -> tuple[tuple[str, tuple], ...]:
+        """(check name, violations) of each check of check_consistency."""
+        if self._violations is None:
+            v, eps, high = self.values, self.eps, 1.0 + self.eps
+            sums = _product(DEPENDENT_SIGNS, self.p[_INDEPENDENT], self.size).tolist()
+            self._violations = (
+                ("range", tuple([RangeViolation(i, x) for i, x in enumerate(v)
+                                 if not -eps <= x <= high])),
+                ("normalization", self.unnormalized),
+                ("no_signaling", tuple([
+                    MarginalViolation(*label, m1, m2) for label, (a, b, c, d) in _MARGINAL_TERMS
+                    if not abs((m1 := v[a] + v[b] + 0.0) - (m2 := v[c] + v[d] + 0.0)) <= eps])),
+                ("derived_relations", tuple([
+                    RelationViolation(i, e, v[i]) for i, s in zip(DEPENDENT_INDICES, sums)
+                    if not abs(v[i] - (e := 0.5 * (1.0 + s))) <= eps])),
+            )
+        return self._violations
+
+    def deltas(self) -> tuple[float, ...]:
+        """The 8 CHSH sums, aligned with CHSH_VARIANTS; ConsistencyError
+        unless every block is normalized within eps."""
+        if self._deltas is None:
+            if self.unnormalized:
+                raise ConsistencyError(
+                    "cannot evaluate CHSH on an unnormalized probability set", self.unnormalized)
+            self._deltas = tuple(_product(CHSH_MATRIX, self.p, self.size).tolist())
+        return self._deltas
+
+
+#: The record of the box with float64 bytes key at eps, the last 4 kept.
+_box = functools.lru_cache(maxsize=4)(_Box)
 
 
 def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
@@ -385,14 +410,14 @@ def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     combined.
     """
     _check_eps(eps)
-    return {name: list(vs) for name, vs in _violations(as_probability_set(p).tobytes(), eps)}
+    return {name: list(vs) for name, vs in _box(_shaped16(p).tobytes(), eps).violations()}
 
 
 def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Return p as an array, raising ConsistencyError that lists every
     violation if any check fails at eps."""
-    p = as_probability_set(p)
-    violations = [v for _, vs in _violations(p.tobytes(), eps) for v in vs]
+    p = _shaped16(p)
+    violations = [v for _, vs in _box(p.tobytes(), eps).violations() for v in vs]
     if violations:
         lines = "; ".join(v.describe() for v in violations)
         raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
@@ -417,8 +442,9 @@ class Sigmas:
 
 
 def _sigmas(m: np.ndarray) -> Sigmas:
-    s1 = float(m[list(SIGMA1_STRATEGIES)].sum())
-    return Sigmas(s1, float(m.sum()) - s1)
+    v = m.tolist()
+    s1 = _sum([v[i] for i in SIGMA1_STRATEGIES])
+    return Sigmas(s1, _sum(v) - s1)
 
 
 def sigmas(m) -> Sigmas:
@@ -475,16 +501,15 @@ _STRATEGY_CHSH.setflags(write=False)
 SIGMA1_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] < 0).tolist())
 SIGMA2_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] > 0).tolist())
 
-#: Row of each variant in CHSH_MATRIX and in ChshReport.deltas.
-_VARIANT_ROWS = {variant: row for row, variant in enumerate(CHSH_VARIANTS)}
+#: Row of each of CHSH_VARIANTS in CHSH_MATRIX and in ChshReport.deltas, by
+#: identity: the dataclass hash costs more than the lookup.
+_VARIANT_ROWS = {id(variant): row for row, variant in enumerate(CHSH_VARIANTS)}
 
 
 def _variant_row(variant) -> int:
-    try:
-        return _VARIANT_ROWS[variant]
-    except (KeyError, TypeError):
-        # not a variant: tuple.index raises its ValueError
-        return CHSH_VARIANTS.index(variant)
+    row = _VARIANT_ROWS.get(id(variant))
+    # an equal copy, or not a variant: tuple.index raises its ValueError
+    return CHSH_VARIANTS.index(variant) if row is None else row
 
 
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
@@ -506,21 +531,6 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     return pp + mm - pm - mp
 
 
-@functools.lru_cache(maxsize=4)
-def _chsh_deltas(key: bytes, eps: float) -> tuple[float, ...]:
-    """The 8 CHSH sums of the box with float64 bytes key, aligned with CHSH_VARIANTS.
-
-    Requires every block normalized within eps.
-    """
-    p = np.frombuffer(key)
-    bad = _block_violations(p, eps)
-    if bad:
-        raise ConsistencyError(
-            "cannot evaluate CHSH on an unnormalized probability set", bad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return tuple((CHSH_MATRIX @ p).tolist())
-
-
 def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) -> float:
     """CHSH sum of correlations for the given sign variant.
 
@@ -528,7 +538,7 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     passing that check, the canonical variant equals
     2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
     """
-    return _chsh_deltas(as_probability_set(p).tobytes(), eps)[_variant_row(variant)]
+    return _box(_shaped16(p).tobytes(), eps).deltas()[_variant_row(variant)]
 
 
 def _normalized_measure(m, eps: float) -> np.ndarray:
@@ -536,7 +546,7 @@ def _normalized_measure(m, eps: float) -> np.ndarray:
     within eps."""
     m = as_measure_vector(m)
     _check_eps(eps)
-    total = float(m.sum())
+    total = _sum(m.tolist())
     if abs(total - 1.0) > eps:
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
     return m
@@ -580,7 +590,7 @@ class ChshReport:
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
-    deltas = _chsh_deltas(as_probability_set(p).tobytes(), eps)
+    deltas = _box(_shaped16(p).tobytes(), eps).deltas()
     return ChshReport(deltas, _max_abs(deltas), eps)
 
 
@@ -609,7 +619,7 @@ def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdic
 
 
 def _total_negativity(m: np.ndarray) -> float:
-    return float(np.maximum(0.0, -m).sum())
+    return _sum([-v if v < 0.0 else 0.0 for v in m.tolist()])
 
 
 def total_negativity(m) -> float:

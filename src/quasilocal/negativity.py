@@ -36,6 +36,7 @@ from .model import (
     _INDEPENDENT,
     _OUTCOME_PAIRS,
     _STRATEGY_CHSH,
+    _box_from_independent,
     _max_abs,
     _total_negativity,
     chsh,
@@ -116,10 +117,10 @@ class NegativityResult:
     min_negativity is the total negativity of witness, a measure vector that
     reproduces the box: the PR/local mixture of the module docstring, equal
     to max(0, (|delta| - 2) / 4) up to rounding.  It lies in the solution
-    family: the witness is also solve(p, witness[FREE_INDICES]).
-    lower_bound is the same closed form, and feasible records whether a
-    nonnegative model exists: max |delta| <= 2 + eps, the test
-    ChshReport.any_violation applies.
+    family: the witness is also solve(p, witness[FREE_INDICES]).  lower_bound
+    is that closed form and feasible is max |delta| <= 2 + eps, both taken on
+    p_hat (see min_negativity), so they may differ in the last bits from
+    chsh_lower_bound(p) and from chsh_report(p).any_violation.
     """
     min_negativity: float
     witness: np.ndarray
@@ -140,7 +141,7 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     """
     p = require_consistent(p, eps)
     x = np.concatenate(([1.0], p[_INDEPENDENT]))
-    p_hat = _BOX_EMBEDDING @ x
+    p_hat = _box_from_independent(x[1:])
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the first computes
     # all 8 and the other 7 hit model's cache.  The benchmark's tracer test
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.

@@ -21,6 +21,8 @@ coordinates (p4, p8, p9, p12, p14, p15), where its coefficients are unique.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (
@@ -31,6 +33,7 @@ from .model import (
     _INDEPENDENT,
     _embedding,
     _half_integer_solve,
+    _product,
     require_consistent,
 )
 
@@ -46,6 +49,9 @@ _SOLVED = np.array(SOLVED_INDICES)
 #: Solved weights = _FAMILY @ (1, p_ind, free).
 _FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _SOLVED],
                               np.hstack([_BOX_EMBEDDING, -FORWARD_MATRIX[:, _FREE]]))
+#: Takes (solved weights, free weights) to strategy order.
+_STRATEGY_ORDER = np.array([(SOLVED_INDICES + FREE_INDICES).index(s) for s in range(16)])
+_NO_FREE = np.zeros(7)
 
 #: The strategies that agree on (a1, b1), the only ones p2 = p3 = 0 allows.
 #: m16 is the free weight of that face and (p4, p8, p9, p12, p14, p15) are
@@ -71,22 +77,16 @@ def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
     free weights.  Raises ValueError unless free has 7 finite entries and the
     result is finite, and ConsistencyError if p fails a check at eps.
     """
-    m = np.zeros(16)
-    x = np.zeros(16)                        # (1, p_ind, free)
-    if free is not None:
-        free = np.asarray(free, dtype=float)
-        if free.shape != (7,):
-            raise ValueError(f"expected 7 free weights, got shape {free.shape}")
-        if not np.isfinite(free).all():
-            raise ValueError("free weights contain non-finite entries")
-        x[9:] = m[_FREE] = free
-    x[0] = 1.0
-    x[1:9] = require_consistent(p, eps)[_INDEPENDENT]
-    with np.errstate(over="ignore", invalid="ignore"):
-        m[_SOLVED] = _FAMILY @ x
-    if not np.isfinite(m).all():
+    free = _NO_FREE if free is None else np.asarray(free, dtype=float)
+    if free.shape != (7,):
+        raise ValueError(f"expected 7 free weights, got shape {free.shape}")
+    if not all(map(math.isfinite, free.tolist())):
+        raise ValueError("free weights contain non-finite entries")
+    x = np.concatenate(([1.0], require_consistent(p, eps)[_INDEPENDENT], free))
+    solved = _product(_FAMILY, x, sum(map(abs, x.tolist())))
+    if not all(map(math.isfinite, solved.tolist())):
         raise ValueError("the solution at these free weights is not finite")
-    return m
+    return np.concatenate((solved, free))[_STRATEGY_ORDER]
 
 
 def perfect_correlation_solution(p, m16: float = 0.0,

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -42,6 +44,19 @@ def random_consistent_box(rng):
     from quasilocal import forward_map
 
     return forward_map(random_nonnegative_measures(rng)[0])
+
+
+@functools.lru_cache(maxsize=1)
+def boxes_consistent_at_eps_0():
+    """The boxes F @ m, m from Dirichlet(1) with seed 0 (20,000 draws), that
+    pass every check at eps 0: their block sums and relations hold exactly
+    in floats.  5 boxes on x86-64 with OpenBLAS."""
+    from quasilocal import check_consistency, forward_map
+
+    rng = np.random.default_rng(0)
+    boxes = np.array([forward_map(m) for m in rng.dirichlet(np.ones(16), 20000)])
+    exact_blocks = boxes[(boxes.reshape(-1, 4, 4).sum(axis=2) == 1.0).all(axis=1)]
+    return tuple(p for p in exact_blocks if not any(check_consistency(p, 0.0).values()))
 
 
 def random_mixture_box(rng):

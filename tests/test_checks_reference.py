@@ -1,11 +1,13 @@
 """The consistency checks against their numpy-mask reference.
 
-model's input check and four violation helpers compare Python floats taken
-from tolist().  The reference versions below compare numpy arrays through
+model's input check and its per-box record compare Python floats taken from
+tolist().  The reference versions below compare numpy arrays through
 boolean masks.  Both must give the same violations, with the same types and
 indices and floats equal bit for bit, and the same exception messages, also
-on entries at -eps and 1 + eps, -0.0, sums that overflow, NaN and +-inf.
-The block sums, in Python floats, must also raise no overflow warning where
+on entries at -eps and 1 + eps, -0.0, sums that overflow, NaN and +-inf,
+whatever order the gates are called in.  A difference counts as a violation
+unless |d| <= eps, so a NaN difference is one.  The block sums and the sums
+of weights, in Python floats, must also raise no overflow warning where
 numpy's reduce does.
 """
 
@@ -17,6 +19,8 @@ from dataclasses import astuple
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
+
+import quasilocal as ql
 
 from quasilocal import model
 from quasilocal.model import (
@@ -64,13 +68,13 @@ def ref_block_violations(p, eps):
     _check_eps(eps)
     totals = p.reshape(4, 4).sum(axis=1).tolist()
     return [BlockViolation(j, k, total) for (j, k), total in zip(SETTING_PAIRS, totals)
-            if abs(total - 1.0) > eps]
+            if not abs(total - 1.0) <= eps]
 
 
 def ref_marginal_violations(p, eps):
     _check_eps(eps)
     marginals = p[_REF_MARGINAL_TERMS].sum(axis=2)
-    bad = (np.abs(marginals[:, 0] - marginals[:, 1]) > eps).nonzero()[0]
+    bad = (~(np.abs(marginals[:, 0] - marginals[:, 1]) <= eps)).nonzero()[0]
     return [MarginalViolation(*_REF_MARGINAL_LABELS[r], *marginals[r].tolist()) for r in bad]
 
 
@@ -78,16 +82,24 @@ def ref_relation_violations(p, eps):
     _check_eps(eps)
     expected = 0.5 * (1.0 + DEPENDENT_SIGNS @ p[_REF_INDEPENDENT])
     actual = p[_REF_DEPENDENT]
-    bad = (np.abs(actual - expected) > eps).nonzero()[0]
+    bad = (~(np.abs(actual - expected) <= eps)).nonzero()[0]
     return [RelationViolation(DEPENDENT_INDICES[r], float(expected[r]), float(actual[r]))
             for r in bad]
 
 
+REF_CHECKS = {"range": ref_range_violations, "normalization": ref_block_violations,
+              "no_signaling": ref_marginal_violations, "derived_relations": ref_relation_violations}
+
+
+def ref_check_consistency(values, eps=model.DEFAULT_EPS):
+    _check_eps(eps)
+    p = ref_vector16(values, "probability set")
+    return {name: check(p, eps) for name, check in REF_CHECKS.items()}
+
+
 def ref_require_consistent(values, eps):
     p = ref_vector16(values, "probability set")
-    violations = [v for check in (ref_range_violations, ref_block_violations,
-                                  ref_marginal_violations, ref_relation_violations)
-                  for v in check(p, eps)]
+    violations = [v for check in REF_CHECKS.values() for v in check(p, eps)]
     if violations:
         lines = "; ".join(v.describe() for v in violations)
         raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
@@ -115,12 +127,20 @@ def ref_correlation(p, j, k, eps):
     return float(block[0] + block[3] - block[1] - block[2])
 
 
-PAIRS = (
-    (model._range_violations, ref_range_violations),
-    (model._block_violations, ref_block_violations),
-    (model._marginal_violations, ref_marginal_violations),
-    (model._relation_violations, ref_relation_violations),
-)
+def ref_chsh(values, variant, eps):
+    return ref_chsh_report(values, eps).delta(variant)
+
+
+def ref_sum(values):
+    return float(np.array(values).sum())
+
+
+def uncached(gate):
+    """gate, called with the per-box record cache cleared: a fresh record."""
+    def call(*args):
+        model._box.cache_clear()
+        return gate(*args)
+    return call
 
 # ---------------------------------------------------------------------------
 # Bit-exact comparison
@@ -136,6 +156,8 @@ def key(value):
         return (type(value), struct.pack("<d", value))
     if isinstance(value, (list, tuple)):
         return (type(value), tuple(key(v) for v in value))
+    if isinstance(value, dict):
+        return (dict, tuple((k, key(v)) for k, v in value.items()))
     if hasattr(value, "__dataclass_fields__"):
         return (type(value), key(astuple(value)))
     return (type(value), value)
@@ -222,12 +244,9 @@ def test_checks_match_the_numpy_reference(case):
     values, eps = case
     assert (outcome(model._vector16, values, "probability set")
             == outcome(ref_vector16, values, "probability set"))
-    arr = np.array(values)
-    if arr.shape == (16,):
-        # also on unvalidated arrays: NaN and inf reach the helpers
-        for new, ref in PAIRS:
-            assert outcome(new, arr, eps) == outcome(ref, arr, eps), new.__name__
-    assert outcome(model.require_consistent, values, eps) == outcome(
+    assert outcome(uncached(model.check_consistency), values, eps) == outcome(
+        ref_check_consistency, values, eps)
+    assert outcome(uncached(model.require_consistent), values, eps) == outcome(
         ref_require_consistent, values, eps)
 
 
@@ -241,7 +260,41 @@ OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
 @_with_examples
 def test_chsh_report_matches_the_numpy_reference(case):
     values, eps = case
-    assert outcome(model.chsh_report, values, eps) == outcome(ref_chsh_report, values, eps)
+    assert outcome(uncached(model.chsh_report), values, eps) == outcome(
+        ref_chsh_report, values, eps)
+
+
+#: Each gate with its reference, called as (values, eps).
+GATES = {
+    "check": (model.check_consistency, ref_check_consistency),
+    "require": (model.require_consistent, ref_require_consistent),
+    "chsh": (lambda v, e: model.chsh(v, model.CHSH_VARIANTS[5], e),
+             lambda v, e: ref_chsh(v, model.CHSH_VARIANTS[5], e)),
+    "chsh_report": (model.chsh_report, ref_chsh_report),
+}
+
+
+@given(boxes(), st.sampled_from([0.0, 1e-9, 1e-3, 1e300]),
+       st.lists(st.tuples(st.sampled_from(sorted(GATES)), st.booleans()),
+                min_size=2, max_size=6))
+@example(([0.25] * 16, 1e-9), 1e-3, [("check", False), ("chsh", False)])
+@example(([0.25] * 16, 1e-9), 1e-3, [("chsh", False), ("check", False)])
+@example(([0.25] * 16, 1e-9), 1e-3, [("require", False), ("chsh_report", False)])
+@example(([0.5] + [0.25] * 15, 1e-9), 1e-3, [("chsh", True), ("check", False),
+                                             ("require", True), ("chsh_report", False)])
+@example(([math.nan] + [0.25] * 15, math.nan), 0.0, [("require", False), ("check", False)])
+@example(([math.inf] + [0.25] * 15, -1e-9), 0.0, [("chsh", False), ("chsh_report", True)])
+@example(([0.25] * 15, math.inf), 0.0, [("chsh_report", False), ("require", False)])
+@example((OVERFLOWING, 1e300), 1e-9, [("chsh_report", False), ("check", False)])
+def test_gates_agree_with_the_references_in_any_call_order(case, other_eps, calls):
+    # the record is shared: a gate must see what it would see on a fresh one,
+    # at either eps, and shape, NaN and inf errors come before eps errors
+    values, eps = case
+    model._box.cache_clear()
+    for name, at_other_eps in calls:
+        gate, ref = GATES[name]
+        e = other_eps if at_other_eps else eps
+        assert outcome(gate, values, e) == outcome(ref, values, e), (name, e)
 
 
 def test_overflowing_box_has_a_nan_chsh_maximum():
@@ -263,11 +316,41 @@ BLOCK_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.25, 1e308, -1e308, 1.
 @example([1.5e308] * 16, 1e300)
 @example([-0.0] * 16, 0.0)
 def test_block_sums_match_numpy_bit_for_bit_without_a_warning(values, eps):
-    arr = np.array(values)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = [warning_outcome(model._block_violations, arr, eps)]
+        got = [warning_outcome(uncached(model.check_consistency), values, eps)]
         got += [warning_outcome(model.correlation, values, j, k, eps) for j, k in SETTING_PAIRS]
-    want = [outcome(ref_block_violations, arr, eps)]
+    want = [outcome(ref_check_consistency, values, eps)]
     want += [outcome(ref_correlation, values, j, k, eps) for j, k in SETTING_PAIRS]
     assert got == want
+
+
+def ref_sigmas(m):
+    s1 = ref_sum(np.array(m)[list(model.SIGMA1_STRATEGIES)])
+    return model.Sigmas(s1, ref_sum(m) - s1)
+
+
+@given(st.lists(BLOCK_ENTRY, min_size=16, max_size=16))
+@example([-1e308] * 2 + [0.0] * 14)
+@example([1.7e308] * 8 + [-1.7e308] * 8)
+@example([-0.0] * 16)
+def test_weight_sums_match_numpy_bit_for_bit_without_a_warning(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = (ql.total_negativity(weights), ql.sigmas(weights),
+               warning_outcome(ql.chsh_from_measures, weights, 1e300),
+               warning_outcome(ql.negativity_necessity_verdict, weights, 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = ref_sigmas(weights)
+        total = ref_sum(weights)
+        normalized = not abs(total - 1.0) > 1e300      # the gate's own comparison
+        want = (ref_sum(np.maximum(0.0, -np.array(weights))), sigmas,
+                ("returned", key(2.0 * (1.0 - 2.0 * sigmas.sigma1))) if normalized else None,
+                ("returned", key(model.NecessityVerdict(
+                    not -1e300 <= sigmas.sigma1 <= 1.0 + 1e300,
+                    bool(np.any(np.array(weights) < 0.0))))) if normalized else None)
+    assert key(got[:2]) == key(want[:2])
+    if normalized:
+        assert got[2:] == want[2:]
+    else:
+        assert all(o[0] == "raised" and "not normalized" in o[2] for o in got[2:])

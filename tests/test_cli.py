@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import quasilocal as ql
 from quasilocal import cli
 from quasilocal.fileio import box_object, fixture_path, format_box, measures_object, parse_box
-from conftest import OVERFLOWING
+from conftest import OVERFLOWING, boxes_consistent_at_eps_0
 
 
 @pytest.fixture
@@ -297,6 +297,26 @@ def test_block_sums_that_overflow_are_reported_without_a_warning(run, command, e
         code, out, err = run([command, "--eps", eps], format_box(np.full(16, 1.5e308)))
     assert code == 1
     assert "block (a1,b1) sums to inf, expected 1" in out + err
+
+
+def test_marginals_whose_difference_is_nan_fail_no_signaling(run):
+    # inf - inf is NaN and abs(nan) > eps is False: validate printed
+    # "no-signaling ok" for a box whose marginals all sum to inf
+    code, out, err = run(["validate", "--eps", "1e300"], format_box(np.full(16, 1.5e308)))
+    assert (code, err) == (1, "")
+    assert "no-signaling       FAIL\n  marginal p(a1+) depends on the b-setting: inf vs inf" in out
+    assert "p2 (a1+b1-) = 1.5e+308, but the independent entries imply nan" in out
+
+
+def test_negativity_at_eps_0_accepts_a_box_that_validates_at_eps_0(run):
+    # exited 1 with "cannot evaluate CHSH on an unnormalized probability set"
+    box = format_box(boxes_consistent_at_eps_0()[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["validate", "--eps", "0"], box)[0] == 0
+        code, out, err = run(["negativity", "--eps", "0", "--format", "json"], box)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["feasible"] is True
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

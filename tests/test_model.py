@@ -13,6 +13,7 @@ import quasilocal as ql
 from quasilocal import fileio, model
 from conftest import (OVERFLOWING, random_consistent_box, random_nonnegative_measures,
                       random_signed_measures)
+from test_checks_reference import ref_check_consistency
 
 RT2 = np.sqrt(2.0)
 
@@ -447,6 +448,16 @@ def test_every_deterministic_strategy_saturates_every_variant():
             assert abs(ql.chsh(p, variant)) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_equal_copies_of_the_variants_find_their_rows():
+    # the rows are looked up by identity first; an equal copy takes the slow path
+    p = ql.tsirelson_box()
+    report = ql.chsh_report(p)
+    for variant in ql.CHSH_VARIANTS:
+        copy = ql.ChshVariant(variant.negated_pair, variant.overall_sign)
+        assert copy is not variant
+        assert ql.chsh(p, copy) == ql.chsh(p, variant) == report.delta(copy)
+
+
 def test_variant_set_is_complete():
     assert len(set(ql.CHSH_VARIANTS)) == 8
     assert ql.CANONICAL_VARIANT.negated_pair == (2, 2)
@@ -671,16 +682,9 @@ def test_box_values():
 
 
 # ---------------------------------------------------------------------------
-# Memoized gates: the violation scan and the CHSH product are looked up by
-# the box's float64 bytes and eps
+# Memoized gates: one record per box, looked up by its float64 bytes and eps,
+# holds the violation scan and the CHSH sums
 # ---------------------------------------------------------------------------
-
-def uncached_checks(p, eps=ql.DEFAULT_EPS):
-    return {"range": model._range_violations(p, eps),
-            "normalization": model._block_violations(p, eps),
-            "no_signaling": model._marginal_violations(p, eps),
-            "derived_relations": model._relation_violations(p, eps)}
-
 
 def test_mutating_a_box_in_place_changes_the_next_verdict():
     p = ql.uniform_box()
@@ -688,7 +692,7 @@ def test_mutating_a_box_in_place_changes_the_next_verdict():
     assert ql.require_consistent(p) is p
     assert ql.chsh(p) == 0.0
     p[0] = 0.5                                  # block (a1, b1) now sums to 1.25
-    assert ql.check_consistency(p) == uncached_checks(p)
+    assert ql.check_consistency(p) == ref_check_consistency(p)
     assert ql.check_consistency(p)["normalization"] == [model.BlockViolation(1, 1, 1.25)]
     with pytest.raises(ql.ConsistencyError):
         ql.require_consistent(p)
@@ -698,7 +702,7 @@ def test_mutating_a_box_in_place_changes_the_next_verdict():
 
 def test_mutating_the_returned_lists_changes_no_later_verdict():
     p = np.linspace(-0.5, 1.5, 16)
-    expected = uncached_checks(p)
+    expected = ref_check_consistency(p)
     first = ql.check_consistency(p)
     assert first == expected and expected["no_signaling"]
     first["range"].append(model.RangeViolation(0, 9.0))
@@ -716,7 +720,7 @@ def test_one_box_at_two_eps_values_gets_each_its_own_verdict():
     p[1] += 1e-6                                # block (a1, b1) sums to 1 + 1e-6
     for _ in range(2):
         assert not any(ql.check_consistency(p, 1e-3).values())
-        assert ql.check_consistency(p, 1e-9) == uncached_checks(p, 1e-9)
+        assert ql.check_consistency(p, 1e-9) == ref_check_consistency(p, 1e-9)
         assert ql.check_consistency(p, 1e-9)["normalization"]
         assert ql.require_consistent(p, 1e-3) is p
         with pytest.raises(ql.ConsistencyError):
@@ -731,7 +735,7 @@ def test_signed_zeros_are_different_boxes():
     # a relation violation carries the entry's own zero
     for zero in (0.0, -0.0, 0.0):
         p = np.full(16, zero)
-        assert repr(ql.check_consistency(p, 0.0)) == repr(uncached_checks(p, 0.0))
+        assert repr(ql.check_consistency(p, 0.0)) == repr(ref_check_consistency(p, 0.0))
         assert repr(ql.check_consistency(p, 0.0)["derived_relations"][0].actual) == repr(zero)
         with pytest.raises(ql.ConsistencyError, match=f" = {zero!r}, but"):
             ql.require_consistent(p, 0.0)
@@ -743,35 +747,59 @@ def test_signed_zeros_are_different_boxes():
 def test_gates_on_an_overflowing_box_warn_nothing_and_match_the_helpers():
     p = np.array(OVERFLOWING)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = uncached_checks(p, 1e300)
+        expected = ref_check_consistency(p, 1e300)
         deltas = tuple((model.CHSH_MATRIX @ p).tolist())
     assert "inf" in repr(expected["derived_relations"]) and "nan" in repr(deltas)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model._violations.cache_clear()
+        model._box.cache_clear()
         checks = ql.check_consistency(p, 1e300)
-        model._violations.cache_clear()
+        model._box.cache_clear()
         with pytest.raises(ql.ConsistencyError) as err:
             ql.require_consistent(p, 1e300)
-        model._chsh_deltas.cache_clear()
+        model._box.cache_clear()
         report = ql.chsh_report(p, 1e300)
     assert repr(checks) == repr(expected)
     assert repr(err.value.violations) == repr(tuple(v for vs in expected.values() for v in vs))
     assert repr(report.deltas) == repr(deltas)
 
 
-def test_a_pipeline_scans_once_and_forms_the_chsh_product_twice():
+def test_products_outside_np_errstate_cannot_overflow():
+    # _product skips the guard while sum |x| < _UNGUARDED_SIZE, which bounds every
+    # partial sum only for matrices with entries of at most 1 in magnitude
+    from quasilocal import solver
+
+    for matrix in (model.DEPENDENT_SIGNS, model.CHSH_MATRIX, solver._FAMILY):
+        assert np.abs(matrix).max() <= 1.0
+    below = np.full(16, np.nextafter(model._UNGUARDED_SIZE / 16, 0.0))
+    size = float(below.sum())
+    assert size < model._UNGUARDED_SIZE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(model._product(model.CHSH_MATRIX, below, size)).all()
+        aligned = 4 * below * model.CHSH_MATRIX[0]          # row 0's sum overflows
+        assert np.isinf(model._product(model.CHSH_MATRIX, aligned, 4 * size)[0])
+
+
+def test_a_pipeline_makes_two_records_scans_once_and_forms_one_chsh_product_per_box(
+        monkeypatch):
     p = ql.tsirelson_box()
     p[1] += 1e-12                               # so the rebuilt box p_hat differs from p
     p_hat = model._box_from_independent(p[model._INDEPENDENT])
     assert p_hat.tobytes() != p.tobytes()
-    model._violations.cache_clear()
-    model._chsh_deltas.cache_clear()
+    products = []
+    product = model._product
+    monkeypatch.setattr(model, "_product",
+                        lambda matrix, *args: products.append(matrix) or product(matrix, *args))
+    model._box.cache_clear()
     ql.check_consistency(p)
     ql.chsh_report(p)
     ql.solve(p)
     ql.min_negativity(p)
-    scans, products = model._violations.cache_info(), model._chsh_deltas.cache_info()
-    assert (scans.misses, scans.hits) == (1, 2)           # check, solve, min_negativity
-    assert (products.misses, products.hits) == (2, 7)     # p, then p_hat 8 times
-    assert scans.maxsize == products.maxsize == 4
+    records = model._box.cache_info()
+    # misses: p, then p_hat; hits: chsh_report, solve, min_negativity, p_hat 7 times
+    assert (records.misses, records.hits, records.maxsize) == (2, 10, 4)
+    # p's relation product (its violation scan), then one CHSH product per box
+    assert [m is model.DEPENDENT_SIGNS for m in products] == [True, False, False]
+    assert all(m is model.CHSH_MATRIX for m in products[1:])
+    assert model._box(p_hat.tobytes(), ql.DEFAULT_EPS)._violations is None

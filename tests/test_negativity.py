@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linprog
 
 import quasilocal as ql
-from conftest import random_consistent_box, random_mixture_box
+from conftest import boxes_consistent_at_eps_0, random_consistent_box, random_mixture_box
 
 RT2 = np.sqrt(2.0)
 
@@ -124,6 +124,21 @@ def test_box_consistent_only_to_half_eps_is_reproduced_within_eps():
         assert np.abs(F @ result.witness - p_hat).max() <= 1e-15
         assert np.abs(F @ result.witness - p).max() <= eps
         assert abs(result.witness.sum() - 1.0) <= 1e-12
+
+
+def test_boxes_consistent_at_eps_0_have_a_minimum_at_eps_0():
+    # p_hat = _BOX_EMBEDDING @ (1, p_ind) rounded its block sums to 1 +- 1 ulp, so
+    # min_negativity(p, 0.0) raised "cannot evaluate CHSH on an unnormalized
+    # probability set" on 3 of these 5 boxes; the relations' own arithmetic
+    # rebuilds each one bit for bit
+    boxes = boxes_consistent_at_eps_0()
+    assert len(boxes) >= 3
+    for p in boxes:
+        assert ql.box_from_independent(p[list(ql.INDEPENDENT_INDICES)]).tobytes() == p.tobytes()
+        result = ql.min_negativity(p, 0.0)
+        assert result.feasible and result.lower_bound == 0.0
+        assert np.abs(F @ result.witness - p).max() <= 1e-15
+        assert result.min_negativity <= 1e-15
 
 
 def test_facet_box_whose_delta_rounds_above_two():
