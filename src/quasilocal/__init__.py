@@ -20,9 +20,11 @@ from .model import (
     INDEPENDENT_INDICES,
     MINUS,
     PLUS,
+    PROB_EVENTS,
     PROB_LABELS,
     SIGMA1_STRATEGIES,
     SIGMA2_STRATEGIES,
+    STRATEGY_OUTCOMES,
     STRATEGY_PATTERNS,
     BlockViolation,
     ChshReport,
@@ -46,12 +48,9 @@ from .model import (
     negativity_necessity_verdict,
     pr_box,
     prob_index,
-    prob_label,
     require_consistent,
     sigmas,
     strategy_index,
-    strategy_outcomes,
-    strategy_pattern,
     total_negativity,
     tsirelson_box,
     uniform_box,

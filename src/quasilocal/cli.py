@@ -141,7 +141,7 @@ def _cmd_chsh(args) -> int:
                 }
                 for v in model.CHSH_VARIANTS
             ],
-            "canonical_delta": report.canonical_delta,
+            "canonical_delta": report.delta(model.CANONICAL_VARIANT),
             "max_abs_delta": report.max_abs_delta,
             "eps": eps,
         })
@@ -215,11 +215,10 @@ def _cmd_solve(args) -> int:
 def _cmd_forward(args) -> int:
     eps = _resolve_eps(args)
     m = fileio.parse_measures(_read_text(args.input))
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(m.sum())
-        p = model.forward_map(m)
+    p = model.forward_map(m)
     if not np.isfinite(p).all():
         raise _Failure(EXIT_DOMAIN, "the forward image is not finite: the weights overflow")
+    total = model._sum(m.tolist())      # numpy's m.sum(), without its overflow warning
     if abs(total - 1.0) > eps:
         print(f"warning: measures sum to {fileio.format_value(total)}, not 1",
               file=sys.stderr)
@@ -288,11 +287,8 @@ def _cmd_qm(args) -> int:
         ]
         extras = {"best_delta": search.best_delta, "angles_deg": list(angles)}
     else:
-        try:
-            a1, a2, b1, b2 = (quantum.MeasurementDirection.from_xz_angle(t)
-                              for t in args.angles)
-        except ValueError as exc:
-            raise _Failure(EXIT_DOMAIN, str(exc)) from None
+        # _finite_float makes every angle finite, so each is a unit direction
+        a1, a2, b1, b2 = (quantum.MeasurementDirection.from_xz_angle(t) for t in args.angles)
         comments = []
         extras = {"angles_deg": list(args.angles)}
 
@@ -411,7 +407,3 @@ def main(argv=None) -> int:
     except model.ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

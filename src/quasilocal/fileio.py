@@ -85,9 +85,7 @@ def _maybe_json(text: str) -> dict | None:
         doc = json.loads(text)
     except ValueError as exc:   # JSONDecodeError, or an integer literal over 4300 digits
         raise ParseError(f"invalid JSON document: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("JSON document must be an object")
-    return doc
+    return doc      # text that starts with '{' loads as a dict or raises
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -115,12 +113,10 @@ def _fill(values: dict[int, float], kind: str, labels) -> np.ndarray:
 # Box documents
 # ---------------------------------------------------------------------------
 
-#: Inverse of PROB_LABELS: canonical label -> index.
-_LABEL_INDEX = {label: i for i, label in enumerate(PROB_LABELS)}
-
-
 def _box_label_index(label: str) -> int:
-    index = _LABEL_INDEX.get(label.strip().lower().replace("−", "-"))
+    """Index of a JSON box label such as 'a1+b1+': its four parts, the tokens of a data line."""
+    s = label.strip()
+    index = _BOX_LINE_INDEX.get((s[0:2], s[2], s[3:5], s[5])) if len(s) == 6 else None
     if index is None:
         raise ParseError(f"bad probability label {label!r}")
     return index

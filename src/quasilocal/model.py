@@ -21,7 +21,9 @@ outcomes (a1, b1, a2, b2) of each strategy, and PROB_EVENTS, the event
 read off them, FORWARD_MATRIX too, and every other constant map is derived
 from FORWARD_MATRIX at import: the relation table DEPENDENT_SIGNS (a least-squares
 solution, rounded to the nearest half), the strategies' CHSH values and the
-sigma1/sigma2 split.
+sigma1/sigma2 split.  An index is read by indexing a table: STRATEGY_OUTCOMES[i]
+and PROB_EVENTS[i], or their labels STRATEGY_PATTERNS[i] ('+++-') and
+PROB_LABELS[i] ('a1+b1+'); strategy_index and prob_index go the other way.
 
 Everything here is a pure function of immutable values.  Measure vectors and
 probability sets are plain length-16 float arrays in the canonical orders
@@ -39,8 +41,9 @@ fixed cost per call outweighs the arithmetic, so the checks compare Python
 floats, and the block sums, the marginals (0.0 for -0.0 + -0.0) and the sums
 of weights (_sum) add them in numpy's order, overflowing without a warning.
 The relation product DEPENDENT_SIGNS @ p_ind and the CHSH product stay numpy,
-in np.errstate only when they could overflow (_product), so every value is
-bit-identical to the all-numpy reference in tests/test_checks_reference.py.
+in np.errstate only when they could overflow (_product, which forward_map and
+box_from_independent use too), so every value is bit-identical to the
+all-numpy reference in tests/test_checks_reference.py.
 A difference is a violation unless |d| <= eps: a NaN difference fails.
 
 Every function that takes a tolerance eps raises ValueError unless eps is
@@ -123,29 +126,11 @@ def strategy_index(a1: int, b1: int, a2: int, b2: int) -> int:
     return _position(_STRATEGY_POSITION, (a1, b1, a2, b2), (a1, b1, a2, b2))
 
 
-def strategy_outcomes(index: int) -> tuple[int, int, int, int]:
-    """Outcomes (a1, b1, a2, b2) of the strategy at the given 0-based index."""
-    if not 0 <= index < 16:
-        raise ValueError(f"strategy index must be in 0..15, got {index}")
-    return STRATEGY_OUTCOMES[index]
-
-
-def strategy_pattern(index: int) -> str:
-    """Four-character +/- pattern of a strategy, slot order (a1, b1, a2, b2)."""
-    strategy_outcomes(index)            # checks the index
-    return STRATEGY_PATTERNS[index]
-
-
 def prob_index(j: int, k: int, m: int, n: int) -> int:
     """Position of the event p(a_j = m, b_k = n) in PROB_EVENTS."""
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
     return _position(_PROB_POSITION, (j, k, m, n), (m, n))
-
-
-def prob_label(index: int) -> str:
-    """Human-readable label of a probability entry, e.g. 'a1+b1+'."""
-    return PROB_LABELS[index]
 
 
 #: prob_index(j, k, m, n) on axes (j, k, m, n), outcomes in OUTCOMES order.
@@ -210,7 +195,8 @@ def forward_map(m) -> np.ndarray:
     clamped, so entries may fall outside [0, 1] when weights are negative.
     Each block of four outputs sums to the total weight exactly.
     """
-    return FORWARD_MATRIX @ as_measure_vector(m)
+    m = as_measure_vector(m)
+    return _product(FORWARD_MATRIX, m, sum(map(abs, m.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +210,7 @@ class RangeViolation:
     value: float
 
     def describe(self) -> str:
-        return f"p{self.index + 1} ({prob_label(self.index)}) = {self.value!r} outside [0, 1]"
+        return f"p{self.index + 1} ({PROB_LABELS[self.index]}) = {self.value!r} outside [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -262,7 +248,7 @@ class RelationViolation:
     actual: float
 
     def describe(self) -> str:
-        return (f"p{self.index + 1} ({prob_label(self.index)}) = {self.actual!r}, "
+        return (f"p{self.index + 1} ({PROB_LABELS[self.index]}) = {self.actual!r}, "
                 f"but the independent entries imply {self.expected!r}")
 
 
@@ -296,12 +282,13 @@ _MARGINAL_TERMS = tuple(zip(_MARGINAL_LABELS, np.concatenate(
      _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 4)]).tolist()))
 
 
-def _box_from_independent(ind: np.ndarray) -> np.ndarray:
+def _box_from_independent(ind: np.ndarray, sums=None) -> np.ndarray:
     """The box from ind in the relation check's own arithmetic: a box
-    consistent at eps rebuilds to one within eps of it in the check's numbers."""
+    consistent at eps rebuilds to one within eps of it in the check's numbers.
+    sums, when given, is DEPENDENT_SIGNS @ ind."""
     box = np.empty(16)
     box[_INDEPENDENT] = ind
-    box[_DEPENDENT] = 0.5 * (1.0 + DEPENDENT_SIGNS @ ind)
+    box[_DEPENDENT] = 0.5 * (1.0 + (DEPENDENT_SIGNS @ ind if sums is None else sums))
     return box
 
 
@@ -317,7 +304,7 @@ def box_from_independent(independent) -> np.ndarray:
         raise ValueError(f"expected 8 independent probabilities, got shape {ind.shape}")
     if not np.isfinite(ind).all():
         raise ValueError("independent probabilities contain non-finite entries")
-    return _box_from_independent(ind)
+    return _box_from_independent(ind, _product(DEPENDENT_SIGNS, ind, sum(map(abs, ind.tolist()))))
 
 
 def _check_eps(eps: float) -> None:
@@ -547,7 +534,7 @@ def _normalized_measure(m, eps: float) -> np.ndarray:
     m = as_measure_vector(m)
     _check_eps(eps)
     total = _sum(m.tolist())
-    if abs(total - 1.0) > eps:
+    if not abs(total - 1.0) <= eps:           # a NaN sum (inf - inf) fails too
         raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
     return m
 
@@ -579,10 +566,6 @@ class ChshReport:
 
     def violated(self, variant: ChshVariant) -> bool:
         return abs(self.delta(variant)) > 2.0 + self.eps
-
-    @property
-    def canonical_delta(self) -> float:
-        return self.delta(CANONICAL_VARIANT)
 
     @property
     def any_violation(self) -> bool:

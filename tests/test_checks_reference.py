@@ -334,6 +334,7 @@ def ref_sigmas(m):
 @example([-1e308] * 2 + [0.0] * 14)
 @example([1.7e308] * 8 + [-1.7e308] * 8)
 @example([-0.0] * 16)
+@example([1e16, 1.0, -1e16, 1.0] + [0.0] * 12)     # 0.0 in numpy's order, 2.0 in others
 def test_weight_sums_match_numpy_bit_for_bit_without_a_warning(weights):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -343,7 +344,7 @@ def test_weight_sums_match_numpy_bit_for_bit_without_a_warning(weights):
     with np.errstate(over="ignore", invalid="ignore"):
         sigmas = ref_sigmas(weights)
         total = ref_sum(weights)
-        normalized = not abs(total - 1.0) > 1e300      # the gate's own comparison
+        normalized = abs(total - 1.0) <= 1e300          # the gate's own comparison
         want = (ref_sum(np.maximum(0.0, -np.array(weights))), sigmas,
                 ("returned", key(2.0 * (1.0 - 2.0 * sigmas.sigma1))) if normalized else None,
                 ("returned", key(model.NecessityVerdict(

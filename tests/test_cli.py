@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import cli
-from quasilocal.fileio import box_object, fixture_path, format_box, measures_object, parse_box
+from quasilocal.fileio import (box_object, fixture_path, format_box, format_measures,
+                               measures_object, parse_box)
 from conftest import OVERFLOWING, boxes_consistent_at_eps_0
 
 
@@ -210,6 +211,59 @@ def test_bad_json_label_is_a_parse_error(run):
     assert code == 2
     assert out == ""
     assert err == "parse error: bad probability label 'a1xb1+'\n"
+
+
+UNIFORM = box_object(ql.uniform_box())["probabilities"]
+NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["solve", *NO_FREE, "--free-file", "free"], {"probabilities": UNIFORM},
+     "error: use either --free or --free-file, not both\n"),
+    (["solve", "--perfect-correlation", *NO_FREE], {"probabilities": UNIFORM},
+     "error: --perfect-correlation takes --m16, not --free/--free-file\n"),
+    (["qm", "--state", "1,0,0", "--maximize"], None,
+     "error: --state needs 'singlet' or 4 comma-separated amplitudes, got '1,0,0'\n"),
+    (["qm", "--state", "1,0,0,x", "--maximize"], None,
+     "error: cannot parse amplitudes from '1,0,0,x'\n"),
+    (["validate"], {"probabilities": {**UNIFORM, "A1+B1+": 0.25}},
+     "parse error: duplicate probability entry 'a1+b1+'\n"),
+    (["forward"], {"probabilities": UNIFORM},
+     'parse error: JSON measure document needs a "measures" object\n'),
+    (["forward"], {"measures": {"+++-": 0.5, "+++\u2212": 0.5}},
+     "parse error: duplicate pattern '+++-'\n"),
+], ids=["free-and-free-file", "perfect-correlation-and-free", "state-of-3", "state-unparsable",
+        "json-label-twice", "json-measures-missing", "json-pattern-twice"])
+def test_usage_and_parse_errors_name_their_cause(run, argv, stdin, message):
+    code, out, err = run(argv, "" if stdin is None else json.dumps(stdin))
+    assert (code, out, err) == (2, "", message)
+
+
+def test_an_eps_from_the_environment_that_is_not_a_number_is_a_usage_error(run, monkeypatch):
+    monkeypatch.setenv("QUASILOCAL_EPS", "abc")
+    code, out, err = run(["validate", str(fixture_path("uniform.box"))])
+    assert (code, out, err) == (2, "", "error: QUASILOCAL_EPS is not a number: 'abc'\n")
+
+
+def test_an_unreadable_input_is_a_usage_error(run, tmp_path):
+    path = tmp_path / "missing.box"
+    code, out, err = run(["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_an_m16_that_is_not_a_number_is_a_usage_error(run):
+    code, out, err = run(["solve", "--perfect-correlation", "--m16", "abc"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: quasilocal solve ")
+    assert err.endswith("\nquasilocal solve: error: argument --m16: invalid float value: 'abc'\n")
+
+
+def test_forward_warns_on_measures_that_do_not_sum_to_1(run):
+    m = np.full(16, 1 / 32)
+    code, out, err = run(["forward"], format_measures(m))
+    assert (code, out) == (0, format_box(ql.forward_map(m)))
+    assert err == "warning: measures sum to 0.5, not 1\n"
 
 
 @pytest.mark.parametrize("document, message", [

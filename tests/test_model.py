@@ -61,14 +61,14 @@ def test_probability_layout_matches_table():
     assert ql.PROB_LABELS == tuple(label for _, label in PROB_TABLE)
     for i, (event, label) in enumerate(PROB_TABLE):
         assert ql.prob_index(*event) == i
-        assert ql.prob_label(i) == label
+        assert ql.PROB_LABELS[i] == label
 
 
 def test_pattern_index_roundtrip():
     for i, pattern in enumerate(STRATEGY_TABLE):
         assert fileio._PATTERN_INDEX[pattern] == i
-        assert ql.strategy_pattern(i) == pattern
-        assert ql.strategy_index(*ql.strategy_outcomes(i)) == i
+        assert ql.STRATEGY_PATTERNS[i] == pattern
+        assert ql.strategy_index(*ql.STRATEGY_OUTCOMES[i]) == i
 
 
 def test_strategy_index_formula():
@@ -110,9 +110,6 @@ def test_invalid_encoding_inputs():
         ql.prob_index(1, 2, 1, 2)
     with pytest.raises(ValueError, match="pattern must have 4 characters"):
         ql.parse_measures("+++ 1\n")
-    for lookup in (ql.strategy_outcomes, ql.strategy_pattern):
-        with pytest.raises(ValueError, match=r"^strategy index must be in 0\.\.15, got 16$"):
-            lookup(16)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +467,7 @@ def test_variant_set_is_complete():
 
 def test_chsh_report():
     report = ql.chsh_report(ql.tsirelson_box())
-    assert report.canonical_delta == pytest.approx(2 * RT2, abs=1e-12)
+    assert report.delta(ql.CANONICAL_VARIANT) == pytest.approx(2 * RT2, abs=1e-12)
     assert report.max_abs_delta == pytest.approx(2 * RT2, abs=1e-12)
     assert report.violated(ql.CANONICAL_VARIANT)
     assert report.any_violation
@@ -496,6 +493,15 @@ def test_chsh_matrix_matches_the_per_variant_loop(values):
     assert np.abs(np.array([ql.chsh(p, v) for v in ql.CHSH_VARIANTS]) - loop).max() <= tol
     assert abs(ql.chsh_report(p).max_abs_delta - np.abs(loop).max()) <= tol
     assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
+
+
+def test_each_variant_negates_its_own_pair():
+    # loop_chsh reads pair_sign too; four distinct correlations tell the pairs apart
+    corr = {(1, 1): 0.1, (1, 2): 0.2, (2, 1): 0.3, (2, 2): 0.4}
+    p = np.array([(1 + m * n * corr[j, k]) / 4 for j, k, m, n in ql.PROB_EVENTS])
+    for v in ql.CHSH_VARIANTS:
+        expected = v.overall_sign * (sum(corr.values()) - 2 * corr[v.negated_pair])
+        assert ql.chsh(p, v) == pytest.approx(expected, abs=1e-12)
 
 
 UNNORMALIZED = ql.uniform_box()
@@ -594,6 +600,15 @@ def test_chsh_from_measures_values():
     assert ql.chsh_from_measures(one_hot) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ql.ConsistencyError):
         ql.chsh_from_measures(np.full(16, 0.25))
+
+
+def test_measure_sums_of_nan_are_not_normalized():
+    # inf + (-inf) is NaN, and abs(nan - 1.0) > eps is False: both used to answer
+    m = [0.0] * 12 + [1e308, 1e308, -1e308, -1e308]
+    for evaluate in (ql.chsh_from_measures, ql.negativity_necessity_verdict):
+        with pytest.raises(ql.ConsistencyError,
+                           match=r"^measure vector is not normalized \(sum = nan\)$"):
+            evaluate(m, 1e300)
 
 
 def test_chsh_from_measures_agrees_with_probability_route():
@@ -769,7 +784,8 @@ def test_products_outside_np_errstate_cannot_overflow():
     # partial sum only for matrices with entries of at most 1 in magnitude
     from quasilocal import solver
 
-    for matrix in (model.DEPENDENT_SIGNS, model.CHSH_MATRIX, solver._FAMILY):
+    for matrix in (model.DEPENDENT_SIGNS, model.CHSH_MATRIX, model.FORWARD_MATRIX,
+                   solver._FAMILY):
         assert np.abs(matrix).max() <= 1.0
     below = np.full(16, np.nextafter(model._UNGUARDED_SIZE / 16, 0.0))
     size = float(below.sum())
@@ -779,6 +795,20 @@ def test_products_outside_np_errstate_cannot_overflow():
         assert np.isfinite(model._product(model.CHSH_MATRIX, below, size)).all()
         aligned = 4 * below * model.CHSH_MATRIX[0]          # row 0's sum overflows
         assert np.isinf(model._product(model.CHSH_MATRIX, aligned, 4 * size)[0])
+
+
+def test_public_products_of_huge_finite_inputs_overflow_without_a_warning():
+    # both warned "overflow encountered in matmul" outside np.errstate
+    ind, m = np.full(8, 1.7e308), np.full(16, 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dependent = 0.5 * (1.0 + model.DEPENDENT_SIGNS @ ind)
+        image = model.FORWARD_MATRIX @ m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        box = ql.box_from_independent(ind)
+        assert np.array_equal(ql.forward_map(m), image)
+    assert np.array_equal(box[model._INDEPENDENT], ind)
+    assert np.array_equal(box[model._DEPENDENT], dependent, equal_nan=True)
 
 
 def test_a_pipeline_makes_two_records_scans_once_and_forms_one_chsh_product_per_box(

@@ -89,6 +89,11 @@ def test_state_validation_messages(amplitudes, message):
         ql.TwoQubitState(amplitudes)
 
 
+def test_a_state_needs_4_amplitudes():
+    with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got 3$"):
+        ql.TwoQubitState((1, 0, 0))
+
+
 @pytest.mark.parametrize("components, message", [
     ((np.nan, 0.0, 0.0), "direction contains non-finite components"),
     ((0.0, -np.inf, 0.0), "direction contains non-finite components"),

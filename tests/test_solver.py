@@ -1,5 +1,6 @@
 """Solution-family tests: box embedding, reconstruction, inversion, perfect correlation."""
 
+import math
 import re
 
 import numpy as np
@@ -330,6 +331,11 @@ def test_perfect_correlation_rejects_p3_alone():
     with pytest.raises(ql.ConsistencyError) as err:
         ql.perfect_correlation_solution(p)
     assert str(err.value) == "perfect correlation requires p2 = p3 = 0, got p2 = 0.0, p3 = 1.0"
+
+
+def test_perfect_correlation_needs_a_finite_m16():
+    with pytest.raises(ValueError, match=r"^m16 must be finite, got nan$"):
+        ql.perfect_correlation_solution(ql.pr_box(), math.nan)
 
 
 def test_perfect_correlation_family_is_a_line():
