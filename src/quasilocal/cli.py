@@ -218,7 +218,8 @@ def _cmd_forward(args) -> int:
     p = model.forward_map(m)
     if not np.isfinite(p).all():
         raise _Failure(EXIT_DOMAIN, "the forward image is not finite: the weights overflow")
-    total = model._sum(m.tolist())      # numpy's m.sum(), without its overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(m.sum())
     if abs(total - 1.0) > eps:
         print(f"warning: measures sum to {fileio.format_value(total)}, not 1",
               file=sys.stderr)

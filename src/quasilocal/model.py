@@ -282,13 +282,12 @@ _MARGINAL_TERMS = tuple(zip(_MARGINAL_LABELS, np.concatenate(
      _PROB_INDEX.transpose(1, 3, 0, 2).reshape(4, 4)]).tolist()))
 
 
-def _box_from_independent(ind: np.ndarray, sums=None) -> np.ndarray:
-    """The box from ind in the relation check's own arithmetic: a box
-    consistent at eps rebuilds to one within eps of it in the check's numbers.
-    sums, when given, is DEPENDENT_SIGNS @ ind."""
+def _box_from_independent(ind: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The box from ind and sums = DEPENDENT_SIGNS @ ind in the relation check's own
+    arithmetic: a box consistent at eps rebuilds to one within eps of it in its numbers."""
     box = np.empty(16)
     box[_INDEPENDENT] = ind
-    box[_DEPENDENT] = 0.5 * (1.0 + (DEPENDENT_SIGNS @ ind if sums is None else sums))
+    box[_DEPENDENT] = 0.5 * (1.0 + sums)
     return box
 
 

@@ -29,6 +29,7 @@ from .model import (
     CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
+    DEPENDENT_SIGNS,
     FORWARD_MATRIX,
     OUTCOMES,
     STRATEGY_OUTCOMES,
@@ -141,7 +142,7 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     """
     p = require_consistent(p, eps)
     x = np.concatenate(([1.0], p[_INDEPENDENT]))
-    p_hat = _box_from_independent(x[1:])
+    p_hat = _box_from_independent(x[1:], DEPENDENT_SIGNS @ x[1:])
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the first computes
     # all 8 and the other 7 hit model's cache.  The benchmark's tracer test
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.

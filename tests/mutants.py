@@ -1,7 +1,6 @@
 """Mutation gate: every mutant in MUTANTS must make the test suite fail.
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py 3 7        # the mutants at these positions
+    python3 tests/mutants.py
 
 A mutant is one textual replacement in one file of src/quasilocal.  For each,
 the runner copies src/ to a temporary directory, replaces the old text, which
@@ -124,23 +123,21 @@ def suite_fails(mutant: Mutant | None) -> bool:
     return done.returncode != 0
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     # a suite that fails unmutated (say, pytest is missing) would kill every mutant
     if suite_fails(None):
         raise SystemExit("the test suite fails on an unmutated copy of src/")
-    chosen = [int(a) for a in argv] or range(len(MUTANTS))
     survivors = []
-    for i in chosen:
-        mutant = MUTANTS[i]
+    for i, mutant in enumerate(MUTANTS):
         start = time.perf_counter()
         verdict = "killed" if suite_fails(mutant) else "SURVIVED"
         if verdict == "SURVIVED":
             survivors.append(i)
         print(f"{i:2d} {verdict:<8} {time.perf_counter() - start:5.1f} s  "
               f"{mutant.file}: {mutant.reason}", flush=True)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

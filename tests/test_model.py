@@ -815,7 +815,8 @@ def test_a_pipeline_makes_two_records_scans_once_and_forms_one_chsh_product_per_
         monkeypatch):
     p = ql.tsirelson_box()
     p[1] += 1e-12                               # so the rebuilt box p_hat differs from p
-    p_hat = model._box_from_independent(p[model._INDEPENDENT])
+    p_hat = model._box_from_independent(p[model._INDEPENDENT],
+                                        model.DEPENDENT_SIGNS @ p[model._INDEPENDENT])
     assert p_hat.tobytes() != p.tobytes()
     products = []
     product = model._product
