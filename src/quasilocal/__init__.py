@@ -84,7 +84,6 @@ from .fileio import (
     format_measures,
     measures_object,
     parse_box,
-    parse_free_parameters,
     parse_measures,
 )
 

@@ -73,29 +73,13 @@ def _load_box(args) -> np.ndarray:
     return fileio.parse_box(_read_text(args.input))
 
 
-def _emit(text: str, out_path: str | None = None) -> None:
-    if out_path:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _Failure(EXIT_USAGE, f"cannot write {out_path}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _print_json(obj, out_path: str | None = None) -> None:
+def _print_json(obj) -> None:
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError:          # NaN or +-inf, which JSON has no literal for
         raise _Failure(EXIT_DOMAIN, "the report holds a non-finite number, "
                                     "which JSON cannot represent") from None
-    _emit(text + "\n", out_path)
-
-
-def _violation_json(violation) -> dict:
-    data = asdict(violation)
-    data["description"] = violation.describe()
-    return data
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +96,7 @@ def _cmd_validate(args) -> int:
         _print_json({
             "consistent": consistent,
             "eps": eps,
-            "checks": {name: [_violation_json(v) for v in vs]
+            "checks": {name: [{**asdict(v), "description": v.describe()} for v in vs]
                        for name, vs in checks.items()},
         })
     else:
@@ -155,14 +139,6 @@ def _cmd_chsh(args) -> int:
     return EXIT_OK
 
 
-def _free_parameters(args) -> list[float] | None:
-    if args.free is not None and args.free_file is not None:
-        raise _Failure(EXIT_USAGE, "use either --free or --free-file, not both")
-    if args.free_file is not None:
-        return fileio.parse_free_parameters(_read_text(args.free_file))
-    return args.free
-
-
 def _negative_summary(m: np.ndarray, total: float) -> list[str]:
     negatives = [(i, m[i]) for i in range(16) if m[i] < 0.0]
     if not negatives:
@@ -177,21 +153,18 @@ def _negative_summary(m: np.ndarray, total: float) -> list[str]:
 def _cmd_solve(args) -> int:
     eps = _resolve_eps(args)
     p = _load_box(args)
-    flag = ("--m16" if args.perfect_correlation
-            else "--free" if args.free_file is None else "--free-file")
+    flag = "--m16" if args.perfect_correlation else "--free"
 
     if args.perfect_correlation:
-        if args.free is not None or args.free_file is not None:
-            raise _Failure(EXIT_USAGE,
-                           "--perfect-correlation takes --m16, not --free/--free-file")
+        if args.free is not None:
+            raise _Failure(EXIT_USAGE, "--perfect-correlation takes --m16, not --free")
         m16 = 0.0 if args.m16 is None else args.m16
         m = solver.perfect_correlation_solution(p, m16, eps)
     else:
         if args.m16 is not None:
             raise _Failure(EXIT_USAGE, "--m16 is only meaningful with --perfect-correlation")
-        free = _free_parameters(args)
         try:
-            m = solver.solve(p, free, eps)
+            m = solver.solve(p, args.free, eps)
         except model.ConsistencyError:
             raise
         except ValueError as exc:       # finite free weights whose solution overflows
@@ -206,9 +179,9 @@ def _cmd_solve(args) -> int:
         obj["negative_patterns"] = [model.STRATEGY_PATTERNS[i]
                                     for i in range(16) if m[i] < 0.0]
         obj["total_negativity"] = total
-        _print_json(obj, args.out)
+        _print_json(obj)
     else:
-        _emit(fileio.format_measures(m, comments=_negative_summary(m, total)), args.out)
+        sys.stdout.write(fileio.format_measures(m, comments=_negative_summary(m, total)))
     return EXIT_OK
 
 
@@ -226,7 +199,7 @@ def _cmd_forward(args) -> int:
     if args.format == "json":
         _print_json(fileio.box_object(p))
     else:
-        _emit(fileio.format_box(p))
+        sys.stdout.write(fileio.format_box(p))
     return EXIT_OK
 
 
@@ -301,7 +274,7 @@ def _cmd_qm(args) -> int:
         obj.update(extras)
         _print_json(obj)
     else:
-        _emit(fileio.format_box(p, comments=comments))
+        sys.stdout.write(fileio.format_box(p, comments=comments))
     return EXIT_OK
 
 
@@ -314,12 +287,20 @@ class _ArgumentParser(argparse.ArgumentParser):
     '-.' and a digit, or with -inf or -nan in any case, as a negative number,
     not an option: argparse's own pattern misses scientific notation such as
     -1e-3, and -inf and -nan reach the numeric flags' own finiteness check.
-    No option here looks like a number, so none is shadowed.  Subparsers
-    inherit the class."""
+    No option here looks like a number, so none is shadowed.  It also reads
+    --eps=-- as the value '--', as Python 3.13 does: older versions drop it and
+    hand the flag [], which its type never sees.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def _get_values(self, action, arg_strings):
+        if not (action.option_strings and arg_strings == ["--"]):
+            return super()._get_values(action, arg_strings)
+        value = self._get_value(action, "--")
+        self._check_value(action, value)
+        return value
 
 
 def _finite_float(text: str) -> float:
@@ -361,13 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(solve)
     solve.add_argument("--free", type=_finite_float, nargs=7, metavar="F", default=None,
                        help="free weights m2 m3 m7 m10 m14 m15 m16 (default zeros)")
-    solve.add_argument("--free-file", default=None,
-                       help="file with the 7 free weights (tokens or a JSON array)")
     solve.add_argument("--perfect-correlation", action="store_true",
                        help="use the one-parameter solution for boxes with p2 = p3 = 0")
     solve.add_argument("--m16", type=_finite_float, default=None,
                        help="free weight m16 for --perfect-correlation (default 0)")
-    solve.add_argument("--out", default=None, help="write the measure document here")
     solve.set_defaults(handler=_cmd_solve)
 
     forward = subs.add_parser("forward", help="map a measure document to its box")

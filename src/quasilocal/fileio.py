@@ -18,9 +18,6 @@ written with 17 significant digits so a write/read round trip is exact.
 Both formats also have a JSON alternative: an object with key
 "probabilities" (labels like "a1+b1+") or "measures" (patterns like "+++-")
 mapping to numbers.  Extra top-level keys are ignored on read.
-
-A free-parameter document holds the 7 free weights of the solution family,
-as whitespace-separated numbers or a JSON array.
 """
 
 from __future__ import annotations
@@ -190,13 +187,14 @@ def box_object(p) -> dict:
 _PATTERN_INDEX = {pattern: i for i, pattern in enumerate(STRATEGY_PATTERNS)}
 
 
-def _pattern_strategy(token: str, lineno: int = 0) -> int:
+def _pattern_strategy(token: str, where: str) -> int:
+    """Strategy index of a pattern; where ('line N: ', or '' for a JSON key) prefixes an error."""
     pattern = token.strip().replace("−", "-")
     index = _PATTERN_INDEX.get(pattern)
     if index is None:
         if len(pattern) != 4:
-            raise ParseError(f"line {lineno}: pattern must have 4 characters, got {token!r}")
-        raise ParseError(f"line {lineno}: bad pattern {token!r}")
+            raise ParseError(f"{where}pattern must have 4 characters, got {token!r}")
+        raise ParseError(f"{where}bad pattern {token!r}")
     return index
 
 
@@ -209,7 +207,7 @@ def parse_measures(text: str) -> np.ndarray:
         if not isinstance(table, dict):
             raise ParseError('JSON measure document needs a "measures" object')
         for pattern, value in table.items():
-            idx = _pattern_strategy(str(pattern))
+            idx = _pattern_strategy(str(pattern), "")
             if idx in values:
                 raise ParseError(f"duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
             values[idx] = _json_number(value, f"pattern {pattern!r}")
@@ -219,7 +217,7 @@ def parse_measures(text: str) -> np.ndarray:
         tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<pattern> <value>', got {line!r}")
-        idx = _pattern_strategy(tokens[0], lineno)
+        idx = _pattern_strategy(tokens[0], f"line {lineno}: ")
         value = _parse_number(tokens[1], lineno)
         if idx in values:
             raise ParseError(f"line {lineno}: duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
@@ -243,27 +241,6 @@ def measures_object(m) -> dict:
     """JSON-ready form of a measure vector."""
     values = np.asarray(m, dtype=float).tolist()
     return {"measures": dict(zip(STRATEGY_PATTERNS, values, strict=True))}
-
-
-# ---------------------------------------------------------------------------
-# Free-parameter documents
-# ---------------------------------------------------------------------------
-
-def parse_free_parameters(text: str) -> list[float]:
-    """Parse the 7 free weights (m2, m3, m7, m10, m14, m15, m16): a JSON
-    array of numbers, or whitespace-separated numbers over any lines."""
-    if text.lstrip().startswith("["):
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:   # JSONDecodeError, or an integer literal over 4300 digits
-            raise ParseError(f"invalid free-parameter JSON: {exc}") from None
-        values = [_json_number(v, f"free parameter {i + 1}") for i, v in enumerate(doc)]
-    else:
-        values = [_parse_number(token, lineno)
-                  for lineno, line in _clean_lines(text) for token in line.split()]
-    if len(values) != 7:
-        raise ParseError(f"expected 7 free parameters, got {len(values)}")
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@
 A mutant is one textual replacement in one file of src/quasilocal.  For each,
 the runner copies src/ to a temporary directory, replaces the old text, which
 must occur exactly once, and runs `pytest -x` on tests/ with RuntimeWarning as
-an error, Hypothesis seeded, so a verdict does not depend on a random draw,
-and PYTHONPATH pointing at the copy.  The mutant is killed when
-pytest reports a failure or an error (exit 1 or 2), and survives when it
-passes.  The suite runs once unmutated first and must pass there.  The run
-exits 1 if any mutant survives.  It needs only the standard library beside
-the test suite's own requirements.
+an error and PYTHONPATH pointing at the copy; tests/conftest.py derandomizes
+Hypothesis, so a verdict does not depend on a random draw.  The mutant is
+killed when pytest reports a failure or an error (exit 1 or 2), and survives
+when it passes.  The suite runs once unmutated first and must pass there.
+The run exits 1 if any mutant survives.  It needs only the standard library
+beside the test suite's own requirements.
 
 tests/test_mutants.py checks in tier-1 that each old text still occurs
 exactly once, so a change that rewrites a mutated line fails there and has to
@@ -84,9 +84,19 @@ MUTANTS = (
            "the Born rule ignores the outcome on the z component"),
     Mutant("quantum.py", "t = math.atan2(s2, s1)", "t = math.atan2(s1, s2)",
            "maximize_chsh splits the b directions at the wrong angle"),
-    Mutant("cli.py", 'EXIT_USAGE, "use either --free or --free-file, not both"',
-           'EXIT_DOMAIN, "use either --free or --free-file, not both"',
-           "--free with --free-file exits 1, not 2"),
+    Mutant("cli.py", 'EXIT_USAGE, "--perfect-correlation takes --m16, not --free"',
+           'EXIT_DOMAIN, "--perfect-correlation takes --m16, not --free"',
+           "--perfect-correlation with --free exits 1, not 2"),
+    Mutant("cli.py", 'flag = "--m16" if args.perfect_correlation else "--free"',
+           'flag = "--free"',
+           "an overflow at --m16 names --free"),
+    Mutant("cli.py", "if args.m16 is not None:", "if False:",
+           "--m16 without --perfect-correlation is ignored"),
+    Mutant("cli.py", 'if not (action.option_strings and arg_strings == ["--"]):', "if True:",
+           "--eps=-- reaches the flag as [] before Python 3.13"),
+    Mutant("fileio.py", '_pattern_strategy(str(pattern), "")',
+           '_pattern_strategy(str(pattern), "line 0: ")',
+           "a bad JSON measure pattern names line 0"),
     Mutant("cli.py", "    if abs(total - 1.0) > eps:\n        print(f\"warning",
            "    if abs(total - 1.0) > 1.0:\n        print(f\"warning",
            "forward stops warning on measures that sum to 0.5"),
@@ -116,7 +126,7 @@ def suite_fails(mutant: Mutant | None) -> bool:
                    HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hypothesis"))
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "-W", "error::RuntimeWarning", "tests"],
+             "-W", "error::RuntimeWarning", "tests"],
             cwd=ROOT, env=env, capture_output=True, text=True)
     if done.returncode not in (0, 1, 2):
         raise SystemExit(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")
