@@ -22,8 +22,6 @@ from .model import (
     PLUS,
     PROB_EVENTS,
     PROB_LABELS,
-    SIGMA1_STRATEGIES,
-    SIGMA2_STRATEGIES,
     STRATEGY_OUTCOMES,
     STRATEGY_PATTERNS,
     BlockViolation,
@@ -31,25 +29,21 @@ from .model import (
     ChshVariant,
     ConsistencyError,
     MarginalViolation,
-    NecessityVerdict,
     RangeViolation,
     RelationViolation,
-    Sigmas,
     as_measure_vector,
     as_probability_set,
     box_from_independent,
     check_consistency,
     chsh,
-    chsh_from_measures,
     chsh_report,
     correlation,
     deterministic_box,
     forward_map,
-    negativity_necessity_verdict,
     pr_box,
     prob_index,
     require_consistent,
-    sigmas,
+    sigma_minus,
     strategy_index,
     total_negativity,
     tsirelson_box,

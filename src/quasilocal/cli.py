@@ -289,10 +289,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     -1e-3, and -inf and -nan reach the numeric flags' own finiteness check.
     No option here looks like a number, so none is shadowed.  It also reads
     --eps=-- as the value '--', as Python 3.13 does: older versions drop it and
-    hand the flag [], which its type never sees.  Subparsers inherit the class."""
+    hand the flag [], which its type never sees.  A long option is read only
+    when spelled in full: a prefix would change meaning as options come and
+    go.  Subparsers inherit the class."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def _get_values(self, action, arg_strings):

@@ -11,19 +11,20 @@ This module pins the canonical encodings (strategy order, probability order),
 the linear forward map from measures to probabilities, the consistency checks
 a probability set must satisfy (block normalization, no-signaling, and the
 derived-entry relations equivalent to their conjunction), and the CHSH
-machinery: correlation coefficients, the 8 CHSH sign variants, the
-complementary strategy-subset sums sigma1/sigma2, and the necessity verdict
-linking CHSH violation to negative weights.
+machinery: correlation coefficients, the 8 CHSH sign variants, and the
+paper's necessity argument for each of them (sigma_minus): a measure vector
+whose box violates a variant carries negative weight.
 
 The encodings are stated once, as two tables: STRATEGY_OUTCOMES, the
 outcomes (a1, b1, a2, b2) of each strategy, and PROB_EVENTS, the event
 (j, k, m, n) of each probability.  Every index, label and permutation is
 read off them, FORWARD_MATRIX too, and every other constant map is derived
 from FORWARD_MATRIX at import: the relation table DEPENDENT_SIGNS (a least-squares
-solution, rounded to the nearest half), the strategies' CHSH values and the
-sigma1/sigma2 split.  An index is read by indexing a table: STRATEGY_OUTCOMES[i]
-and PROB_EVENTS[i], or their labels STRATEGY_PATTERNS[i] ('+++-') and
-PROB_LABELS[i] ('a1+b1+'); strategy_index and prob_index go the other way.
+solution, rounded to the nearest half) and the strategies' CHSH values, whose
+signs pick the strategies sigma_minus sums.  An index is read by indexing a
+table: STRATEGY_OUTCOMES[i] and PROB_EVENTS[i], or their labels
+STRATEGY_PATTERNS[i] ('+++-') and PROB_LABELS[i] ('a1+b1+'); strategy_index
+and prob_index go the other way.
 
 Everything here is a pure function of immutable values.  Measure vectors and
 probability sets are plain length-16 float arrays in the canonical orders
@@ -416,28 +417,6 @@ def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Sigmas:
-    """The two complementary 8-strategy weight sums.
-
-    sigma1 sums the strategies whose deterministic CHSH value is -2,
-    sigma2 the rest; for a normalized measure vector sigma2 = 1 - sigma1
-    and the canonical CHSH sum is 2 * (1 - 2 * sigma1).
-    """
-    sigma1: float
-    sigma2: float
-
-
-def _sigmas(m: np.ndarray) -> Sigmas:
-    v = m.tolist()
-    s1 = _sum([v[i] for i in SIGMA1_STRATEGIES])
-    return Sigmas(s1, _sum(v) - s1)
-
-
-def sigmas(m) -> Sigmas:
-    return _sigmas(as_measure_vector(m))
-
-
-@dataclass(frozen=True)
 class ChshVariant:
     """One of the 8 sign choices of the CHSH sum.
 
@@ -482,10 +461,8 @@ CHSH_MATRIX.setflags(write=False)
 _STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
 _STRATEGY_CHSH.setflags(write=False)
 
-#: Strategies contributing to sigma1: those whose deterministic CHSH value
-#: under CANONICAL_VARIANT (row 0) is -2.  The complementary 8 make up sigma2.
-SIGMA1_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] < 0).tolist())
-SIGMA2_STRATEGIES = tuple(np.flatnonzero(_STRATEGY_CHSH[0] > 0).tolist())
+#: Row v lists the strategies whose CHSH value under CHSH_VARIANTS[v] is -2.
+_MINUS_STRATEGIES = tuple(np.flatnonzero(row < 0).tolist() for row in _STRATEGY_CHSH)
 
 #: Row of each of CHSH_VARIANTS in CHSH_MATRIX and in ChshReport.deltas, by
 #: identity: the dataclass hash costs more than the lookup.
@@ -527,22 +504,6 @@ def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) 
     return _box(_shaped16(p).tobytes(), eps).deltas()[_variant_row(variant)]
 
 
-def _normalized_measure(m, eps: float) -> np.ndarray:
-    """m as a measure vector, raising ConsistencyError unless it sums to 1
-    within eps."""
-    m = as_measure_vector(m)
-    _check_eps(eps)
-    total = _sum(m.tolist())
-    if not abs(total - 1.0) <= eps:           # a NaN sum (inf - inf) fails too
-        raise ConsistencyError(f"measure vector is not normalized (sum = {total!r})")
-    return m
-
-
-def chsh_from_measures(m, eps: float = DEFAULT_EPS) -> float:
-    """Canonical CHSH sum predicted by a normalized measure vector: 2*(1 - 2*sigma1)."""
-    return 2.0 * (1.0 - 2.0 * _sigmas(_normalized_measure(m, eps)).sigma1)
-
-
 def _max_abs(values) -> float:
     """Largest |v|, or NaN when any v is NaN, as numpy's max gives."""
     magnitudes = [abs(v) for v in values]
@@ -580,24 +541,18 @@ def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
 # Negativity necessity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NecessityVerdict:
-    """Relates CHSH violation, the sigma1 range, and negative weights.
+def sigma_minus(m) -> tuple[float, ...]:
+    """The weight of m on the 8 strategies with CHSH value -2 under each
+    variant, aligned with CHSH_VARIANTS.
 
-    violates_canonical_chsh is true exactly when sigma1 leaves [0, 1], which
-    guarantees has_negative_entry; the converse fails (a measure vector can
-    carry negative weight without violating CHSH).
+    Total function, like forward_map.  For any m, CHSH_MATRIX @ forward_map(m)
+    is 2 * sum(m) - 4 * sigma_minus(m) row by row, so a normalized m whose box
+    violates variant v (CHSH sum above 2) has sigma_minus(m)[v] < 0: some
+    weight is negative.  The converse fails: m may carry negative weight and
+    violate no variant.
     """
-    violates_canonical_chsh: bool
-    has_negative_entry: bool
-
-
-def negativity_necessity_verdict(m, eps: float = DEFAULT_EPS) -> NecessityVerdict:
-    m = _normalized_measure(m, eps)
-    return NecessityVerdict(
-        violates_canonical_chsh=not -eps <= _sigmas(m).sigma1 <= 1.0 + eps,
-        has_negative_entry=bool(np.any(m < 0.0)),
-    )
+    v = as_measure_vector(m).tolist()
+    return tuple([_sum([v[i] for i in row]) for row in _MINUS_STRATEGIES])
 
 
 def _total_negativity(m: np.ndarray) -> float:
@@ -636,7 +591,9 @@ def tsirelson_box() -> np.ndarray:
 
 
 def deterministic_box(strategy: int = 0) -> np.ndarray:
-    """The box produced by a single deterministic strategy (default ++++)."""
-    m = np.zeros(16)
-    m[strategy] = 1.0
-    return forward_map(m)
+    """The box produced by a single deterministic strategy (default ++++):
+    strategy is its position in STRATEGY_OUTCOMES, an integer in 0..15."""
+    if (isinstance(strategy, bool) or not isinstance(strategy, (int, np.integer))
+            or not 0 <= strategy < 16):
+        raise ValueError(f"strategy must be an integer in 0..15, got {strategy!r}")
+    return FORWARD_MATRIX[:, strategy].copy()

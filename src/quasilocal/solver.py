@@ -4,8 +4,9 @@ A consistent probability set leaves only 8 of its 16 entries independent, so
 the 16 measure weights are underdetermined: fixing the 7 weights
 (m2, m3, m7, m10, m14, m15, m16) determines the remaining 9 uniquely.  The
 resulting family, the paper's general solution, is affine in the free
-weights, always sums to 1, and always reproduces the input box; its sigma1
-value is pinned by the box alone.  solve is its one entry point.
+weights, always sums to 1, and always reproduces the input box; its weight
+on the strategies with CHSH value -2 under each variant (model.sigma_minus)
+is pinned by the box alone.  solve is its one entry point.
 
 The family is the preimage of the box under FORWARD_MATRIX, derived from it
 at import: the 9 solved columns of F have rank 9, so solving them against the
@@ -72,10 +73,11 @@ def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
 
     Affine in the free weights, which may take any finite real values: the
     result always sums to 1 and its forward map always reproduces p's
-    independent entries and the dependent ones they imply.  Its sigma1
-    equals (3 - sum of the independent probabilities) / 2 regardless of the
-    free weights.  Raises ValueError unless free has 7 finite entries and the
-    result is finite, and ConsistencyError if p fails a check at eps.
+    independent entries and the dependent ones they imply.  Its
+    sigma_minus is (2 - delta_v) / 4 in each variant v, delta_v the box's
+    CHSH sum, whatever the free weights.  Raises ValueError unless free has
+    7 finite entries and the result is finite, and ConsistencyError if p
+    fails a check at eps.
     """
     free = _NO_FREE if free is None else np.asarray(free, dtype=float)
     if free.shape != (7,):

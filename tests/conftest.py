@@ -18,6 +18,22 @@ OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
                0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
 
 
+def minus_strategies(variant=0):
+    """The strategies whose CHSH value under CHSH_VARIANTS[variant] is -2,
+    read off CHSH_MATRIX @ FORWARD_MATRIX (variant 0 is the canonical one)."""
+    from quasilocal import CHSH_MATRIX, FORWARD_MATRIX
+
+    return np.flatnonzero((CHSH_MATRIX @ FORWARD_MATRIX)[variant] < 0)
+
+
+def extremal_measures():
+    """The paper's signed model of the Tsirelson box: (1 - sqrt2)/16 on the
+    strategies with canonical CHSH value -2, (1 + sqrt2)/16 on the rest."""
+    m = np.full(16, (1 + np.sqrt(2.0)) / 16)
+    m[minus_strategies()] = (1 - np.sqrt(2.0)) / 16
+    return m
+
+
 def random_nonnegative_measures(rng, count=1):
     """Random nonnegative normalized weight vectors, shape (count, 16)."""
     w = rng.uniform(0.0, 1.0, size=(count, 16))

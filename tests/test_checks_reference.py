@@ -35,6 +35,7 @@ from quasilocal.model import (
     RelationViolation,
     _check_eps,
 )
+from conftest import minus_strategies
 
 # ---------------------------------------------------------------------------
 # Reference: numpy masks over the whole vector
@@ -325,9 +326,8 @@ def test_block_sums_match_numpy_bit_for_bit_without_a_warning(values, eps):
     assert got == want
 
 
-def ref_sigmas(m):
-    s1 = ref_sum(np.array(m)[list(model.SIGMA1_STRATEGIES)])
-    return model.Sigmas(s1, ref_sum(m) - s1)
+def ref_sigma_minus(m):
+    return tuple(ref_sum(np.array(m)[minus_strategies(v)]) for v in range(8))
 
 
 @given(st.lists(BLOCK_ENTRY, min_size=16, max_size=16))
@@ -338,20 +338,7 @@ def ref_sigmas(m):
 def test_weight_sums_match_numpy_bit_for_bit_without_a_warning(weights):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = (ql.total_negativity(weights), ql.sigmas(weights),
-               warning_outcome(ql.chsh_from_measures, weights, 1e300),
-               warning_outcome(ql.negativity_necessity_verdict, weights, 1e300))
+        got = (ql.total_negativity(weights), ql.sigma_minus(weights))
     with np.errstate(over="ignore", invalid="ignore"):
-        sigmas = ref_sigmas(weights)
-        total = ref_sum(weights)
-        normalized = abs(total - 1.0) <= 1e300          # the gate's own comparison
-        want = (ref_sum(np.maximum(0.0, -np.array(weights))), sigmas,
-                ("returned", key(2.0 * (1.0 - 2.0 * sigmas.sigma1))) if normalized else None,
-                ("returned", key(model.NecessityVerdict(
-                    not -1e300 <= sigmas.sigma1 <= 1.0 + 1e300,
-                    bool(np.any(np.array(weights) < 0.0))))) if normalized else None)
-    assert key(got[:2]) == key(want[:2])
-    if normalized:
-        assert got[2:] == want[2:]
-    else:
-        assert all(o[0] == "raised" and "not normalized" in o[2] for o in got[2:])
+        want = (ref_sum(np.maximum(0.0, -np.array(weights))), ref_sigma_minus(weights))
+    assert key(got) == key(want)

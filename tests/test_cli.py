@@ -271,6 +271,21 @@ def test_a_double_dash_flag_value_is_a_usage_error(run, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--e", "1e-3"],
+    ["solve", "--perf"],
+    ["solve", "--fre", "0.5", "0", "0", "0", "0", "0", "0"],
+    ["qm", "--st", "singlet", "--max"],
+], ids=["eps", "perfect-correlation", "free", "state-maximize"])
+def test_a_prefix_of_a_long_option_is_a_usage_error(run, argv):
+    # argparse's allow_abbrev read each as the option it starts: a prefix
+    # that is unique today is ambiguous, or another option, tomorrow
+    box = box_object_text(ql.pr_box() if "--perf" in argv else ql.tsirelson_box())
+    code, out, err = run(argv, box)
+    assert (code, out) == (2, "")
+    assert "error: " in err
+
+
 def test_an_eps_from_the_environment_that_is_not_a_number_is_a_usage_error(run, monkeypatch):
     monkeypatch.setenv("QUASILOCAL_EPS", "abc")
     code, out, err = run(["validate", str(fixture_path("uniform.box"))])

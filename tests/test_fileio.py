@@ -19,14 +19,7 @@ from quasilocal.fileio import (
     parse_box,
     parse_measures,
 )
-
-RT2 = np.sqrt(2.0)
-
-
-def extremal_measures():
-    m = np.full(16, (1 + RT2) / 16)
-    m[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    return m
+from conftest import extremal_measures
 
 
 def reference_parse_box(text):

@@ -1,6 +1,7 @@
 """Core model tests: encodings, forward map, consistency checks, CHSH."""
 
 import inspect
+import math
 import re
 import warnings
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import fileio, model
-from conftest import (OVERFLOWING, random_consistent_box, random_nonnegative_measures,
-                      random_signed_measures)
+from conftest import (OVERFLOWING, extremal_measures, minus_strategies, random_consistent_box,
+                      random_nonnegative_measures, random_signed_measures)
 from test_checks_reference import ref_check_consistency
 
 RT2 = np.sqrt(2.0)
@@ -130,9 +131,7 @@ def test_forward_one_hot_all_plus():
 
 
 def test_forward_extremal_measures():
-    m = np.full(16, (1 + RT2) / 16)
-    m[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    p = ql.forward_map(m)
+    p = ql.forward_map(extremal_measures())
     expected = np.full(16, (2 - RT2) / 8)
     expected[list(ql.INDEPENDENT_INDICES)] = (2 + RT2) / 8
     assert np.allclose(p, expected, atol=1e-15)
@@ -278,9 +277,6 @@ def test_check_consistency_rejects_bad_eps(eps):
         "chsh": lambda e: ql.chsh(unnormalized, eps=e),
         "chsh_report": lambda e: ql.chsh_report(unnormalized, e),
         "chsh_lower_bound": lambda e: ql.chsh_lower_bound(unnormalized, e),
-        "chsh_from_measures": lambda e: ql.chsh_from_measures(unnormalized, e),
-        "negativity_necessity_verdict":
-            lambda e: ql.negativity_necessity_verdict(unnormalized, e),
         "solve": lambda e: ql.solve(signalling, eps=e),
         "perfect_correlation_solution":
             lambda e: ql.perfect_correlation_solution(ql.pr_box(), 0.0, e),
@@ -354,9 +350,10 @@ def reference_check_derived_relations(p, eps):
 
 def test_derived_constants_match_the_hand_tables():
     assert np.array_equal(model.DEPENDENT_SIGNS, REFERENCE_DEPENDENT_SIGNS)
-    assert ql.SIGMA1_STRATEGIES == (3, 4, 5, 7, 8, 10, 11, 12)
-    assert ql.SIGMA2_STRATEGIES == (0, 1, 2, 6, 9, 13, 14, 15)
-    assert all(type(s) is int for s in ql.SIGMA1_STRATEGIES + ql.SIGMA2_STRATEGIES)
+    # the canonical variant's C = -2 strategies, and the negated variant's
+    assert model._MINUS_STRATEGIES[0] == [3, 4, 5, 7, 8, 10, 11, 12]
+    assert model._MINUS_STRATEGIES[4] == [0, 1, 2, 6, 9, 13, 14, 15]
+    assert all(type(s) is int for row in model._MINUS_STRATEGIES for s in row)
 
 
 def test_box_embedding_is_an_exact_half_integer_least_squares_solution():
@@ -557,116 +554,97 @@ def test_chsh_functions_reject_unnormalized_boxes(evaluate, p, error):
 
 
 # ---------------------------------------------------------------------------
-# Sigma sums and the necessity of negative weights
+# The weight on the C_v = -2 strategies and the necessity of negative weights
 # ---------------------------------------------------------------------------
 
-def test_sigmas_values():
-    assert ql.sigmas(np.full(16, 1 / 16)) == ql.Sigmas(0.5, 0.5)
+#: Weights that numpy sums to NaN (inf - inf) and whose box is finite, each
+#: block summing to 0 exactly: the gate reads the box's block sums.
+NAN_SUM = np.zeros(16)
+NAN_SUM[[0, 10]], NAN_SUM[[4, 14]] = 1e308, -1e308
+
+
+def test_sigma_minus_values():
+    assert ql.sigma_minus(np.full(16, 1 / 16)) == (0.5,) * 8
+    assert ql.sigma_minus(np.full(16, 0.25)) == (2.0,) * 8      # sums to 4: the total counts
+    s = ql.sigma_minus(extremal_measures())
+    assert s[0] == pytest.approx((1 - RT2) / 2, abs=1e-12)
+    assert s[4] == pytest.approx((1 + RT2) / 2, abs=1e-12)     # the canonical variant negated
     m = np.zeros(16)
-    m[0] = 1.0
-    assert ql.sigmas(m) == ql.Sigmas(0.0, 1.0)
-    extremal = np.full(16, (1 + RT2) / 16)
-    extremal[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    s = ql.sigmas(extremal)
-    assert s.sigma1 == pytest.approx((1 - RT2) / 2, abs=1e-12)
-    assert s.sigma2 == pytest.approx((1 + RT2) / 2, abs=1e-12)
+    m[3], m[0] = -1 / 16, 17 / 16
+    assert ql.sigma_minus(m)[0] == -1 / 16
 
 
-def test_sigmas_unnormalized_uses_total():
-    m = np.full(16, 0.25)  # sums to 4
-    s = ql.sigmas(m)
-    assert s.sigma1 == pytest.approx(2.0)
-    assert s.sigma2 == pytest.approx(2.0)
-
-
-def test_sigma_strategy_split_matches_deterministic_chsh():
-    # sigma1 collects exactly the strategies with canonical CHSH value -2
+def test_sigma_minus_rows_are_the_chsh_minus_2_strategies():
     for s in range(16):
-        delta = ql.chsh(ql.deterministic_box(s))
-        if s in ql.SIGMA1_STRATEGIES:
-            assert delta == pytest.approx(-2.0)
-        else:
-            assert s in ql.SIGMA2_STRATEGIES
-            assert delta == pytest.approx(2.0)
+        one_hot = np.zeros(16)
+        one_hot[s] = 1.0
+        box = ql.deterministic_box(s)
+        assert ql.sigma_minus(one_hot) == tuple(
+            1.0 if ql.chsh(box, variant) == -2.0 else 0.0 for variant in ql.CHSH_VARIANTS)
 
 
-def test_chsh_from_measures_values():
-    assert ql.chsh_from_measures(np.full(16, 1 / 16)) == pytest.approx(0.0, abs=1e-12)
-    extremal = np.full(16, (1 + RT2) / 16)
-    extremal[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    assert ql.chsh_from_measures(extremal) == pytest.approx(2 * RT2, abs=1e-12)
-    one_hot = np.zeros(16)
-    one_hot[0] = 1.0
-    assert ql.chsh_from_measures(one_hot) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ql.ConsistencyError):
-        ql.chsh_from_measures(np.full(16, 0.25))
-
-
-def test_measure_sums_of_nan_are_not_normalized():
-    # inf + (-inf) is NaN, and abs(nan - 1.0) > eps is False: both used to answer
-    m = [0.0] * 12 + [1e308, 1e308, -1e308, -1e308]
-    for evaluate in (ql.chsh_from_measures, ql.negativity_necessity_verdict):
-        with pytest.raises(ql.ConsistencyError,
-                           match=r"^measure vector is not normalized \(sum = nan\)$"):
-            evaluate(m, 1e300)
-
-
-def test_chsh_from_measures_agrees_with_probability_route():
+def test_chsh_is_2_sum_minus_4_sigma_minus():
     rng = np.random.default_rng(17)
     for m in random_signed_measures(rng, count=1000):
-        assert abs(ql.chsh_from_measures(m) - ql.chsh(ql.forward_map(m))) < 1e-9
+        deltas = ql.chsh_report(ql.forward_map(m)).deltas
+        assert np.allclose(deltas, 2.0 - 4.0 * np.array(ql.sigma_minus(m)), rtol=0, atol=1e-9)
+    # unnormalized too, through the CHSH matrix: chsh_report would refuse it
+    for m in rng.uniform(-3.0, 3.0, size=(200, 16)):
+        deltas = ql.CHSH_MATRIX @ ql.forward_map(m)
+        assert np.allclose(deltas, 2.0 * m.sum() - 4.0 * np.array(ql.sigma_minus(m)),
+                           rtol=0, atol=1e-12)
+    assert ql.chsh_report(ql.forward_map(extremal_measures())).deltas[0] == pytest.approx(
+        2 * RT2, abs=1e-12)
 
 
-def test_sigma_interval_iff_chsh_bounded():
+def test_chsh_of_an_unnormalized_measure_vector_raises():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(NAN_SUM.sum())
+    for m in (np.full(16, 0.25), NAN_SUM):
+        with pytest.raises(ql.ConsistencyError,
+                           match=r"^cannot evaluate CHSH on an unnormalized probability set$"):
+            ql.chsh_report(ql.forward_map(m))
+
+
+def test_sigma_minus_in_the_unit_interval_iff_chsh_bounded():
     rng = np.random.default_rng(29)
     eps = 1e-9
     for m in random_signed_measures(rng, count=300):
-        s1 = ql.sigmas(m).sigma1
-        delta = ql.chsh_from_measures(m)
-        assert (-eps <= s1 <= 1 + eps) == (abs(delta) <= 2 + 4 * eps)
+        for s, delta in zip(ql.sigma_minus(m), ql.chsh_report(ql.forward_map(m)).deltas):
+            assert (-eps <= s <= 1 + eps) == (abs(delta) <= 2 + 4 * eps)
 
 
-def test_necessity_verdict_examples():
-    extremal = np.full(16, (1 + RT2) / 16)
-    extremal[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    v = ql.negativity_necessity_verdict(extremal)
-    assert (v.violates_canonical_chsh, v.has_negative_entry) == (True, True)
-
-    v = ql.negativity_necessity_verdict(np.full(16, 1 / 16))
-    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, False)
-
-    # negative weight without violation: sigma1 = 0 stays inside [0, 1]
-    m = np.zeros(16)
-    m[0] = 17 / 16
-    m[1] = -1 / 16
-    v = ql.negativity_necessity_verdict(m)
-    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, True)
+def necessity(m, eps=ql.DEFAULT_EPS):
+    """The variants whose sigma_minus is below -eps, and whether m has a negative weight."""
+    return [v for v, s in enumerate(ql.sigma_minus(m)) if s < -eps], bool((m < 0).any())
 
 
-def test_necessity_verdict_at_sigma1_equal_to_minus_eps():
-    # sigma1 = -eps exactly is inside the tolerance: the interval is closed
-    m = np.zeros(16)
-    m[ql.SIGMA1_STRATEGIES[0]] = -1 / 16
-    m[ql.SIGMA2_STRATEGIES[0]] = 17 / 16
-    assert ql.sigmas(m).sigma1 == -1 / 16
-    v = ql.negativity_necessity_verdict(m, eps=1 / 16)
-    assert (v.violates_canonical_chsh, v.has_negative_entry) == (False, True)
-    v = ql.negativity_necessity_verdict(m, eps=np.nextafter(1 / 16, 0.0))
-    assert v.violates_canonical_chsh
+def test_necessity_examples():
+    assert necessity(extremal_measures()) == ([0], True)
+    assert necessity(np.full(16, 1 / 16)) == ([], False)
+    # negative weight without violation: ++++ and ---- share their CHSH values
+    m = np.full(16, 1 / 16)
+    m[0], m[15] = -1 / 16, 3 / 16
+    assert ql.sigma_minus(m) == (0.5,) * 8
+    assert necessity(m) == ([], True)
 
 
-def test_violation_implies_negative_entry():
+def test_a_violated_variant_forces_a_negative_weight():
     rng = np.random.default_rng(31)
     measures = list(random_signed_measures(rng, count=500))
-    # adversarial: maximal violation puts all weight of sigma1 at -2 each
-    worst = np.full(16, 0.0)
-    worst[list(ql.SIGMA2_STRATEGIES)] = 3 / 8
-    worst[list(ql.SIGMA1_STRATEGIES)] = -1 / 4
-    measures.append(worst)
+    # adversarial: the largest violation of each variant with weights in [-1/4, 3/8]
+    for v in range(8):
+        worst = np.full(16, 3 / 8)
+        worst[minus_strategies(v)] = -1 / 4
+        measures.append(worst)
+    violated = set()
     for m in measures:
-        verdict = ql.negativity_necessity_verdict(m)
-        if verdict.violates_canonical_chsh:
-            assert verdict.has_negative_entry
+        deltas = ql.chsh_report(ql.forward_map(m)).deltas
+        for v in np.flatnonzero(np.array(deltas) > 2 + 4 * ql.DEFAULT_EPS):
+            forced, negative = necessity(m)
+            assert v in forced and negative
+            violated.add(v)
+    assert violated == set(range(8))
 
 
 def test_total_negativity():
@@ -694,6 +672,21 @@ def test_box_values():
     assert t[1] == pytest.approx((2 - RT2) / 8)
     d = ql.deterministic_box(0)
     assert d[[0, 4, 8, 12]].sum() == pytest.approx(4.0)
+
+
+def test_deterministic_box_is_the_image_of_one_strategy():
+    for s in (*range(16), np.int64(5)):
+        one_hot = np.zeros(16)
+        one_hot[s] = 1.0
+        assert np.array_equal(ql.deterministic_box(s), ql.forward_map(one_hot))
+
+
+@pytest.mark.parametrize("strategy", [-1, 16, True, False, 2.0, np.float64(3), "0", None])
+def test_deterministic_box_rejects_anything_but_a_strategy_index(strategy):
+    # -1 gave strategy 15's box, True a box of 4.0s, 16 and 2.0 an IndexError
+    message = f"strategy must be an integer in 0..15, got {strategy!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ql.deterministic_box(strategy)
 
 
 # ---------------------------------------------------------------------------

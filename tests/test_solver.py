@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import model, solver
-from conftest import random_consistent_box, random_nonnegative_measures
+from conftest import (extremal_measures, minus_strategies, random_consistent_box,
+                      random_nonnegative_measures)
 
 RT2 = np.sqrt(2.0)
 IND = list(ql.INDEPENDENT_INDICES)
-
-
-def extremal_measures():
-    m = np.full(16, (1 + RT2) / 16)
-    m[list(ql.SIGMA1_STRATEGIES)] = (1 - RT2) / 16
-    return m
 
 
 # PR-box member of the one-parameter perfect-correlation family at m16 = 0,
@@ -191,7 +186,7 @@ def test_general_solution_pr_box_with_chosen_free_weights():
     assert np.allclose(m, PR_WITNESS, atol=1e-15)
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(ql.forward_map(m), ql.pr_box(), atol=1e-12)
-    assert ql.sigmas(m).sigma1 == pytest.approx(-0.5, abs=1e-12)
+    assert ql.sigma_minus(m)[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_solve_examples():
@@ -279,14 +274,30 @@ def test_solve_is_affine_in_free_weights():
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_sigma1_depends_only_on_the_box():
+def test_sigma_minus_depends_only_on_the_box():
     rng = np.random.default_rng(19)
     for _ in range(20):
         p = random_consistent_box(rng)
-        expected = 0.5 * (3.0 - p[list(ql.INDEPENDENT_INDICES)].sum())
+        expected = [(2.0 - delta) / 4.0 for delta in ql.chsh_report(p).deltas]
         for _ in range(10):
             f = rng.uniform(-10, 10, 7)
-            assert ql.sigmas(ql.solve(p, f)).sigma1 == pytest.approx(expected, abs=1e-9)
+            assert np.allclose(ql.sigma_minus(ql.solve(p, f)), expected, rtol=0, atol=1e-9)
+
+
+def test_the_family_reproduces_the_box_and_pins_sigma_minus_exactly():
+    # The family as one 16x16 matrix: the weights in strategy order are
+    # family @ (1, p_ind, free).  Every entry is a multiple of 1/2, so the
+    # products are exact: each identity holds for every member of every box.
+    family = np.zeros((16, 16))
+    family[list(ql.SOLVED_INDICES)] = solver._FAMILY
+    family[list(ql.FREE_INDICES), 9:] = np.eye(7)
+    assert np.array_equal(ql.FORWARD_MATRIX @ family,
+                          np.hstack([model._BOX_EMBEDDING, np.zeros((16, 7))]))
+    # sigma_v- = (2 - delta_v) / 4 in every variant, with no free weight in it
+    for v in range(8):
+        pinned = (2.0 * np.eye(9)[0] - ql.CHSH_MATRIX[v] @ model._BOX_EMBEDDING) / 4.0
+        assert np.array_equal(family[minus_strategies(v)].sum(axis=0),
+                              np.concatenate([pinned, np.zeros(7)]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +326,7 @@ def test_perfect_correlation_pr_box():
     m = ql.perfect_correlation_solution(p, m16=0.0)
     assert np.allclose(m, PR_WITNESS, atol=1e-15)
     assert m[3] + m[12] == pytest.approx(1.0 - p[7] - p[8] - p[14], abs=1e-12)
-    assert ql.chsh_from_measures(m) == pytest.approx(4.0, abs=1e-12)
+    assert ql.sigma_minus(m)[0] == pytest.approx(-0.5, abs=1e-12)     # delta = 4
     assert np.allclose(ql.forward_map(m), p, atol=1e-12)
 
 
