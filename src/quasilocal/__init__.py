@@ -31,8 +31,6 @@ from .model import (
     MarginalViolation,
     RangeViolation,
     RelationViolation,
-    as_measure_vector,
-    as_probability_set,
     box_from_independent,
     check_consistency,
     chsh,

@@ -11,9 +11,10 @@ omitted) and write to stdout, so they pipe:
 
 Exit codes: 0 success, 1 domain failure (inconsistent input or a failed
 precondition), 2 I/O or parse failure.  `--format json` switches every
-report to a machine-readable object.  The default tolerance is 1e-9,
-overridable per call with --eps or globally with the QUASILOCAL_EPS
-environment variable.
+report to a machine-readable object.  The tolerance is 1e-9 unless --eps
+gives another.  Each flag value is checked by its argparse type as the
+command line is parsed, so a bad one is a usage error (exit 2) before any
+input is read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict
@@ -42,22 +42,6 @@ class _Failure(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-def _resolve_eps(args) -> float:
-    if getattr(args, "eps", None) is not None:
-        eps, source = args.eps, "--eps"
-    else:
-        env = os.environ.get("QUASILOCAL_EPS")
-        if not env:
-            return model.DEFAULT_EPS
-        try:
-            eps, source = float(env), "QUASILOCAL_EPS"
-        except ValueError:
-            raise _Failure(EXIT_USAGE, f"QUASILOCAL_EPS is not a number: {env!r}") from None
-    if not (np.isfinite(eps) and eps >= 0.0):
-        raise _Failure(EXIT_USAGE, f"{source} must be a finite number >= 0, got {eps!r}")
-    return eps
 
 
 def _read_text(path: str | None) -> str:
@@ -87,15 +71,14 @@ def _print_json(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    eps = _resolve_eps(args)
     p = _load_box(args)
-    checks = model.check_consistency(p, eps)
+    checks = model.check_consistency(p, args.eps)
     consistent = not any(checks.values())
 
     if args.format == "json":
         _print_json({
             "consistent": consistent,
-            "eps": eps,
+            "eps": args.eps,
             "checks": {name: [{**asdict(v), "description": v.describe()} for v in vs]
                        for name, vs in checks.items()},
         })
@@ -105,14 +88,13 @@ def _cmd_validate(args) -> int:
             print(f"{name.replace('_', '-'):<18} {status}")
             for v in vs:
                 print(f"  {v.describe()}")
-        print(f"{'consistent' if consistent else 'inconsistent'} (eps = {eps:g})")
+        print(f"{'consistent' if consistent else 'inconsistent'} (eps = {args.eps:g})")
     return EXIT_OK if consistent else EXIT_DOMAIN
 
 
 def _cmd_chsh(args) -> int:
-    eps = _resolve_eps(args)
-    p = model.require_consistent(_load_box(args), eps)
-    report = model.chsh_report(p, eps)
+    p = model.require_consistent(_load_box(args), args.eps)
+    report = model.chsh_report(p, args.eps)
 
     if args.format == "json":
         _print_json({
@@ -127,7 +109,7 @@ def _cmd_chsh(args) -> int:
             ],
             "canonical_delta": report.delta(model.CANONICAL_VARIANT),
             "max_abs_delta": report.max_abs_delta,
-            "eps": eps,
+            "eps": args.eps,
         })
     else:
         print("CHSH sums (label = negated setting pair + overall sign):")
@@ -151,7 +133,6 @@ def _negative_summary(m: np.ndarray, total: float) -> list[str]:
 
 
 def _cmd_solve(args) -> int:
-    eps = _resolve_eps(args)
     p = _load_box(args)
     flag = "--m16" if args.perfect_correlation else "--free"
 
@@ -159,12 +140,12 @@ def _cmd_solve(args) -> int:
         if args.free is not None:
             raise _Failure(EXIT_USAGE, "--perfect-correlation takes --m16, not --free")
         m16 = 0.0 if args.m16 is None else args.m16
-        m = solver.perfect_correlation_solution(p, m16, eps)
+        m = solver.perfect_correlation_solution(p, m16, args.eps)
     else:
         if args.m16 is not None:
             raise _Failure(EXIT_USAGE, "--m16 is only meaningful with --perfect-correlation")
         try:
-            m = solver.solve(p, args.free, eps)
+            m = solver.solve(p, args.free, args.eps)
         except model.ConsistencyError:
             raise
         except ValueError as exc:       # finite free weights whose solution overflows
@@ -186,14 +167,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    eps = _resolve_eps(args)
     m = fileio.parse_measures(_read_text(args.input))
     p = model.forward_map(m)
     if not np.isfinite(p).all():
         raise _Failure(EXIT_DOMAIN, "the forward image is not finite: the weights overflow")
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(m.sum())
-    if abs(total - 1.0) > eps:
+    if abs(total - 1.0) > args.eps:
         print(f"warning: measures sum to {fileio.format_value(total)}, not 1",
               file=sys.stderr)
     if args.format == "json":
@@ -204,8 +184,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    eps = _resolve_eps(args)
-    result = negativity.min_negativity(_load_box(args), eps)
+    result = negativity.min_negativity(_load_box(args), args.eps)
     witness = result.witness.tolist()
     free = {f"m{i + 1}": witness[i] for i in solver.FREE_INDICES}
 
@@ -228,28 +207,11 @@ def _cmd_negativity(args) -> int:
     return EXIT_OK
 
 
-def _parse_state(text: str) -> quantum.TwoQubitState:
-    if text.strip().lower() == "singlet":
-        return quantum.singlet()
-    tokens = [t.strip() for t in text.split(",")]
-    if len(tokens) != 4:
-        raise _Failure(EXIT_USAGE,
-                       f"--state needs 'singlet' or 4 comma-separated amplitudes, got {text!r}")
-    try:
-        amplitudes = tuple(complex(t) for t in tokens)
-    except ValueError:
-        raise _Failure(EXIT_USAGE, f"cannot parse amplitudes from {text!r}") from None
-    bad = [t for t, a in zip(tokens, amplitudes) if not cmath.isfinite(a)]
-    if bad:
-        raise _Failure(EXIT_USAGE, f"argument --state: must be a finite number, got {bad[0]!r}")
-    try:
-        return quantum.TwoQubitState(amplitudes)
-    except ValueError as exc:
-        raise _Failure(EXIT_DOMAIN, str(exc)) from None
-
-
 def _cmd_qm(args) -> int:
-    state = _parse_state(args.state)
+    try:
+        state = quantum.TwoQubitState(args.state)
+    except ValueError as exc:           # amplitudes whose squared norm is not 1
+        raise _Failure(EXIT_DOMAIN, str(exc)) from None
 
     if args.maximize:
         search = quantum.maximize_chsh(state)
@@ -316,11 +278,38 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --eps: a finite float >= 0."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _amplitudes(text: str) -> tuple[complex, ...]:
+    """argparse type of --state: 'singlet', or 4 comma-separated finite complex
+    amplitudes.  Their norm is checked by quantum.TwoQubitState."""
+    if text.strip().lower() == "singlet":
+        return quantum.singlet().amplitudes
+    tokens = text.split(",")
+    try:
+        amplitudes = tuple(map(complex, tokens))
+    except ValueError:
+        amplitudes = ()
+    if len(amplitudes) != 4:
+        raise argparse.ArgumentTypeError(
+            f"needs 'singlet' or 4 comma-separated amplitudes, got {text!r}")
+    for token, amplitude in zip(tokens, amplitudes):
+        if not cmath.isfinite(amplitude):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {token.strip()!r}")
+    return amplitudes
+
+
 def _add_common(sub):
     sub.add_argument("input", nargs="?", default=None,
                      help="input document path ('-' or omitted reads stdin)")
-    sub.add_argument("--eps", type=float, default=None,
-                     help="tolerance for consistency checks (default 1e-9 or QUASILOCAL_EPS)")
+    sub.add_argument("--eps", type=_tolerance, default=model.DEFAULT_EPS,
+                     help="tolerance for consistency checks, finite and >= 0 (default 1e-9)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="report format (default text)")
 
@@ -360,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     neg.set_defaults(handler=_cmd_negativity)
 
     qm = subs.add_parser("qm", help="generate a box from a two-qubit state")
-    qm.add_argument("--state", required=True,
+    qm.add_argument("--state", type=_amplitudes, required=True,
                     help="'singlet' or 4 comma-separated amplitudes "
                          "(basis |++>, |+->, |-+>, |-->)")
     group = qm.add_mutually_exclusive_group(required=True)

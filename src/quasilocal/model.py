@@ -50,7 +50,8 @@ A difference is a violation unless |d| <= eps: a NaN difference fails.
 Every function that takes a tolerance eps raises ValueError unless eps is
 finite and nonnegative: a NaN eps would pass every check and an infinite one
 would accept any box.  The helpers that compare against eps check it, so no
-public function can skip the check.
+public function can skip the check.  An eps, or solver's m16, that is not a
+real number ("x", None) raises Python's TypeError from math.isfinite.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ def prob_index(j: int, k: int, m: int, n: int) -> int:
     return _position(_PROB_POSITION, (j, k, m, n), (m, n))
 
 
-#: prob_index(j, k, m, n) on axes (j, k, m, n), outcomes in OUTCOMES order.
-_PROB_INDEX = np.array([[[[prob_index(j, k, m, n) for n in OUTCOMES] for m in OUTCOMES]
-                         for k in (1, 2)] for j in (1, 2)])
+#: prob_index(j, k, m, n) on axes (j, k, m, n), outcomes in OUTCOMES order:
+#: PROB_EVENTS is row-major on them.
+_PROB_INDEX = np.arange(16).reshape(2, 2, 2, 2)
 
 #: 0/1 matrix mapping a measure vector to its 16 joint probabilities: entry
 #: (i, s) is 1 when strategy s gives event i.  Each block of four rows
@@ -175,16 +176,6 @@ def _vector16(values, name: str) -> np.ndarray:
     return arr
 
 
-def as_measure_vector(values) -> np.ndarray:
-    """Coerce to a length-16 float array in canonical strategy order."""
-    return _vector16(values, "measure vector")
-
-
-def as_probability_set(values) -> np.ndarray:
-    """Coerce to a length-16 float array in canonical probability order."""
-    return _vector16(values, "probability set")
-
-
 # ---------------------------------------------------------------------------
 # Forward map
 # ---------------------------------------------------------------------------
@@ -196,7 +187,7 @@ def forward_map(m) -> np.ndarray:
     clamped, so entries may fall outside [0, 1] when weights are negative.
     Each block of four outputs sums to the total weight exactly.
     """
-    m = as_measure_vector(m)
+    m = _vector16(m, "measure vector")
     return _product(FORWARD_MATRIX, m, sum(map(abs, m.tolist())))
 
 
@@ -481,7 +472,7 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
 
     Requires the block to be normalized within eps.
     """
-    p = as_probability_set(p)
+    p = _vector16(p, "probability set")
     _check_eps(eps)
     if (j, k) not in SETTING_PAIRS:
         raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
@@ -551,7 +542,7 @@ def sigma_minus(m) -> tuple[float, ...]:
     weight is negative.  The converse fails: m may carry negative weight and
     violate no variant.
     """
-    v = as_measure_vector(m).tolist()
+    v = _vector16(m, "measure vector").tolist()
     return tuple([_sum([v[i] for i in row]) for row in _MINUS_STRATEGIES])
 
 
@@ -561,7 +552,7 @@ def _total_negativity(m: np.ndarray) -> float:
 
 def total_negativity(m) -> float:
     """Sum of the magnitudes of the negative weights."""
-    return _total_negativity(as_measure_vector(m))
+    return _total_negativity(_vector16(m, "measure vector"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import OUTCOMES, as_probability_set
+from .model import OUTCOMES, _vector16
 
 _UNIT_EPS = 1e-12
 
@@ -136,7 +136,7 @@ def flip_outcomes(p, party: str) -> np.ndarray:
     anticorrelation at equal settings (p1 = p4 = 0) into perfect correlation
     (p2 = p3 = 0), the form the perfect-correlation solver expects.
     """
-    p = as_probability_set(p)
+    p = _vector16(p, "probability set")
     # the canonical order is row-major on axes (j, k, m, n) (model.PROB_EVENTS)
     axis = {"A": 2, "B": 3}.get(party)
     if axis is None:

@@ -107,7 +107,7 @@ def perfect_correlation_solution(p, m16: float = 0.0,
     if abs(p2) > eps or abs(p3) > eps:
         raise ConsistencyError(
             f"perfect correlation requires p2 = p3 = 0, got p2 = {p2!r}, p3 = {p3!r}")
-    if not np.isfinite(m16):
+    if not math.isfinite(m16):
         raise ValueError(f"m16 must be finite, got {m16!r}")
     m = np.zeros(16)
     m[_FACE_SOLVED] = _FACE_FAMILY @ np.concatenate(([1.0], p[_FACE_COORDINATES], [m16]))

@@ -129,8 +129,7 @@ MUTANTS = (
            '_pattern_strategy(str(pattern), "line 0: ")',
            "a bad JSON measure pattern names line 0",
            "tests/test_cli.py::test_usage_and_parse_errors_name_their_cause"),
-    Mutant("cli.py", "    if abs(total - 1.0) > eps:\n        print(f\"warning",
-           "    if abs(total - 1.0) > 1.0:\n        print(f\"warning",
+    Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) > 1.0:",
            "forward stops warning on measures that sum to 0.5",
            "tests/test_cli.py::test_forward_warns_on_measures_that_do_not_sum_to_1"),
     Mutant("model.py", "if (isinstance(strategy, bool) or ", "if (",
@@ -139,6 +138,18 @@ MUTANTS = (
     Mutant("cli.py", "*args, allow_abbrev=False, **kwargs", "*args, allow_abbrev=True, **kwargs",
            "a unique prefix of a long option is read as the option",
            "tests/test_cli.py::test_a_prefix_of_a_long_option_is_a_usage_error"),
+    Mutant("cli.py", "if value < 0.0:", "if value < -1.0:",
+           "--eps -1e-3 passes the parser and dies in model with a traceback",
+           "tests/test_cli.py::test_a_bad_flag_value_is_an_argparse_usage_error"),
+    Mutant("cli.py", "if not cmath.isfinite(amplitude):", "if False:",
+           "--state nan,0,0,0 passes the parser and exits 1, not 2",
+           "tests/test_cli.py::test_a_bad_flag_value_is_an_argparse_usage_error"),
+    Mutant("negativity.py", "np.round(64.0 *", "np.round(8.0 *",
+           "witness entries rounded to 1/8 miss the odd multiples of 1/16",
+           "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
+    Mutant("negativity.py", "(_STRATEGY_CHSH > 0)", "(_STRATEGY_CHSH < 0)",
+           "the witness puts the local rest on the C_v = -2 strategies, off the facet",
+           "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
 )
 
 

@@ -35,7 +35,7 @@ def run(monkeypatch, capsys):
 
 
 def born_box(state_text, angles):
-    state = cli._parse_state(state_text)
+    state = ql.TwoQubitState(cli._amplitudes(state_text))
     dirs = (ql.MeasurementDirection.from_xz_angle(t) for t in angles)
     return ql.generate_probability_set(ql.QubitScenario(state, *dirs))
 
@@ -90,12 +90,14 @@ def test_qm_resolution_is_not_an_option(run):
 
 @pytest.mark.parametrize("mode", [["--angles", "0", "90", "45", "135"], ["--maximize"]],
                          ids=["angles", "maximize"])
-def test_huge_amplitudes_are_a_domain_failure(run, mode):
+@pytest.mark.parametrize("state, norm_sq", [("1e200,1e200,0,0", "inf"), ("2,0,0,0", "4.0")],
+                         ids=["huge", "two"])
+def test_an_unnormalized_state_is_a_domain_failure(run, mode, state, norm_sq):
     # squaring 1e200 overflowed into an OverflowError traceback
-    code, out, err = run(["qm", "--state", "1e200,1e200,0,0", *mode])
+    code, out, err = run(["qm", "--state", state, *mode])
     assert code == 1
     assert out == ""
-    assert err == "error: state is not normalized: |amplitudes|^2 = inf\n"
+    assert err == f"error: state is not normalized: |amplitudes|^2 = {norm_sq}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -136,14 +138,31 @@ def test_negative_numbers_in_scientific_notation_are_values(run, argv, spelled_o
     assert out == run(spelled_out, box_object_text(ql.pr_box()))[1]
 
 
-def test_negative_eps_in_scientific_notation_is_a_usage_error(run):
-    code, out, err = run(["validate", "--eps", "-1e-3", str(fixture_path("prbox.box"))])
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--eps", "nan"], "--eps: must be a finite number, got 'nan'"),
+    (["validate", "--eps", "inf"], "--eps: must be a finite number, got 'inf'"),
+    (["validate", "--eps", "-1e-3"], "--eps: must be >= 0, got '-1e-3'"),
+    (["validate", "--eps", "-inf"], "--eps: must be a finite number, got '-inf'"),
+    (["validate", "--eps", "-INFINITY"], "--eps: must be a finite number, got '-INFINITY'"),
+    (["validate", "--eps", "-nan"], "--eps: must be a finite number, got '-nan'"),
+    (["validate", "--eps=--"], "--eps: invalid float value: '--'"),
+    (["qm", "--state", "1,0,0", "--maximize"],
+     "--state: needs 'singlet' or 4 comma-separated amplitudes, got '1,0,0'"),
+    (["qm", "--state", "1,0,0,x", "--maximize"],
+     "--state: needs 'singlet' or 4 comma-separated amplitudes, got '1,0,0,x'"),
+    (["qm", "--state", "nan,0,0,0", "--maximize"], "--state: must be a finite number, got 'nan'"),
+    # before Python 3.13 argparse handed --state=-- the list [], which has no strip()
+    (["qm", "--state=--", "--maximize"],
+     "--state: needs 'singlet' or 4 comma-separated amplitudes, got '--'"),
+], ids=["eps-nan", "eps-inf", "eps-negative", "eps-neg-inf", "eps-neg-infinity", "eps-neg-nan",
+        "eps-double-dash", "state-of-3", "state-unparsable", "state-nan", "state-double-dash"])
+def test_a_bad_flag_value_is_an_argparse_usage_error(run, argv, message):
+    # --eps was checked in the handler and --state in qm's: each wrote its own
+    # "error: ..." line, without the usage line
+    code, out, err = run(argv, box_object_text(ql.pr_box()))
     assert (code, out) == (2, "")
-    assert err == "error: --eps must be a finite number >= 0, got -0.001\n"
-    for text, value in (("-inf", "-inf"), ("-INFINITY", "-inf"), ("-nan", "nan")):
-        code, out, err = run(["validate", "--eps", text, str(fixture_path("prbox.box"))])
-        assert (code, out) == (2, "")
-        assert err == f"error: --eps must be a finite number >= 0, got {value}\n"
+    assert err.startswith(f"usage: quasilocal {argv[0]} ")
+    assert err.endswith(f"\nquasilocal {argv[0]}: error: argument {message}\n")
 
 
 def test_qm_solve_forward_round_trip(run):
@@ -174,14 +193,19 @@ def test_bad_eps_is_a_usage_error(run, command, eps):
     code, out, err = run([command, path, f"--eps={eps}"])
     assert code == 2
     assert out == ""
-    assert "--eps must be a finite number >= 0" in err
+    assert err.startswith(f"usage: quasilocal {command} ")
+    assert f"quasilocal {command}: error: argument --eps: must be " in err
 
 
-def test_bad_eps_from_the_environment_is_a_usage_error(run, monkeypatch):
-    monkeypatch.setenv("QUASILOCAL_EPS", "nan")
-    code, _, err = run(["validate", str(fixture_path("broken-signaling.box"))])
-    assert code == 2
-    assert "QUASILOCAL_EPS must be a finite number >= 0" in err
+@pytest.mark.parametrize("env", ["1e-3", "nan", "abc"])
+def test_the_environment_does_not_set_eps(run, monkeypatch, env):
+    # QUASILOCAL_EPS=1e-3 made validate accept a box off by 1e-4
+    p = ql.uniform_box()
+    p[[0, 1]] = [0.2501, 0.2499]
+    monkeypatch.setenv("QUASILOCAL_EPS", env)
+    code, out, err = run(["validate"], format_box(p))
+    assert (code, err) == (1, "")
+    assert out.endswith("inconsistent (eps = 1e-09)\n")
 
 
 def test_signalling_box_is_inconsistent_at_the_default_eps(run):
@@ -220,13 +244,6 @@ NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
 @pytest.mark.parametrize("argv, stdin, message", [
     (["solve", "--perfect-correlation", *NO_FREE], {"probabilities": UNIFORM},
      "error: --perfect-correlation takes --m16, not --free\n"),
-    (["qm", "--state", "1,0,0", "--maximize"], "",
-     "error: --state needs 'singlet' or 4 comma-separated amplitudes, got '1,0,0'\n"),
-    (["qm", "--state", "1,0,0,x", "--maximize"], "",
-     "error: cannot parse amplitudes from '1,0,0,x'\n"),
-    # before Python 3.13 argparse handed --state=-- the list [], which has no strip()
-    (["qm", "--state=--", "--maximize"], "",
-     "error: --state needs 'singlet' or 4 comma-separated amplitudes, got '--'\n"),
     (["validate"], {"probabilities": {**UNIFORM, "A1+B1+": 0.25}},
      "parse error: duplicate probability entry 'a1+b1+'\n"),
     (["forward"], {"probabilities": UNIFORM},
@@ -238,9 +255,8 @@ NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
      "parse error: pattern must have 4 characters, got '+++'\n"),
     (["forward"], {"measures": {"++x+": 1}}, "parse error: bad pattern '++x+'\n"),
     (["forward"], "+++ 1\n", "parse error: line 1: pattern must have 4 characters, got '+++'\n"),
-], ids=["perfect-correlation-and-free", "state-of-3", "state-unparsable", "state-double-dash",
-        "json-label-twice", "json-measures-missing", "json-pattern-twice", "json-pattern-of-3",
-        "json-bad-pattern", "text-pattern-of-3"])
+], ids=["perfect-correlation-and-free", "json-label-twice", "json-measures-missing",
+        "json-pattern-twice", "json-pattern-of-3", "json-bad-pattern", "text-pattern-of-3"])
 def test_usage_and_parse_errors_name_their_cause(run, argv, stdin, message):
     code, out, err = run(argv, stdin if isinstance(stdin, str) else json.dumps(stdin))
     assert (code, out, err) == (2, "", message)
@@ -284,12 +300,6 @@ def test_a_prefix_of_a_long_option_is_a_usage_error(run, argv):
     code, out, err = run(argv, box)
     assert (code, out) == (2, "")
     assert "error: " in err
-
-
-def test_an_eps_from_the_environment_that_is_not_a_number_is_a_usage_error(run, monkeypatch):
-    monkeypatch.setenv("QUASILOCAL_EPS", "abc")
-    code, out, err = run(["validate", str(fixture_path("uniform.box"))])
-    assert (code, out, err) == (2, "", "error: QUASILOCAL_EPS is not a number: 'abc'\n")
 
 
 def test_an_unreadable_input_is_a_usage_error(run, tmp_path):

@@ -62,6 +62,9 @@ def test_probability_layout_matches_table():
     assert ql.PROB_LABELS == tuple(label for _, label in PROB_TABLE)
     for i, (event, label) in enumerate(PROB_TABLE):
         assert ql.prob_index(*event) == i
+        j, k, m, n = event
+        position = (j - 1, k - 1, model.OUTCOMES.index(m), model.OUTCOMES.index(n))
+        assert model._PROB_INDEX[position] == i
         assert ql.PROB_LABELS[i] == label
 
 
@@ -263,7 +266,7 @@ def test_require_consistent_lists_every_violation():
     assert all(v.describe() in str(err.value) for v in violations)
 
 
-@pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-9, "x", None])
 def test_check_consistency_rejects_bad_eps(eps):
     # a NaN eps passed every check and an infinite one accepted signalling
     # boxes; blocks summing to 2 and weights summing to 8 got CHSH values
@@ -285,12 +288,19 @@ def test_check_consistency_rejects_bad_eps(eps):
     # every public function that takes eps is in the table
     assert set(calls) == {name for name, f in vars(ql).items()
                           if inspect.isfunction(f) and "eps" in inspect.signature(f).parameters}
-    message = re.escape(f"eps must be finite and nonnegative, got {eps!r}")
+    if isinstance(eps, float):
+        error, message = ValueError, re.escape(f"eps must be finite and nonnegative, got {eps!r}")
+        message = f"^{message}$"
+    else:   # not a number: Python's TypeError, as math.isfinite raises it
+        error, message = TypeError, "^must be real number, not "
+        # m16 too: numpy's np.isfinite raised "ufunc 'isfinite' not supported"
+        with pytest.raises(error, match=message):
+            ql.perfect_correlation_solution(ql.pr_box(), eps)
     for name, call in calls.items():
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(error, match=message):
             call(eps)
     # check_consistency tests eps before the box, require_consistent after it
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(error, match=message):
         ql.check_consistency(np.zeros(15), eps)
     with pytest.raises(ValueError, match="must have exactly 16 entries"):
         ql.require_consistent(np.zeros(15), eps)

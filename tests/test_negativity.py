@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import linprog
 
 import quasilocal as ql
+from quasilocal import model, negativity
 from conftest import boxes_consistent_at_eps_0, random_consistent_box, random_mixture_box
 
 RT2 = np.sqrt(2.0)
@@ -102,6 +103,27 @@ def test_pr_witness_has_minus_one_sixteenth_on_eight_strategies():
         assert np.array_equal(witness, PR_MODELS[v])
         assert np.count_nonzero(witness == -1 / 16) == 8
         assert np.array_equal(witness < 0, STRATEGY_CHSH[v] == -2)
+
+
+def test_the_witness_matrices_satisfy_the_theorem_exactly():
+    """The witness theorem as identities on negativity._WITNESS, with no
+    tolerance: every entry is a multiple of 1/16, so float arithmetic on it
+    is exact.  F @ W_v is the box embedding, so every witness reproduces
+    p_hat; the C_v = -2 rows of W_v are -mu_v / 16, so its negative part is
+    8 mu_v / 16 = (delta_v - 2) / 4, the bound; and at the 9 vertices of the
+    cap delta_v >= 2 (PR_v and the 8 deterministic boxes with C_v = +2) the
+    witness reproduces the box with nonnegative C_v = +2 rows, so by
+    affinity every box in the cap gets a witness of least negativity."""
+    W = negativity._WITNESS
+    assert np.array_equal(16.0 * W, np.round(16.0 * W))
+    for v in range(8):
+        minus, plus = STRATEGY_CHSH[v] < 0, STRATEGY_CHSH[v] > 0
+        assert np.array_equal(F @ W[v], model._BOX_EMBEDDING)
+        assert np.array_equal(W[v][minus], np.repeat(-negativity._MU[v] / 16.0, 8, axis=0))
+        for vertex in (F @ PR_MODELS[v], *F.T[plus]):
+            witness = W[v] @ np.concatenate(([1.0], vertex[list(ql.INDEPENDENT_INDICES)]))
+            assert np.array_equal(F @ witness, vertex)
+            assert (witness[plus] >= 0.0).all()
 
 
 def test_min_negativity_is_deterministic():
