@@ -117,7 +117,7 @@ def _cmd_chsh(args) -> int:
             tag = "  canonical" if v == model.CANONICAL_VARIANT else ""
             flag = "  VIOLATED" if report.violated(v) else ""
             print(f"  {v.label:<6} {fileio.format_value(report.delta(v)):>22}{tag}{flag}")
-        print(f"max |delta| = {fileio.format_value(report.max_abs_delta)}")
+        print(f"max |delta| = {fileio.format_value(report.max_abs_delta)} (eps = {args.eps:g})")
     return EXIT_OK
 
 
@@ -159,10 +159,12 @@ def _cmd_solve(args) -> int:
         obj = fileio.measures_object(m)
         obj["negative_patterns"] = [model.STRATEGY_PATTERNS[i]
                                     for i in range(16) if m[i] < 0.0]
+        obj["eps"] = args.eps
         obj["total_negativity"] = total
         _print_json(obj)
     else:
-        sys.stdout.write(fileio.format_measures(m, comments=_negative_summary(m, total)))
+        comments = [*_negative_summary(m, total), f"consistent at eps = {args.eps:g}"]
+        sys.stdout.write(fileio.format_measures(m, comments=comments))
     return EXIT_OK
 
 
@@ -193,13 +195,14 @@ def _cmd_negativity(args) -> int:
             "min_negativity": result.min_negativity,
             "lower_bound": result.lower_bound,
             "feasible": result.feasible,
+            "eps": args.eps,
             "witness_free_params": free,
             "witness": fileio.measures_object(result.witness),
         })
     else:
         print(f"min negativity : {fileio.format_value(result.min_negativity)}")
         print(f"lower bound    : {fileio.format_value(result.lower_bound)} (from CHSH variants)")
-        print(f"feasible       : {'yes' if result.feasible else 'no'}")
+        print(f"feasible       : {'yes' if result.feasible else 'no'} (eps = {args.eps:g})")
         print("free parameters:", " ".join(
             f"{name}={fileio.format_value(value)}" for name, value in free.items()))
         print("witness:")

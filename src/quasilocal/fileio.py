@@ -1,251 +1,176 @@
-"""Text and JSON formats for probability sets and measure vectors.
+"""Text and JSON documents for boxes and measure vectors: one grammar, two kinds.
 
-Box documents (probability sets) are 16 data lines of the form
+A document has 16 entries, a label and a number each, every label exactly
+once and in any order.  A box labels each joint probability p(a_j = m,
+b_k = n) with its settings and outcomes; a measure document labels each
+strategy's weight, which may be negative, with its outcome pattern (slot
+order a1, b1, a2, b2).  In text an entry is one line, '#' starts a comment
+and blank lines are ignored:
 
     a1 + b1 + 0.42677669529663687
-
-listing setting labels, outcomes, and the joint probability; '#' starts a
-comment and blank lines are ignored.  Measure documents are 16 lines of
-
     +++- 0.0625
 
-pairing a 4-character outcome pattern (slot order a1, b1, a2, b2) with a
-weight, which may be negative.  Each combination must appear exactly once,
-in any order.  Labels are case-insensitive on read and written lowercase;
-the minus sign is ASCII '-' (U+2212 is accepted on input).  Values are
-written with 17 significant digits so a write/read round trip is exact.
+In JSON the entries are the object under the key "probabilities" (labels
+like "a1+b1+") or "measures" (patterns like "+++-"); other top-level keys
+are ignored.  Labels are read with the settings in either case and the minus
+sign as '-' or U+2212, and written lowercase with '-'.  A value must be a
+finite number.  Values are written with 17 significant digits, so a
+write/read round trip is exact.
 
-Both formats also have a JSON alternative: an object with key
-"probabilities" (labels like "a1+b1+") or "measures" (patterns like "+++-")
-mapping to numbers.  Extra top-level keys are ignored on read.
+A malformed document raises ParseError with one of these messages, where
+<noun> is 'probability label' or 'pattern' and <kind> is 'box' or 'measure';
+a message about a text line starts 'line N: ':
+
+    expected '<syntax>', got '<line>'        (a text line with too few or too many tokens)
+    bad <noun> '<label as written>'
+    duplicate <noun> '<canonical label>'
+    <noun> '<label>' has non-numeric value <repr>, or has non-finite value <repr>
+    <kind> document is missing entries: <labels>
+    invalid JSON document: <reason>
+    JSON <kind> document needs a "<key>" object
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    PROB_LABELS,
-    STRATEGY_PATTERNS,
-    char_outcome,
-    prob_index,
-)
+from .model import PROB_LABELS, STRATEGY_PATTERNS
 
 
 class ParseError(ValueError):
     """A box or measure document is malformed."""
 
 
+#: How a value is written: 17 significant digits round-trip every float.
+_VALUE = "%.17g"
+
+
 def format_value(value: float) -> str:
-    return f"{value:.17g}"
+    return _VALUE % value
 
 
-def _clean_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _cut(label: str, cuts: tuple) -> tuple:
+    """The tokens of a label on a text line: the label split at cuts."""
+    return tuple(label[i:j] for i, j in zip((0, *cuts), (*cuts, None)))
 
 
-def _parse_number(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {token!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ParseError(f"line {lineno}: value {token!r} is not finite")
-    return value
+#: Every spelling accepted on read of a character of a canonical label.
+_SPELLINGS = {"a": "aA", "b": "bB", "-": "-−"}
 
 
-def _setting(token: str, party: str, lineno: int) -> int:
-    label = token.lower()
-    if label in (f"{party}1", f"{party}2"):
-        return int(label[1])
-    raise ParseError(f"line {lineno}: expected {party}1 or {party}2, got {token!r}")
+class _Kind(NamedTuple):
+    name: str           # 'box' or 'measure'
+    key: str            # the key of a JSON document's entries
+    noun: str           # what messages call a label
+    syntax: str         # a text line, for messages
+    labels: tuple       # the canonical labels, in canonical order
+    cuts: tuple         # token boundaries of a label on a text line
+    lookup: dict        # label tokens, in every accepted spelling -> canonical index
+    template: str       # a text document's 16 lines, one value slot each
 
 
-def _outcome(token: str, lineno: int) -> int:
-    try:
-        return char_outcome(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected '+' or '-', got {token!r}") from None
+def _kind(name, key, noun, syntax, labels, cuts) -> _Kind:
+    lookup = {_cut("".join(spelling), cuts): i for i, label in enumerate(labels)
+              for spelling in itertools.product(*(_SPELLINGS.get(c, c) for c in label))}
+    template = "".join(" ".join((*_cut(label, cuts), _VALUE)) + "\n" for label in labels)
+    return _Kind(name, key, noun, syntax, labels, cuts, lookup, template)
 
 
-def _maybe_json(text: str) -> dict | None:
-    if not text.lstrip().startswith("{"):
-        return None
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:   # JSONDecodeError, or an integer literal over 4300 digits
-        raise ParseError(f"invalid JSON document: {exc}") from None
-    return doc      # text that starts with '{' loads as a dict or raises
+_BOX = _kind("box", "probabilities", "probability label", "a<j> <+/-> b<k> <+/-> <value>",
+             PROB_LABELS, (2, 3, 5))
+_MEASURE = _kind("measure", "measures", "pattern", "<pattern> <value>", STRATEGY_PATTERNS, ())
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
+def _error(lineno: int, message: str) -> ParseError:
+    """A ParseError; one about a text line names it (a JSON entry is line 0)."""
+    return ParseError(f"line {lineno}: {message}" if lineno else message)
 
 
-def _json_number(value, what: str) -> float:
-    """A JSON value that must be a finite number: true and false are not,
-    though bool is a subclass of int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{what} has non-numeric value {value!r}")
-    # also rejects NaN, infinities and integers too large for a float
-    if not abs(value) <= _FLOAT_MAX:
-        raise ParseError(f"{what} has non-finite value {value!r}")
-    return float(value)
+def _parse(text: str, kind: _Kind) -> np.ndarray:
+    """The 16 values of a document of this kind, text or JSON, in canonical order."""
+    if text.lstrip().startswith("{"):
+        try:    # text that starts with '{' loads as a dict or raises
+            table = json.loads(text).get(kind.key)
+        except ValueError as exc:       # JSONDecodeError, or an integer literal over 4300 digits
+            raise ParseError(f"invalid JSON document: {exc}") from None
+        if not isinstance(table, dict):
+            raise ParseError(f'JSON {kind.name} document needs a "{kind.key}" object')
+        rows = [(0, [*_cut(label.strip(), kind.cuts), value]) for label, value in table.items()]
+    else:
+        rows = enumerate([line.split("#", 1)[0].split() for line in text.splitlines()], start=1)
+    values: list[float | None] = [None] * 16
+    width, lookup = len(kind.cuts) + 2, kind.lookup
+    for lineno, tokens in rows:     # tokens: the label's, then the value
+        if len(tokens) != width:
+            if not tokens:          # a blank or comment line
+                continue
+            line = text.splitlines()[lineno - 1].split("#", 1)[0].strip()
+            raise _error(lineno, f"expected {kind.syntax!r}, got {line!r}")
+        raw = tokens.pop()
+        index = lookup.get(tuple(tokens))
+        if index is None:
+            raise _error(lineno, f"bad {kind.noun} {(' ' if lineno else '').join(tokens)!r}")
+        if values[index] is not None:
+            raise _error(lineno, f"duplicate {kind.noun} {kind.labels[index]!r}")
+        try:    # a text token must read as a number; a JSON value must be one, not a string or bool
+            value = float(raw) if lineno or type(raw) in (int, float) else None
+        except ValueError:
+            value = None
+        except OverflowError:       # a JSON integer beyond the float range
+            value = math.inf
+        if value is None or not math.isfinite(value):
+            fault = "non-numeric" if value is None else "non-finite"
+            raise _error(lineno, f"{kind.noun} {kind.labels[index]!r} has {fault} value {raw!r}")
+        values[index] = value
+    if None in values:
+        missing = ", ".join(label for label, v in zip(kind.labels, values) if v is None)
+        raise ParseError(f"{kind.name} document is missing entries: {missing}")
+    return np.array(values)
 
 
-def _fill(values: dict[int, float], kind: str, labels) -> np.ndarray:
-    missing = [labels[i] for i in range(16) if i not in values]
-    if missing:
-        raise ParseError(f"{kind} document is missing entries: {', '.join(missing)}")
-    return np.array([values[i] for i in range(16)])
+def _object(values, kind: _Kind) -> dict:
+    return {kind.key: dict(zip(kind.labels, np.asarray(values, dtype=float).tolist(), strict=True))}
 
 
-# ---------------------------------------------------------------------------
-# Box documents
-# ---------------------------------------------------------------------------
-
-def _box_label_index(label: str) -> int:
-    """Index of a JSON box label such as 'a1+b1+': its four parts, the tokens of a data line."""
-    s = label.strip()
-    index = _BOX_LINE_INDEX.get((s[0:2], s[2], s[3:5], s[5])) if len(s) == 6 else None
-    if index is None:
-        raise ParseError(f"bad probability label {label!r}")
-    return index
-
-
-#: (a-setting, sign, b-setting, sign) tokens of a box data line -> canonical
-#: index: every spelling _setting and _outcome accept, settings in either case.
-_BOX_LINE_INDEX = {(a, m, b, n): prob_index(j, k, char_outcome(m), char_outcome(n))
-                   for j in (1, 2) for k in (1, 2) for a in (f"a{j}", f"A{j}")
-                   for b in (f"b{k}", f"B{k}") for m in "+-−" for n in "+-−"}
+def _text(values, kind: _Kind) -> str:
+    return kind.template % tuple(np.asarray(values, dtype=float).tolist())
 
 
 def parse_box(text: str) -> np.ndarray:
     """Parse a box document (text or JSON) into a canonical 16-entry array."""
-    doc = _maybe_json(text)
-    if doc is not None:
-        table = doc.get("probabilities")
-        if not isinstance(table, dict):
-            raise ParseError('JSON box document needs a "probabilities" object')
-        entries: dict[int, float] = {}
-        for label, value in table.items():
-            idx = _box_label_index(str(label))
-            if idx in entries:
-                raise ParseError(f"duplicate probability entry {PROB_LABELS[idx]!r}")
-            entries[idx] = _json_number(value, f"probability {label!r}")
-        return _fill(entries, "box", PROB_LABELS)
-
-    values: list[float | None] = [None] * 16
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if len(tokens) != 5:
-            raise ParseError(f"line {lineno}: expected 'a<j> <+/-> b<k> <+/-> <value>', "
-                             f"got {raw.split('#', 1)[0].strip()!r}")
-        idx = _BOX_LINE_INDEX.get((tokens[0], tokens[1], tokens[2], tokens[3]))
-        if idx is None:
-            # a bad label token: reading token by token raises the ParseError naming it
-            j, m = _setting(tokens[0], "a", lineno), _outcome(tokens[1], lineno)
-            k, n = _setting(tokens[2], "b", lineno), _outcome(tokens[3], lineno)
-            idx = prob_index(j, k, m, n)
-        value = _parse_number(tokens[4], lineno)
-        if values[idx] is not None:
-            raise ParseError(f"line {lineno}: duplicate entry {PROB_LABELS[idx]!r}")
-        values[idx] = value
-    if None in values:      # a 17th line would be a duplicate
-        raise ParseError(f"box document has {16 - values.count(None)} data lines, expected 16")
-    return np.array(values)
+    return _parse(text, _BOX)
 
 
 def format_box(p, comments=()) -> str:
-    """Render a probability set as a box text document."""
-    values = np.asarray(p, dtype=float).tolist()
-    lines = [f"# {c}" for c in comments]
-    lines.extend(f"{label[0:2]} {label[2]} {label[3:5]} {label[5]} {format_value(v)}"
-                 for label, v in zip(PROB_LABELS, values, strict=True))
-    return "\n".join(lines) + "\n"
+    """Render a probability set as a box text document, comments first."""
+    return "".join(f"# {c}\n" for c in comments) + _text(p, _BOX)
 
 
 def box_object(p) -> dict:
     """JSON-ready form of a probability set."""
-    values = np.asarray(p, dtype=float).tolist()
-    return {"probabilities": dict(zip(PROB_LABELS, values, strict=True))}
-
-
-# ---------------------------------------------------------------------------
-# Measure documents
-# ---------------------------------------------------------------------------
-
-#: Inverse of STRATEGY_PATTERNS: canonical pattern -> strategy index.
-_PATTERN_INDEX = {pattern: i for i, pattern in enumerate(STRATEGY_PATTERNS)}
-
-
-def _pattern_strategy(token: str, where: str) -> int:
-    """Strategy index of a pattern; where ('line N: ', or '' for a JSON key) prefixes an error."""
-    pattern = token.strip().replace("−", "-")
-    index = _PATTERN_INDEX.get(pattern)
-    if index is None:
-        if len(pattern) != 4:
-            raise ParseError(f"{where}pattern must have 4 characters, got {token!r}")
-        raise ParseError(f"{where}bad pattern {token!r}")
-    return index
+    return _object(p, _BOX)
 
 
 def parse_measures(text: str) -> np.ndarray:
     """Parse a measure document (text or JSON) into a canonical 16-entry array."""
-    doc = _maybe_json(text)
-    values: dict[int, float] = {}
-    if doc is not None:
-        table = doc.get("measures")
-        if not isinstance(table, dict):
-            raise ParseError('JSON measure document needs a "measures" object')
-        for pattern, value in table.items():
-            idx = _pattern_strategy(str(pattern), "")
-            if idx in values:
-                raise ParseError(f"duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
-            values[idx] = _json_number(value, f"pattern {pattern!r}")
-        return _fill(values, "measure", STRATEGY_PATTERNS)
-
-    for lineno, line in _clean_lines(text):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected '<pattern> <value>', got {line!r}")
-        idx = _pattern_strategy(tokens[0], f"line {lineno}: ")
-        value = _parse_number(tokens[1], lineno)
-        if idx in values:
-            raise ParseError(f"line {lineno}: duplicate pattern {STRATEGY_PATTERNS[idx]!r}")
-        values[idx] = value
-    if len(values) != 16:
-        raise ParseError(f"measure document has {len(values)} data lines, expected 16")
-    return _fill(values, "measure", STRATEGY_PATTERNS)
-
-
-#: A measure text document without comments, one %.17g slot per strategy.
-_MEASURES_TEMPLATE = "".join(f"{pattern} %.17g\n" for pattern in STRATEGY_PATTERNS)
+    return _parse(text, _MEASURE)
 
 
 def format_measures(m, comments=()) -> str:
-    """Render a measure vector as a measure text document."""
-    values = np.asarray(m, dtype=float).tolist()
-    return _MEASURES_TEMPLATE % tuple(values) + "".join(f"# {c}\n" for c in comments)
+    """Render a measure vector as a measure text document, comments last."""
+    return _text(m, _MEASURE) + "".join(f"# {c}\n" for c in comments)
 
 
 def measures_object(m) -> dict:
     """JSON-ready form of a measure vector."""
-    values = np.asarray(m, dtype=float).tolist()
-    return {"measures": dict(zip(STRATEGY_PATTERNS, values, strict=True))}
+    return _object(m, _MEASURE)
 
-
-# ---------------------------------------------------------------------------
-# Bundled fixtures
-# ---------------------------------------------------------------------------
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture document (e.g. 'prbox.box')."""

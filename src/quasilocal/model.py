@@ -89,15 +89,6 @@ def outcome_char(outcome: int) -> str:
     return "+" if outcome == PLUS else "-"
 
 
-def char_outcome(ch: str) -> int:
-    """Parse '+' or '-' (ASCII hyphen or U+2212) into an outcome value."""
-    if ch == "+":
-        return PLUS
-    if ch in ("-", "−"):
-        return MINUS
-    raise ValueError(f"outcome character must be '+' or '-', got {ch!r}")
-
-
 #: Outcomes (a1, b1, a2, b2) of each strategy, row-major: 0 is ++++, 15 is ----.
 STRATEGY_OUTCOMES = tuple(itertools.product(OUTCOMES, repeat=4))
 

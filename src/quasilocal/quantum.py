@@ -182,11 +182,14 @@ def maximize_chsh(state: TwoQubitState, resolution_deg: float = 5.0) -> ChshSear
     The plane is a real limitation: states whose optimal directions leave it
     fall short of the quantum maximum.  For example (|00> + i|11>)/sqrt(2)
     reports 2 (up to rounding), not 2*sqrt(2); the full 3-D closed form is
-    ROADMAP item 2.
+    ROADMAP item 2a.
 
     resolution_deg is accepted and ignored: it was the step of the grid
     search this closed form replaced, and callers still pass it by position.
+    Anything but a TwoQubitState raises TypeError.
     """
+    if not isinstance(state, TwoQubitState):
+        raise TypeError(f"maximize_chsh needs a TwoQubitState, got {type(state).__name__}")
     u, s, vt = np.linalg.svd(state.correlation_tensor[1::2, 1::2])
     s1, s2 = s.tolist()
     u1, u2 = u.T.tolist()

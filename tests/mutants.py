@@ -74,9 +74,9 @@ MUTANTS = (
            "if abs((m1 := v[a] + v[b] + 0.0) - (m2 := v[c] + v[d] + 0.0)) > eps",
            "a marginal difference of NaN passes no-signaling",
            "tests/test_cli.py::test_marginals_whose_difference_is_nan_fail_no_signaling"),
-    Mutant("fileio.py", "s[3:5], s[5])", "s[3:5], s[2])",
-           "a JSON box label reads B's outcome from A's slot",
-           "tests/test_fileio.py::test_box_json_roundtrip"),
+    Mutant("fileio.py", "PROB_LABELS, (2, 3, 5))", "PROB_LABELS, (2, 4, 5))",
+           "a box label's text tokens are cut at the wrong boundaries",
+           "tests/test_fileio.py::test_box_fixtures_match_builders"),
     Mutant("model.py", "if not -eps <= x <= high", "if not -eps <= x <= 1.0",
            "the range check drops its upper tolerance",
            "tests/test_solver.py::test_solve_range_checks_at_the_callers_eps"),
@@ -102,7 +102,7 @@ MUTANTS = (
     Mutant("solver.py", "FREE_INDICES = (1, 2, 6,", "FREE_INDICES = (2, 1, 6,",
            "solve places m2 and m3 in each other's slots",
            "tests/test_solver.py::test_perfect_correlation_matches_general_solution"),
-    Mutant("fileio.py", 'return f"{value:.17g}"', 'return f"{value:.16g}"',
+    Mutant("fileio.py", '_VALUE = "%.17g"', '_VALUE = "%.16g"',
            "16 digits do not round-trip every float",
            "tests/test_fileio.py::test_box_text_roundtrip_is_exact"),
     Mutant("quantum.py", "m * d.y, m * d.z)", "m * d.y, d.z)",
@@ -125,10 +125,12 @@ MUTANTS = (
     Mutant("cli.py", 'if not (action.option_strings and arg_strings == ["--"]):', "if True:",
            "--eps=-- reaches the flag as [] before Python 3.13",
            "tests/test_cli.py::test_a_double_dash_flag_value_is_a_usage_error"),
-    Mutant("fileio.py", '_pattern_strategy(str(pattern), "")',
-           '_pattern_strategy(str(pattern), "line 0: ")',
-           "a bad JSON measure pattern names line 0",
-           "tests/test_cli.py::test_usage_and_parse_errors_name_their_cause"),
+    Mutant("fileio.py", '"-": "-−"', '"-": "-"',
+           "a label spelled with U+2212 is rejected",
+           "tests/test_fileio.py::test_unicode_minus_accepted_on_read"),
+    Mutant("fileio.py", "if values[index] is not None:", "if False:",
+           "a repeated label overwrites the first",
+           "tests/test_fileio.py::test_each_fault_has_one_message_for_both_kinds_and_formats"),
     Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) > 1.0:",
            "forward stops warning on measures that sum to 0.5",
            "tests/test_cli.py::test_forward_warns_on_measures_that_do_not_sum_to_1"),

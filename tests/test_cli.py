@@ -208,6 +208,23 @@ def test_the_environment_does_not_set_eps(run, monkeypatch, env):
     assert out.endswith("inconsistent (eps = 1e-09)\n")
 
 
+@pytest.mark.parametrize("command, line", [
+    ("validate", "consistent (eps = 0.001)"),
+    ("chsh", "max |delta| = 2.8284271247461898 (eps = 0.001)"),
+    ("solve", "# consistent at eps = 0.001"),
+    ("negativity", "feasible       : no (eps = 0.001)"),
+])
+def test_every_gated_verdict_reports_its_eps(run, command, line):
+    # chsh's text, solve and negativity gave no eps: a verdict could not be checked
+    path = str(fixture_path("tsirelson.box"))
+    code, out, err = run([command, path, "--eps", "1e-3"])
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+    code, out, err = run([command, path, "--eps", "1e-3", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eps"] == 1e-3
+
+
 def test_signalling_box_is_inconsistent_at_the_default_eps(run):
     code, out, _ = run(["validate", str(fixture_path("broken-signaling.box"))])
     assert code == 1
@@ -245,16 +262,15 @@ NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
     (["solve", "--perfect-correlation", *NO_FREE], {"probabilities": UNIFORM},
      "error: --perfect-correlation takes --m16, not --free\n"),
     (["validate"], {"probabilities": {**UNIFORM, "A1+B1+": 0.25}},
-     "parse error: duplicate probability entry 'a1+b1+'\n"),
+     "parse error: duplicate probability label 'a1+b1+'\n"),
     (["forward"], {"probabilities": UNIFORM},
      'parse error: JSON measure document needs a "measures" object\n'),
     (["forward"], {"measures": {"+++-": 0.5, "+++\u2212": 0.5}},
      "parse error: duplicate pattern '+++-'\n"),
     # a JSON key has no line: these said "line 0: "
-    (["forward"], {"measures": {"+++": 1}},
-     "parse error: pattern must have 4 characters, got '+++'\n"),
+    (["forward"], {"measures": {"+++": 1}}, "parse error: bad pattern '+++'\n"),
     (["forward"], {"measures": {"++x+": 1}}, "parse error: bad pattern '++x+'\n"),
-    (["forward"], "+++ 1\n", "parse error: line 1: pattern must have 4 characters, got '+++'\n"),
+    (["forward"], "+++ 1\n", "parse error: line 1: bad pattern '+++'\n"),
 ], ids=["perfect-correlation-and-free", "json-label-twice", "json-measures-missing",
         "json-pattern-twice", "json-pattern-of-3", "json-bad-pattern", "text-pattern-of-3"])
 def test_usage_and_parse_errors_name_their_cause(run, argv, stdin, message):

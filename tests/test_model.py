@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import quasilocal as ql
-from quasilocal import fileio, model
+from quasilocal import model
 from conftest import (OVERFLOWING, extremal_measures, minus_strategies, random_consistent_box,
                       random_nonnegative_measures, random_signed_measures)
 from test_checks_reference import ref_check_consistency
@@ -70,7 +70,7 @@ def test_probability_layout_matches_table():
 
 def test_pattern_index_roundtrip():
     for i, pattern in enumerate(STRATEGY_TABLE):
-        assert fileio._PATTERN_INDEX[pattern] == i
+        assert ql.strategy_index(*(ql.PLUS if c == "+" else ql.MINUS for c in pattern)) == i
         assert ql.STRATEGY_PATTERNS[i] == pattern
         assert ql.strategy_index(*ql.STRATEGY_OUTCOMES[i]) == i
 
@@ -112,7 +112,7 @@ def test_invalid_encoding_inputs():
         ql.prob_index(1, 0, 0, 1)
     with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 2$"):
         ql.prob_index(1, 2, 1, 2)
-    with pytest.raises(ValueError, match="pattern must have 4 characters"):
+    with pytest.raises(ValueError, match=r"^line 1: bad pattern '\+\+\+'$"):
         ql.parse_measures("+++ 1\n")
 
 

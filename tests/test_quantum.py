@@ -570,6 +570,18 @@ def test_maximize_singlet_reaches_quantum_ceiling():
     assert ql.chsh_report(p).max_abs_delta == pytest.approx(result.best_delta, abs=1e-12)
 
 
+@pytest.mark.parametrize("state, name", [
+    ("x", "str"),
+    (None, "NoneType"),
+    ((1.0, 0.0, 0.0, 0.0), "tuple"),
+    (np.eye(4), "ndarray"),
+])
+def test_maximize_rejects_anything_but_a_state(state, name):
+    # "x" raised AttributeError from reading state.correlation_tensor
+    with pytest.raises(TypeError, match=f"^maximize_chsh needs a TwoQubitState, got {name}$"):
+        ql.maximize_chsh(state)
+
+
 def test_maximize_product_state_stays_local():
     result = ql.maximize_chsh(ql.TwoQubitState((1.0, 0.0, 0.0, 0.0)), 15.0)
     assert result.best_delta == pytest.approx(2.0, abs=1e-6)
