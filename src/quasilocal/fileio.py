@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import PROB_LABELS, STRATEGY_PATTERNS
+from .model import PROB_LABELS, STRATEGY_PATTERNS, _shaped16
 
 
 class ParseError(ValueError):
@@ -92,16 +92,23 @@ def _error(lineno: int, message: str) -> ParseError:
     return ParseError(f"line {lineno}: {message}" if lineno else message)
 
 
+class _Object(dict):
+    """A JSON object that also keeps its (key, value) pairs, a repeated key's too."""
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _parse(text: str, kind: _Kind) -> np.ndarray:
     """The 16 values of a document of this kind, text or JSON, in canonical order."""
     if text.lstrip().startswith("{"):
         try:    # text that starts with '{' loads as a dict or raises
-            table = json.loads(text).get(kind.key)
+            table = json.loads(text, object_pairs_hook=_Object).get(kind.key)
         except ValueError as exc:       # JSONDecodeError, or an integer literal over 4300 digits
             raise ParseError(f"invalid JSON document: {exc}") from None
         if not isinstance(table, dict):
             raise ParseError(f'JSON {kind.name} document needs a "{kind.key}" object')
-        rows = [(0, [*_cut(label.strip(), kind.cuts), value]) for label, value in table.items()]
+        rows = [(0, [*_cut(label.strip(), kind.cuts), value]) for label, value in table.pairs]
     else:
         rows = enumerate([line.split("#", 1)[0].split() for line in text.splitlines()], start=1)
     values: list[float | None] = [None] * 16
@@ -134,12 +141,12 @@ def _parse(text: str, kind: _Kind) -> np.ndarray:
     return np.array(values)
 
 
-def _object(values, kind: _Kind) -> dict:
-    return {kind.key: dict(zip(kind.labels, np.asarray(values, dtype=float).tolist(), strict=True))}
+def _object(values: np.ndarray, kind: _Kind) -> dict:
+    return {kind.key: dict(zip(kind.labels, values.tolist()))}
 
 
-def _text(values, kind: _Kind) -> str:
-    return kind.template % tuple(np.asarray(values, dtype=float).tolist())
+def _text(values: np.ndarray, kind: _Kind) -> str:
+    return kind.template % tuple(values.tolist())
 
 
 def parse_box(text: str) -> np.ndarray:
@@ -149,12 +156,12 @@ def parse_box(text: str) -> np.ndarray:
 
 def format_box(p, comments=()) -> str:
     """Render a probability set as a box text document, comments first."""
-    return "".join(f"# {c}\n" for c in comments) + _text(p, _BOX)
+    return "".join(f"# {c}\n" for c in comments) + _text(_shaped16(p, "probability set"), _BOX)
 
 
 def box_object(p) -> dict:
     """JSON-ready form of a probability set."""
-    return _object(p, _BOX)
+    return _object(_shaped16(p, "probability set"), _BOX)
 
 
 def parse_measures(text: str) -> np.ndarray:
@@ -164,12 +171,12 @@ def parse_measures(text: str) -> np.ndarray:
 
 def format_measures(m, comments=()) -> str:
     """Render a measure vector as a measure text document, comments last."""
-    return _text(m, _MEASURE) + "".join(f"# {c}\n" for c in comments)
+    return _text(_shaped16(m, "measure vector"), _MEASURE) + "".join(f"# {c}\n" for c in comments)
 
 
 def measures_object(m) -> dict:
     """JSON-ready form of a measure vector."""
-    return _object(m, _MEASURE)
+    return _object(_shaped16(m, "measure vector"), _MEASURE)
 
 
 def fixture_path(name: str) -> Path:

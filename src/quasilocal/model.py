@@ -335,7 +335,9 @@ class _Box:
         """(check name, violations) of each check of check_consistency."""
         if self._violations is None:
             v, eps, high = self.values, self.eps, 1.0 + self.eps
-            sums = _product(DEPENDENT_SIGNS, self.p[_INDEPENDENT], self.size).tolist()
+            # p_ind and the relation product, kept: min_negativity rebuilds p_hat from them
+            self.independent = self.p[_INDEPENDENT]
+            self.sums = sums = _product(DEPENDENT_SIGNS, self.independent, self.size)
             self._violations = (
                 ("range", tuple([RangeViolation(i, x) for i, x in enumerate(v)
                                  if not -eps <= x <= high])),
@@ -344,7 +346,7 @@ class _Box:
                     MarginalViolation(*label, m1, m2) for label, (a, b, c, d) in _MARGINAL_TERMS
                     if not abs((m1 := v[a] + v[b] + 0.0) - (m2 := v[c] + v[d] + 0.0)) <= eps])),
                 ("derived_relations", tuple([
-                    RelationViolation(i, e, v[i]) for i, s in zip(DEPENDENT_INDICES, sums)
+                    RelationViolation(i, e, v[i]) for i, s in zip(DEPENDENT_INDICES, sums.tolist())
                     if not abs(v[i] - (e := 0.5 * (1.0 + s))) <= eps])),
             )
         return self._violations
@@ -382,15 +384,21 @@ def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     return {name: list(vs) for name, vs in _box(_shaped16(p).tobytes(), eps).violations()}
 
 
+def _consistent_box(p: np.ndarray, eps: float) -> _Box:
+    """The record of p at eps, scanned, or ConsistencyError as require_consistent raises."""
+    box = _box(p.tobytes(), eps)
+    violations = [v for _, vs in box.violations() for v in vs]
+    if violations:
+        raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): "
+                               + "; ".join(v.describe() for v in violations), violations)
+    return box
+
+
 def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Return p as an array, raising ConsistencyError that lists every
     violation if any check fails at eps."""
     p = _shaped16(p)
-    violations = [v for _, vs in _box(p.tobytes(), eps).violations() for v in vs]
-    if violations:
-        lines = "; ".join(v.describe() for v in violations)
-        raise ConsistencyError(f"inconsistent probability set (eps = {eps:g}): {lines}",
-                               violations)
+    _consistent_box(p, eps)
     return p
 
 

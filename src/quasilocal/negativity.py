@@ -29,20 +29,19 @@ from .model import (
     CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
-    DEPENDENT_SIGNS,
     FORWARD_MATRIX,
     OUTCOMES,
     STRATEGY_OUTCOMES,
     _BOX_EMBEDDING,
-    _INDEPENDENT,
     _OUTCOME_PAIRS,
     _STRATEGY_CHSH,
     _box_from_independent,
+    _consistent_box,
     _max_abs,
+    _shaped16,
     _total_negativity,
     chsh,
     chsh_report,
-    require_consistent,
 )
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
@@ -140,16 +139,16 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     removed by its minimum-norm preimage.  The returned minimum is recomputed
     from the witness, so the witness and the reported value always agree.
     """
-    p = require_consistent(p, eps)
-    x = np.concatenate(([1.0], p[_INDEPENDENT]))
-    p_hat = _box_from_independent(x[1:], DEPENDENT_SIGNS @ x[1:])
+    # p_hat from p's record, whose scan has formed p_ind and DEPENDENT_SIGNS @ p_ind
+    box = _consistent_box(_shaped16(p), eps)
+    p_hat = _box_from_independent(box.independent, box.sums)
     # row v of CHSH_MATRIX @ p_hat, one chsh call per variant: the first computes
     # all 8 and the other 7 hit model's cache.  The benchmark's tracer test
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.
     deltas = [chsh(p_hat, variant, eps) for variant in CHSH_VARIANTS]
     v = deltas.index(max(deltas))
     if deltas[v] > 2.0:
-        witness = _WITNESS[v] @ x
+        witness = _WITNESS[v] @ np.concatenate(([1.0], box.independent))
     else:
         witness = _fine_model(p_hat)
         witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)

@@ -9,10 +9,10 @@ product states stay at 2, and no pure state exceeds the quantum ceiling.
 A state enters every Born-rule value through one real 4x4 matrix, its
 correlation tensor R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi> over the
 Paulis (I, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
-(1995)), computed once per state and cached on it.  The projector onto
-outcome m along a is (I + m a.sigma)/2, so p(m, n | a, b) =
-(1, m a) R (1, n b)^T / 4, and the x-z correlations that maximize_chsh
-maximizes in closed form are the block R[(x, z), (x, z)].
+(1995)): one product of psi and conj(psi) with the constant Pauli products,
+cached on the state.  The projector onto outcome m along a is (I + m a.sigma)/2,
+so a box is one product A R B^T / 4 with each party's outcome matrix, rows
+(1, m d_j), and maximize_chsh maximizes the x-z block R[(x, z), (x, z)].
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ _UNIT_EPS = 1e-12
 #: The Pauli basis (I, sigma_x, sigma_y, sigma_z), shape (4, 2, 2).
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: sigma_mu (x) sigma_nu at row 4 mu + nu, as 4x4 matrices on the basis |ab> at 2a + b.
+_PAULI_PRODUCTS = np.einsum("mac,nbd->mnabcd", _PAULIS, _PAULIS).reshape(16, 4, 4)
 
-
-def _squared_norm(values) -> float:
-    """Sum of |v|^2 over finite values; inf where a value is too large to
-    square, which raises OverflowError in Python float arithmetic."""
-    try:
-        return sum(abs(v) ** 2 for v in values)
-    except OverflowError:
-        return math.inf
+#: Signs of (1, m d) on the outcome matrices' rows (a1, m), (a2, m), (b1, m), (b2, m).
+_OUTCOME_SIGNS = np.array([(1.0, m, m, m) for _ in range(4) for m in OUTCOMES])
+#: Position in A @ R @ B^T, rows (j, m) and columns (k, n), of each canonical entry (j, k, m, n).
+_CANONICAL = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
 
 
 @dataclass(frozen=True)
@@ -54,7 +52,10 @@ class TwoQubitState:
             raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
         if not all(cmath.isfinite(a) for a in amps):
             raise ValueError("amplitudes contain non-finite values")
-        norm_sq = _squared_norm(amps)
+        try:
+            norm_sq = sum(abs(a) ** 2 for a in amps)
+        except OverflowError:           # a finite amplitude too large to square
+            norm_sq = math.inf
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
@@ -62,8 +63,8 @@ class TwoQubitState:
     @cached_property
     def correlation_tensor(self) -> np.ndarray:
         """Read-only R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi>, mu, nu over (I, x, y, z)."""
-        psi = np.array(self.amplitudes).reshape(2, 2)   # [A's z bit, B's z bit]
-        value = np.einsum("ab,mac,nbd,cd->mn", psi.conj(), _PAULIS, _PAULIS, psi)
+        psi = np.array(self.amplitudes)
+        value = ((_PAULI_PRODUCTS @ psi) @ psi.conj()).reshape(4, 4)
         residue = np.abs(value.imag).max()
         if residue > _UNIT_EPS:
             raise ValueError(f"correlation tensor has imaginary residue {residue!r}")
@@ -80,10 +81,10 @@ class MeasurementDirection:
     z: float
 
     def __post_init__(self):
-        components = (self.x, self.y, self.z)
-        if not all(math.isfinite(c) for c in components):
+        x, y, z = self.x, self.y, self.z
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("direction contains non-finite components")
-        norm_sq = _squared_norm(components)
+        norm_sq = x * x + y * y + z * z     # inf, not OverflowError, when a square overflows
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"direction is not a unit vector: |n|^2 = {norm_sq!r}")
 
@@ -110,12 +111,6 @@ def singlet() -> TwoQubitState:
     return TwoQubitState((0.0, r, -r, 0.0))
 
 
-def _outcome_vectors(directions) -> np.ndarray:
-    """(1, m d) for each direction d and outcome m, shape (len, 2, 4), with
-    outcomes in OUTCOMES order."""
-    return np.array([[(1.0, m * d.x, m * d.y, m * d.z) for m in OUTCOMES] for d in directions])
-
-
 def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
     """The 16 Born-rule joint probabilities of a scenario, in canonical order:
     p[j, k, m, n] = (1, m a_j) R (1, n b_k)^T / 4, outcomes in OUTCOMES order.
@@ -124,9 +119,10 @@ def generate_probability_set(scenario: QubitScenario) -> np.ndarray:
     relations to floating-point accuracy.  Not clamped: rounding can leave a
     zero probability a few 1e-17 below 0.
     """
-    return np.einsum("jmu,uv,knv->jkmn", _outcome_vectors((scenario.a1, scenario.a2)),
-                     scenario.state.correlation_tensor,
-                     _outcome_vectors((scenario.b1, scenario.b2))).reshape(16) / 4.0
+    a1, a2, b1, b2 = scenario.a1, scenario.a2, scenario.b1, scenario.b2
+    outcome = _OUTCOME_SIGNS * [(1.0, d.x, d.y, d.z) for d in (a1, a1, a2, a2, b1, b1, b2, b2)]
+    box = outcome[:4] @ (scenario.state.correlation_tensor @ outcome[4:].T) / 4.0
+    return box.reshape(16)[_CANONICAL]
 
 
 def flip_outcomes(p, party: str) -> np.ndarray:

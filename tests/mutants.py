@@ -105,9 +105,12 @@ MUTANTS = (
     Mutant("fileio.py", '_VALUE = "%.17g"', '_VALUE = "%.16g"',
            "16 digits do not round-trip every float",
            "tests/test_fileio.py::test_box_text_roundtrip_is_exact"),
-    Mutant("quantum.py", "m * d.y, m * d.z)", "m * d.y, d.z)",
-           "the Born rule ignores the outcome on the z component",
+    Mutant("quantum.py", "(1.0, m, m, m) for _", "(1.0, m, m, -m) for _",
+           "the Born rule measures along each direction mirrored in the x-y plane",
            "tests/test_quantum.py::test_born_product_state_eigenvalue"),
+    Mutant("quantum.py", '"mac,nbd->mnabcd"', '"mac,nbd->nmabcd"',
+           "the correlation tensor comes out transposed, A's Paulis on B's qubit",
+           "tests/test_quantum.py::test_correlation_tensor_matches_kron_oracle"),
     Mutant("quantum.py", "t = math.atan2(s2, s1)", "t = math.atan2(s1, s2)",
            "maximize_chsh splits the b directions at the wrong angle",
            "tests/test_quantum.py::test_maximize_degenerate_blocks"),
@@ -152,6 +155,13 @@ MUTANTS = (
     Mutant("negativity.py", "(_STRATEGY_CHSH > 0)", "(_STRATEGY_CHSH < 0)",
            "the witness puts the local rest on the C_v = -2 strategies, off the facet",
            "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
+    Mutant("negativity.py", "- 2.0 * np.eye(1, 9))", "+ 2.0 * np.eye(1, 9))",
+           "mu is (delta_v + 2) / 2, so the witness mixes in too much of the PR box",
+           "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
+    Mutant("model.py", "np.round(2.0 * np.linalg.lstsq(a, b, rcond=None)[0]) / 2.0",
+           "np.round(np.linalg.lstsq(a, b, rcond=None)[0])",
+           "the relation table rounds to integers, losing every dependent entry's 1/2",
+           "tests/test_model.py::test_box_embedding_is_an_exact_half_integer_least_squares_solution"),
 )
 
 

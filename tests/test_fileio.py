@@ -333,6 +333,9 @@ def fault_cases():
                    f"{line_17}bad {noun} {written!r}")
             yield (kind, fmt, "repeated label", entries + [(respelled, "0.25")],
                    f"{line_17}duplicate {noun} {labels[1]!r}")
+            # json.loads alone keeps the last of two identical keys
+            yield (kind, fmt, "label repeated as written", entries + [(labels[1], "0.5")],
+                   f"{line_17}duplicate {noun} {labels[1]!r}")
             yield (kind, fmt, "non-numeric value", [(first, non_numeric)] + entries[1:],
                    f"{line_1}{noun} {first!r} has non-numeric value 'nope'")
             yield (kind, fmt, "non-finite value", [(first, non_finite)] + entries[1:],
@@ -358,6 +361,17 @@ def test_each_fault_has_one_message_for_both_kinds_and_formats(kind, fmt, fault,
     with pytest.raises(ParseError) as err:
         KINDS[kind][1](text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("writer, name", [
+    (format_box, "probability set"), (box_object, "probability set"),
+    (format_measures, "measure vector"), (measures_object, "measure vector"),
+])
+@pytest.mark.parametrize("shape", [(15,), (17,), (4, 4), ()])
+def test_writers_name_a_wrong_length(writer, name, shape):
+    with pytest.raises(ValueError) as err:
+        writer(np.zeros(shape))
+    assert str(err.value) == f"{name} must have exactly 16 entries, got shape {shape}"
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,9 @@ def test_the_witness_matrices_satisfy_the_theorem_exactly():
     p_hat; the C_v = -2 rows of W_v are -mu_v / 16, so its negative part is
     8 mu_v / 16 = (delta_v - 2) / 4, the bound; and at the 9 vertices of the
     cap delta_v >= 2 (PR_v and the 8 deterministic boxes with C_v = +2) the
-    witness reproduces the box with nonnegative C_v = +2 rows, so by
-    affinity every box in the cap gets a witness of least negativity."""
+    witness reproduces the box with nonnegative C_v = +2 rows, and mu_v is
+    (delta_v - 2) / 2 there, 1 at PR_v and 0 on the facet, so by affinity
+    every box in the cap gets a witness of least negativity."""
     W = negativity._WITNESS
     assert np.array_equal(16.0 * W, np.round(16.0 * W))
     for v in range(8):
@@ -121,7 +122,9 @@ def test_the_witness_matrices_satisfy_the_theorem_exactly():
         assert np.array_equal(F @ W[v], model._BOX_EMBEDDING)
         assert np.array_equal(W[v][minus], np.repeat(-negativity._MU[v] / 16.0, 8, axis=0))
         for vertex in (F @ PR_MODELS[v], *F.T[plus]):
-            witness = W[v] @ np.concatenate(([1.0], vertex[list(ql.INDEPENDENT_INDICES)]))
+            x = np.concatenate(([1.0], vertex[list(ql.INDEPENDENT_INDICES)]))
+            assert negativity._MU[v] @ x == (ql.CHSH_MATRIX[v] @ vertex - 2.0) / 2.0
+            witness = W[v] @ x
             assert np.array_equal(F @ witness, vertex)
             assert (witness[plus] >= 0.0).all()
 

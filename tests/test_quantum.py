@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import quantum
+from quasilocal.fileio import format_value
 from quasilocal.quantum import _xz_angle
 
 RT2 = np.sqrt(2.0)
@@ -151,17 +152,16 @@ def test_correlation_tensor_is_cached_and_read_only():
 
 
 def test_one_correlation_tensor_per_state(monkeypatch):
-    # R is the contraction of the state with the Pauli basis; a maximize_chsh
-    # plus generate_probability_set pipeline contracts it once per state
+    # R is the contraction of the state with the Pauli-product tensor; a
+    # maximize_chsh plus generate_probability_set pipeline contracts it once per state
     contractions = []
-    einsum = np.einsum
 
-    def counting_einsum(*operands, **kwargs):
-        if any(op is quantum._PAULIS for op in operands):
-            contractions.append(operands[0])
-        return einsum(*operands, **kwargs)
+    class CountingProducts(np.ndarray):
+        def __matmul__(self, other):
+            contractions.append(other)
+            return np.asarray(self) @ other
 
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(quantum, "_PAULI_PRODUCTS", quantum._PAULI_PRODUCTS.view(CountingProducts))
     for count, state in enumerate([ql.singlet(), ql.TwoQubitState((0.6, 0.0, 0.0, 0.8))], 1):
         for _ in range(2):
             result = ql.maximize_chsh(state)
@@ -518,6 +518,19 @@ def test_maximize_bounds_the_cubic_search_on_random_states(resolution):
 def test_maximize_bounds_the_cubic_search_on_generated_states(amplitudes, resolution):
     amps = np.array(amplitudes) / np.linalg.norm(amplitudes)
     assert_bounds_the_cubic_search(ql.TwoQubitState(tuple(amps)), resolution)
+
+
+@given(amplitudes=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4)
+       .filter(lambda a: np.linalg.norm(a) > 0.1))
+def test_maximized_angles_replay_into_the_same_box(amplitudes):
+    # `qm --maximize` prints angles_deg with format_value, and `qm --angles`
+    # rebuilds the directions from them: the same box, bit for bit, for any state
+    state = ql.TwoQubitState(tuple(np.array(amplitudes) / np.linalg.norm(amplitudes)))
+    result = ql.maximize_chsh(state)
+    printed = [float(format_value(angle)) for angle in result.angles_deg]
+    replayed = [ql.MeasurementDirection.from_xz_angle(angle) for angle in printed]
+    box = ql.generate_probability_set(ql.QubitScenario(state, *result.directions))
+    assert ql.generate_probability_set(ql.QubitScenario(state, *replayed)).tobytes() == box.tobytes()
 
 
 @pytest.mark.parametrize("resolution", [45.0, 7.0, 5.0])
