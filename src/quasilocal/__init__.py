@@ -11,7 +11,6 @@ violated.
 """
 
 from .model import (
-    CANONICAL_VARIANT,
     CHSH_MATRIX,
     CHSH_VARIANTS,
     DEFAULT_EPS,
@@ -26,7 +25,6 @@ from .model import (
     STRATEGY_PATTERNS,
     BlockViolation,
     ChshReport,
-    ChshVariant,
     ConsistencyError,
     MarginalViolation,
     RangeViolation,

@@ -100,23 +100,24 @@ def _cmd_chsh(args) -> int:
         _print_json({
             "variants": [
                 {
-                    "negated_pair": f"a{v.negated_pair[0]}b{v.negated_pair[1]}",
-                    "overall_sign": v.overall_sign,
-                    "delta": report.delta(v),
+                    "negated_pair": f"a{j}b{k}",
+                    "overall_sign": sign,
+                    "delta": report.deltas[v],
                     "violated": report.violated(v),
                 }
-                for v in model.CHSH_VARIANTS
+                for v, ((j, k), sign) in enumerate(model.CHSH_VARIANTS)
             ],
-            "canonical_delta": report.delta(model.CANONICAL_VARIANT),
+            "canonical_delta": report.deltas[0],
             "max_abs_delta": report.max_abs_delta,
             "eps": args.eps,
         })
     else:
         print("CHSH sums (label = negated setting pair + overall sign):")
-        for v in model.CHSH_VARIANTS:
-            tag = "  canonical" if v == model.CANONICAL_VARIANT else ""
+        for v, ((j, k), sign) in enumerate(model.CHSH_VARIANTS):
+            label = f"a{j}b{k}{model.outcome_char(sign)}"
+            tag = "  canonical" if v == 0 else ""
             flag = "  VIOLATED" if report.violated(v) else ""
-            print(f"  {v.label:<6} {fileio.format_value(report.delta(v)):>22}{tag}{flag}")
+            print(f"  {label:<6} {fileio.format_value(report.deltas[v]):>22}{tag}{flag}")
         print(f"max |delta| = {fileio.format_value(report.max_abs_delta)} (eps = {args.eps:g})")
     return EXIT_OK
 

@@ -13,7 +13,9 @@ a probability set must satisfy (block normalization, no-signaling, and the
 derived-entry relations equivalent to their conjunction), and the CHSH
 machinery: correlation coefficients, the 8 CHSH sign variants, and the
 paper's necessity argument for each of them (sigma_minus): a measure vector
-whose box violates a variant carries negative weight.
+whose box violates a variant carries negative weight.  A variant is its row v
+of CHSH_MATRIX, an integer in 0..7; CHSH_VARIANTS[v] names it, and row 0 is
+the canonical variant.
 
 The encodings are stated once, as two tables: STRATEGY_OUTCOMES, the
 outcomes (a1, b1, a2, b2) of each strategy, and PROB_EVENTS, the event
@@ -151,6 +153,13 @@ def _embedding(strategies, coordinates) -> np.ndarray:
     F = FORWARD_MATRIX[:, strategies]
     basis = np.vstack([np.ones(F.shape[1]), F[list(coordinates)]])
     return _half_integer_solve(basis.T, F.T).T
+
+
+def _index(i, n: int, name: str):
+    """i if it is an int or a numpy integer in 0..n-1 (a bool is not), else ValueError."""
+    if (type(i) is int or isinstance(i, np.integer)) and 0 <= i < n:
+        return i
+    raise ValueError(f"{name} must be an integer in 0..{n - 1}, got {i!r}")
 
 
 def _shaped16(values, name: str = "probability set") -> np.ndarray:
@@ -406,63 +415,25 @@ def require_consistent(p, eps: float = DEFAULT_EPS) -> np.ndarray:
 # CHSH quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChshVariant:
-    """One of the 8 sign choices of the CHSH sum.
-
-    negated_pair names the setting pair whose correlation enters with a
-    minus sign; overall_sign flips the whole sum.  The canonical variant
-    negates (a2, b2) with overall sign +1.
-    """
-    negated_pair: tuple[int, int]
-    overall_sign: int
-
-    def __post_init__(self):
-        if self.negated_pair not in SETTING_PAIRS:
-            raise ValueError(f"negated_pair must be one of {SETTING_PAIRS}")
-        if self.overall_sign not in (1, -1):
-            raise ValueError("overall_sign must be +1 or -1")
-
-    @property
-    def label(self) -> str:
-        j, k = self.negated_pair
-        return f"a{j}b{k}{outcome_char(self.overall_sign)}"
-
-    def pair_sign(self, j: int, k: int) -> int:
-        return -1 if (j, k) == self.negated_pair else 1
-
-
-CANONICAL_VARIANT = ChshVariant((2, 2), 1)
-
-#: Overall sign +1 then -1, each with the canonical negated pair first.
-CHSH_VARIANTS = tuple(
-    ChshVariant(pair, sign) for sign in (1, -1)
-    for pair in sorted(SETTING_PAIRS, key=lambda pair: pair != CANONICAL_VARIANT.negated_pair))
-
+#: The 8 CHSH sign variants, one per row of CHSH_MATRIX: (negated pair, overall
+#: sign), the setting pair whose correlation enters with a minus sign and the
+#: sign of the whole sum.  Row 0, ((2, 2), 1), is the canonical variant.
+CHSH_VARIANTS = tuple((pair, sign) for sign in (1, -1)
+                      for pair in ((2, 2), (1, 1), (1, 2), (2, 1)))
 
 #: CHSH sums as one linear map: row v of CHSH_MATRIX @ p is the sum of
-#: CHSH_VARIANTS[v] for a normalized probability set p.  Each block of four
-#: columns is one setting pair's correlation, the sum of m * n * p(m, n).
-CHSH_MATRIX = np.array([[v.overall_sign * v.pair_sign(j, k) * m * n for j, k, m, n in PROB_EVENTS]
-                        for v in CHSH_VARIANTS], dtype=float)
+#: variant v for a normalized probability set p.  Each block of four columns
+#: is one setting pair's correlation, the sum of m * n * p(m, n).
+CHSH_MATRIX = np.array([[(-sign if (j, k) == pair else sign) * m * n for j, k, m, n in PROB_EVENTS]
+                        for pair, sign in CHSH_VARIANTS], dtype=float)
 CHSH_MATRIX.setflags(write=False)
 
-#: Row v holds each strategy's CHSH value (+-2) under CHSH_VARIANTS[v].
+#: Row v holds each strategy's CHSH value (+-2) under variant v.
 _STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
 _STRATEGY_CHSH.setflags(write=False)
 
-#: Row v lists the strategies whose CHSH value under CHSH_VARIANTS[v] is -2.
+#: Row v lists the strategies whose CHSH value under variant v is -2.
 _MINUS_STRATEGIES = tuple(np.flatnonzero(row < 0).tolist() for row in _STRATEGY_CHSH)
-
-#: Row of each of CHSH_VARIANTS in CHSH_MATRIX and in ChshReport.deltas, by
-#: identity: the dataclass hash costs more than the lookup.
-_VARIANT_ROWS = {id(variant): row for row, variant in enumerate(CHSH_VARIANTS)}
-
-
-def _variant_row(variant) -> int:
-    row = _VARIANT_ROWS.get(id(variant))
-    # an equal copy, or not a variant: tuple.index raises its ValueError
-    return CHSH_VARIANTS.index(variant) if row is None else row
 
 
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
@@ -484,14 +455,14 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     return pp + mm - pm - mp
 
 
-def chsh(p, variant: ChshVariant = CANONICAL_VARIANT, eps: float = DEFAULT_EPS) -> float:
-    """CHSH sum of correlations for the given sign variant.
+def chsh(p, v: int = 0, eps: float = DEFAULT_EPS) -> float:
+    """CHSH sum of variant v, row v of CHSH_MATRIX @ p.
 
-    Requires every block normalized within eps.  For any probability set
-    passing that check, the canonical variant equals
-    2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
+    Requires every block normalized within eps, and then v an integer in
+    0..7 (ValueError).  For any probability set passing that check, the
+    canonical variant 0 equals 2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
     """
-    return _box(_shaped16(p).tobytes(), eps).deltas()[_variant_row(variant)]
+    return _box(_shaped16(p).tobytes(), eps).deltas()[_index(v, 8, "variant")]
 
 
 def _max_abs(values) -> float:
@@ -504,18 +475,16 @@ def _max_abs(values) -> float:
 class ChshReport:
     """All 8 CHSH sums for a probability set, with violation flags.
 
-    deltas is aligned with CHSH_VARIANTS; max_abs_delta is the largest
-    |CHSH sum| over all 8, or NaN when any sum is NaN.
+    deltas[v] is the sum of variant v, row v of CHSH_MATRIX @ p;
+    max_abs_delta is the largest |CHSH sum| over all 8, or NaN when any sum
+    is NaN.  violated(v) takes the same row, an integer in 0..7.
     """
     deltas: tuple[float, ...]
     max_abs_delta: float
     eps: float = DEFAULT_EPS
 
-    def delta(self, variant: ChshVariant) -> float:
-        return self.deltas[_variant_row(variant)]
-
-    def violated(self, variant: ChshVariant) -> bool:
-        return abs(self.delta(variant)) > 2.0 + self.eps
+    def violated(self, v: int) -> bool:
+        return abs(self.deltas[_index(v, 8, "variant")]) > 2.0 + self.eps
 
     @property
     def any_violation(self) -> bool:
@@ -583,7 +552,4 @@ def tsirelson_box() -> np.ndarray:
 def deterministic_box(strategy: int = 0) -> np.ndarray:
     """The box produced by a single deterministic strategy (default ++++):
     strategy is its position in STRATEGY_OUTCOMES, an integer in 0..15."""
-    if (isinstance(strategy, bool) or not isinstance(strategy, (int, np.integer))
-            or not 0 <= strategy < 16):
-        raise ValueError(f"strategy must be an integer in 0..15, got {strategy!r}")
-    return FORWARD_MATRIX[:, strategy].copy()
+    return FORWARD_MATRIX[:, _index(strategy, 16, "strategy")].copy()

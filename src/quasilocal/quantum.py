@@ -81,10 +81,11 @@ class MeasurementDirection:
     z: float
 
     def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("direction contains non-finite components")
-        norm_sq = x * x + y * y + z * z     # inf, not OverflowError, when a square overflows
+        # Python floats square to inf without the warning of a numpy scalar
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        norm_sq = x * x + y * y + z * z
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"direction is not a unit vector: |n|^2 = {norm_sq!r}")
 

@@ -53,8 +53,7 @@ MUTANTS = (
     Mutant("quantum.py", '{"A": 2, "B": 3}', '{"A": 3, "B": 2}',
            "flip_outcomes flips the other party's outcome axis",
            "tests/test_quantum.py::test_flip_matches_the_index_loop"),
-    Mutant("model.py", "return -1 if (j, k) == self.negated_pair else 1",
-           "return -1 if (k, j) == self.negated_pair else 1",
+    Mutant("model.py", "(-sign if (j, k) == pair else sign)", "(-sign if (k, j) == pair else sign)",
            "wrong signs in the CHSH_MATRIX rows that negate a1b2 or a2b1",
            "tests/test_model.py::test_each_variant_negates_its_own_pair"),
     Mutant("negativity.py", "_WITNESS.setflags(write=False)",
@@ -107,10 +106,10 @@ MUTANTS = (
            "tests/test_fileio.py::test_box_text_roundtrip_is_exact"),
     Mutant("quantum.py", "(1.0, m, m, m) for _", "(1.0, m, m, -m) for _",
            "the Born rule measures along each direction mirrored in the x-y plane",
-           "tests/test_quantum.py::test_born_product_state_eigenvalue"),
+           "tests/test_quantum.py::test_local_unitaries_rotate_the_measurement_directions"),
     Mutant("quantum.py", '"mac,nbd->mnabcd"', '"mac,nbd->nmabcd"',
            "the correlation tensor comes out transposed, A's Paulis on B's qubit",
-           "tests/test_quantum.py::test_correlation_tensor_matches_kron_oracle"),
+           "tests/test_quantum.py::test_local_unitaries_rotate_the_measurement_directions"),
     Mutant("quantum.py", "t = math.atan2(s2, s1)", "t = math.atan2(s1, s2)",
            "maximize_chsh splits the b directions at the wrong angle",
            "tests/test_quantum.py::test_maximize_degenerate_blocks"),
@@ -137,8 +136,9 @@ MUTANTS = (
     Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) > 1.0:",
            "forward stops warning on measures that sum to 0.5",
            "tests/test_cli.py::test_forward_warns_on_measures_that_do_not_sum_to_1"),
-    Mutant("model.py", "if (isinstance(strategy, bool) or ", "if (",
-           "deterministic_box(True) gives strategy 1's box",
+    Mutant("model.py", "if (type(i) is int or isinstance(i, np.integer)) and",
+           "if isinstance(i, (int, np.integer)) and",
+           "a bool passes as an index: deterministic_box(True) gives strategy 1's box",
            "tests/test_model.py::test_deterministic_box_rejects_anything_but_a_strategy_index"),
     Mutant("cli.py", "*args, allow_abbrev=False, **kwargs", "*args, allow_abbrev=True, **kwargs",
            "a unique prefix of a long option is read as the option",
@@ -162,6 +162,17 @@ MUTANTS = (
            "np.round(np.linalg.lstsq(a, b, rcond=None)[0])",
            "the relation table rounds to integers, losing every dependent entry's 1/2",
            "tests/test_model.py::test_box_embedding_is_an_exact_half_integer_least_squares_solution"),
+    Mutant("model.py", 'return abs(self.deltas[_index(v, 8, "variant")]) > 2.0 + self.eps',
+           'return abs(self.deltas[_index(v, 8, "variant")]) >= 2.0 + self.eps',
+           "a variant at |delta| = 2 + eps, as on every deterministic box at eps 0, is violated",
+           "tests/test_model.py::test_every_deterministic_strategy_saturates_every_variant"),
+    Mutant("model.py", "return self.max_abs_delta > 2.0 + self.eps",
+           "return self.max_abs_delta >= 2.0 + self.eps",
+           "any_violation holds at max |delta| = 2 + eps",
+           "tests/test_model.py::test_every_deterministic_strategy_saturates_every_variant"),
+    Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) >= args.eps:",
+           "forward --eps 0 warns on measures that sum to exactly 1",
+           "tests/test_cli.py::test_forward_at_eps_0_does_not_warn_on_measures_that_sum_to_1"),
 )
 
 

@@ -128,8 +128,8 @@ def ref_correlation(p, j, k, eps):
     return float(block[0] + block[3] - block[1] - block[2])
 
 
-def ref_chsh(values, variant, eps):
-    return ref_chsh_report(values, eps).delta(variant)
+def ref_chsh(values, v, eps):
+    return ref_chsh_report(values, eps).deltas[v]
 
 
 def ref_sum(values):
@@ -269,8 +269,8 @@ def test_chsh_report_matches_the_numpy_reference(case):
 GATES = {
     "check": (model.check_consistency, ref_check_consistency),
     "require": (model.require_consistent, ref_require_consistent),
-    "chsh": (lambda v, e: model.chsh(v, model.CHSH_VARIANTS[5], e),
-             lambda v, e: ref_chsh(v, model.CHSH_VARIANTS[5], e)),
+    "chsh": (lambda values, e: model.chsh(values, 5, e),
+             lambda values, e: ref_chsh(values, 5, e)),
     "chsh_report": (model.chsh_report, ref_chsh_report),
 }
 

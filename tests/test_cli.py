@@ -225,6 +225,17 @@ def test_every_gated_verdict_reports_its_eps(run, command, line):
     assert json.loads(out)["eps"] == 1e-3
 
 
+def test_a_deterministic_box_violates_nothing_at_eps_0(run):
+    # every |delta| is exactly 2, the bound itself
+    path = str(fixture_path("deterministic.box"))
+    code, out, err = run(["chsh", path, "--eps", "0"])
+    assert (code, err) == (0, "")
+    assert "VIOLATED" not in out
+    code, out, err = run(["chsh", path, "--eps", "0", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert not any(variant["violated"] for variant in json.loads(out)["variants"])
+
+
 def test_signalling_box_is_inconsistent_at_the_default_eps(run):
     code, out, _ = run(["validate", str(fixture_path("broken-signaling.box"))])
     assert code == 1
@@ -337,6 +348,13 @@ def test_forward_warns_on_measures_that_do_not_sum_to_1(run):
     code, out, err = run(["forward"], format_measures(m))
     assert (code, out) == (0, format_box(ql.forward_map(m)))
     assert err == "warning: measures sum to 0.5, not 1\n"
+
+
+def test_forward_at_eps_0_does_not_warn_on_measures_that_sum_to_1(run):
+    m = np.zeros(16)
+    m[0] = 1.0
+    code, out, err = run(["forward", "--eps", "0"], format_measures(m))
+    assert (code, out, err) == (0, format_box(ql.deterministic_box(0)), "")
 
 
 def test_free_weights_whose_solution_overflows_are_usage_errors(run):

@@ -420,8 +420,8 @@ def test_correlation_rejects_unnormalized_block():
 
 def test_chsh_canonical_values():
     assert ql.chsh(ql.tsirelson_box()) == pytest.approx(2 * RT2, abs=1e-12)
-    for variant in ql.CHSH_VARIANTS:
-        assert ql.chsh(ql.uniform_box(), variant) == pytest.approx(0.0, abs=1e-12)
+    for v in range(8):
+        assert ql.chsh(ql.uniform_box(), v) == pytest.approx(0.0, abs=1e-12)
     # reduced-form evaluation: 2 * (8 * 1/2 - 2) = 4
     assert ql.chsh(ql.pr_box()) == pytest.approx(4.0, abs=1e-12)
 
@@ -446,68 +446,70 @@ def test_chsh_sum_form_agrees_with_correlation_form():
 
 
 def test_every_deterministic_strategy_saturates_every_variant():
+    # |delta| = 2 exactly, the bound itself: no variant is violated, even at eps 0
     for s in range(16):
         p = ql.deterministic_box(s)
-        for variant in ql.CHSH_VARIANTS:
-            assert abs(ql.chsh(p, variant)) == pytest.approx(2.0, abs=1e-12)
+        assert [abs(ql.chsh(p, v)) for v in range(8)] == [2.0] * 8
+        report = ql.chsh_report(p, 0.0)
+        assert not report.any_violation
+        assert not any(report.violated(v) for v in range(8))
 
 
-def test_equal_copies_of_the_variants_find_their_rows():
-    # the rows are looked up by identity first; an equal copy takes the slow path
+def test_a_variant_is_a_row_of_the_chsh_matrix():
+    assert len(ql.CHSH_VARIANTS) == 8
+    assert set(ql.CHSH_VARIANTS) == {(pair, sign) for pair in model.SETTING_PAIRS
+                                      for sign in (1, -1)}
+    assert ql.CHSH_VARIANTS[0] == ((2, 2), 1)            # the canonical variant
     p = ql.tsirelson_box()
     report = ql.chsh_report(p)
-    for variant in ql.CHSH_VARIANTS:
-        copy = ql.ChshVariant(variant.negated_pair, variant.overall_sign)
-        assert copy is not variant
-        assert ql.chsh(p, copy) == ql.chsh(p, variant) == report.delta(copy)
-
-
-def test_variant_set_is_complete():
-    assert len(set(ql.CHSH_VARIANTS)) == 8
-    assert ql.CANONICAL_VARIANT.negated_pair == (2, 2)
-    assert ql.CANONICAL_VARIANT.overall_sign == 1
-    with pytest.raises(ValueError):
-        ql.ChshVariant((3, 1), 1)
-    with pytest.raises(ValueError):
-        ql.ChshVariant((1, 1), 0)
+    for v in range(8):
+        assert ql.chsh(p, np.int64(v)) == ql.chsh(p, v) == report.deltas[v]
+        assert report.violated(np.uint8(v)) == report.violated(v)
+    for bad in (True, False, -1, 8, 3.0, np.float64(1), "x", None):
+        message = f"variant must be an integer in 0..7, got {bad!r}"
+        for evaluate in (lambda v: ql.chsh(p, v), report.violated):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                evaluate(bad)
 
 
 def test_chsh_report():
     report = ql.chsh_report(ql.tsirelson_box())
-    assert report.delta(ql.CANONICAL_VARIANT) == pytest.approx(2 * RT2, abs=1e-12)
+    assert report.deltas[0] == pytest.approx(2 * RT2, abs=1e-12)
     assert report.max_abs_delta == pytest.approx(2 * RT2, abs=1e-12)
-    assert report.violated(ql.CANONICAL_VARIANT)
+    assert report.violated(0)
     assert report.any_violation
     quiet = ql.chsh_report(ql.uniform_box())
     assert not quiet.any_violation
 
 
-def loop_chsh(p, variant):
-    """A CHSH sum from the four correlations: the reference for CHSH_MATRIX."""
-    return variant.overall_sign * sum(
-        variant.pair_sign(j, k) * ql.correlation(p, j, k)
-        for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+def loop_chsh(p, v):
+    """Variant v's CHSH sum from the four correlations and its CHSH_VARIANTS
+    entry: the reference for CHSH_MATRIX."""
+    negated, sign = ql.CHSH_VARIANTS[v]
+    return sign * sum((-1 if (j, k) == negated else 1) * ql.correlation(p, j, k)
+                      for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)))
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=16, max_size=16))
 def test_chsh_matrix_matches_the_per_variant_loop(values):
     blocks = np.array(values).reshape(4, 4)
     p = (blocks / blocks.sum(axis=1, keepdims=True)).reshape(16)
-    loop = np.array([loop_chsh(p, v) for v in ql.CHSH_VARIANTS])
+    loop = np.array([loop_chsh(p, v) for v in range(8)])
     # two sums of 16 terms in different orders
     tol = 16 * np.finfo(float).eps * np.abs(p).sum()
     assert np.abs(np.array(ql.chsh_report(p).deltas) - loop).max() <= tol
-    assert np.abs(np.array([ql.chsh(p, v) for v in ql.CHSH_VARIANTS]) - loop).max() <= tol
+    assert np.abs(np.array([ql.chsh(p, v) for v in range(8)]) - loop).max() <= tol
     assert abs(ql.chsh_report(p).max_abs_delta - np.abs(loop).max()) <= tol
     assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
 
 
 def test_each_variant_negates_its_own_pair():
-    # loop_chsh reads pair_sign too; four distinct correlations tell the pairs apart
+    # read from the CHSH_VARIANTS entries alone; four distinct correlations
+    # tell the pairs apart
     corr = {(1, 1): 0.1, (1, 2): 0.2, (2, 1): 0.3, (2, 2): 0.4}
     p = np.array([(1 + m * n * corr[j, k]) / 4 for j, k, m, n in ql.PROB_EVENTS])
-    for v in ql.CHSH_VARIANTS:
-        expected = v.overall_sign * (sum(corr.values()) - 2 * corr[v.negated_pair])
+    for v, (negated, sign) in enumerate(ql.CHSH_VARIANTS):
+        expected = sign * (sum(corr.values()) - 2 * corr[negated])
         assert ql.chsh(p, v) == pytest.approx(expected, abs=1e-12)
 
 
@@ -550,9 +552,11 @@ REQUIRE_UNNORMALIZED = (
     # the box is checked before the variant
     pytest.param(lambda p: ql.chsh(p, "canonical"), NOT_16, NOT_16_ERROR, id="chsh-order"),
     pytest.param(lambda p: ql.chsh(p, "canonical"), ql.uniform_box(),
-                 (ValueError, "tuple.index(x): x not in tuple"), id="chsh-not-a-variant"),
-    pytest.param(lambda p: ql.chsh_report(p).delta("x"), ql.uniform_box(),
-                 (ValueError, "tuple.index(x): x not in tuple"), id="delta-not-a-variant"),
+                 (ValueError, "variant must be an integer in 0..7, got 'canonical'"),
+                 id="chsh-not-a-variant"),
+    pytest.param(lambda p: ql.chsh_report(p).violated("x"), ql.uniform_box(),
+                 (ValueError, "variant must be an integer in 0..7, got 'x'"),
+                 id="violated-not-a-variant"),
 ])
 def test_chsh_functions_reject_unnormalized_boxes(evaluate, p, error):
     """Each bad input raises exactly this error type and message."""
@@ -590,7 +594,7 @@ def test_sigma_minus_rows_are_the_chsh_minus_2_strategies():
         one_hot[s] = 1.0
         box = ql.deterministic_box(s)
         assert ql.sigma_minus(one_hot) == tuple(
-            1.0 if ql.chsh(box, variant) == -2.0 else 0.0 for variant in ql.CHSH_VARIANTS)
+            1.0 if ql.chsh(box, v) == -2.0 else 0.0 for v in range(8))
 
 
 def test_chsh_is_2_sum_minus_4_sigma_minus():

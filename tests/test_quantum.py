@@ -8,6 +8,7 @@ directly, which the production path never does.
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,10 +101,14 @@ def test_a_state_needs_4_amplitudes():
     ((0.0, -np.inf, 0.0), "direction contains non-finite components"),
     ((1e200, 0.0, 0.0), r"direction is not a unit vector: \|n\|\^2 = inf"),
     ((0.0, 0.0, -1e200), r"direction is not a unit vector: \|n\|\^2 = inf"),
+    # a numpy scalar warned "overflow encountered in scalar multiply" as it squared
+    ((np.float64(1e200), 0.0, 0.0), r"direction is not a unit vector: \|n\|\^2 = inf"),
 ])
 def test_direction_validation_messages(components, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        ql.MeasurementDirection(*components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ql.MeasurementDirection(*components)
 
 
 def test_direction_validation():
@@ -267,6 +272,43 @@ def test_singlet_correlation_law():
         for (j, k), (da, db) in pairs.items():
             cos_angle = da.x * db.x + da.y * db.y + da.z * db.z
             assert ql.correlation(p, j, k) == pytest.approx(-cos_angle, abs=1e-9)
+
+
+def unit_vectors(n):
+    """A unit vector in R^n: a draw from [-1, 1]^n of norm at least 1/2, normalized."""
+    return (st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+            .filter(lambda v: math.hypot(*v) >= 0.5)
+            .map(lambda v: np.array(v) / math.hypot(*v)))
+
+
+def su2(q):
+    """The SU(2) matrix w I - i (x sigma_x + y sigma_y + z sigma_z) of a unit quaternion."""
+    w, x, y, z = q
+    return w * np.eye(2) - 1j * (x * _SX + y * _SY + z * _SZ)
+
+
+def rotation(u):
+    """O with u (a.sigma) u^dagger = (O a).sigma: O_ij = Tr(sigma_i u sigma_j u^dagger) / 2."""
+    return np.array([[np.trace(si @ u @ sj @ u.conj().T).real / 2.0 for sj in _PAULIS[1:]]
+                     for si in _PAULIS[1:]])
+
+
+def born_box(amplitudes, directions):
+    state = ql.TwoQubitState(tuple(amplitudes))
+    return ql.generate_probability_set(
+        ql.QubitScenario(state, *(ql.MeasurementDirection(*d) for d in directions)))
+
+
+@given(unit_vectors(8), unit_vectors(4), unit_vectors(4),
+       st.lists(unit_vectors(3), min_size=4, max_size=4))
+def test_local_unitaries_rotate_the_measurement_directions(psi, qu, qv, directions):
+    # (U (x) V) psi measured along O_U a_j and O_V b_k gives psi's box along a_j and b_k
+    psi = psi[:4] + 1j * psi[4:]
+    u, v = su2(qu), su2(qv)
+    a1, a2, b1, b2 = directions
+    o_u, o_v = rotation(u), rotation(v)
+    moved = born_box(np.kron(u, v) @ psi, (o_u @ a1, o_u @ a2, o_v @ b1, o_v @ b2))
+    assert np.abs(moved - born_box(psi, directions)).max() <= 2e-15
 
 
 # ---------------------------------------------------------------------------
