@@ -37,10 +37,8 @@ from .model import (
     deterministic_box,
     forward_map,
     pr_box,
-    prob_index,
     require_consistent,
     sigma_minus,
-    strategy_index,
     total_negativity,
     tsirelson_box,
     uniform_box,
@@ -53,7 +51,6 @@ from .solver import (
 )
 from .negativity import (
     NegativityResult,
-    chsh_lower_bound,
     min_negativity,
 )
 from .quantum import (

@@ -12,9 +12,10 @@ omitted) and write to stdout, so they pipe:
 Exit codes: 0 success, 1 domain failure (inconsistent input or a failed
 precondition), 2 I/O or parse failure.  `--format json` switches every
 report to a machine-readable object.  The tolerance is 1e-9 unless --eps
-gives another.  Each flag value is checked by its argparse type as the
-command line is parsed, so a bad one is a usage error (exit 2) before any
-input is read.
+gives another.  Each flag value is checked by its argparse type, and each
+combination of flags by argparse (solve's --free and --perfect-correlation
+M16 exclude each other), as the command line is parsed, so a bad one is a
+usage error (exit 2) before any input is read.
 """
 
 from __future__ import annotations
@@ -135,22 +136,17 @@ def _negative_summary(m: np.ndarray, total: float) -> list[str]:
 
 def _cmd_solve(args) -> int:
     p = _load_box(args)
-    flag = "--m16" if args.perfect_correlation else "--free"
+    flag = "--free" if args.perfect_correlation is None else "--perfect-correlation"
 
-    if args.perfect_correlation:
-        if args.free is not None:
-            raise _Failure(EXIT_USAGE, "--perfect-correlation takes --m16, not --free")
-        m16 = 0.0 if args.m16 is None else args.m16
-        m = solver.perfect_correlation_solution(p, m16, args.eps)
-    else:
-        if args.m16 is not None:
-            raise _Failure(EXIT_USAGE, "--m16 is only meaningful with --perfect-correlation")
+    if args.perfect_correlation is None:
         try:
             m = solver.solve(p, args.free, args.eps)
         except model.ConsistencyError:
             raise
         except ValueError as exc:       # finite free weights whose solution overflows
             raise _Failure(EXIT_USAGE, f"argument {flag}: {exc}") from None
+    else:
+        m = solver.perfect_correlation_solution(p, args.perfect_correlation, args.eps)
     total = model.total_negativity(m)
     if not math.isfinite(total):        # finite weights whose negative parts overflow
         raise _Failure(EXIT_USAGE,
@@ -335,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="invert a box into a measure document")
     _add_common(solve)
-    solve.add_argument("--free", type=_finite_float, nargs=7, metavar="F", default=None,
-                       help="free weights m2 m3 m7 m10 m14 m15 m16 (default zeros)")
-    solve.add_argument("--perfect-correlation", action="store_true",
-                       help="use the one-parameter solution for boxes with p2 = p3 = 0")
-    solve.add_argument("--m16", type=_finite_float, default=None,
-                       help="free weight m16 for --perfect-correlation (default 0)")
+    family = solve.add_mutually_exclusive_group()
+    family.add_argument("--free", type=_finite_float, nargs=7, metavar="F", default=None,
+                        help="free weights m2 m3 m7 m10 m14 m15 m16 (default zeros)")
+    family.add_argument("--perfect-correlation", type=_finite_float, metavar="M16", default=None,
+                        help="use the one-parameter solution for boxes with p2 = p3 = 0, "
+                             "at free weight m16 = M16")
     solve.set_defaults(handler=_cmd_solve)
 
     forward = subs.add_parser("forward", help="map a measure document to its box")

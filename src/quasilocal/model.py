@@ -25,8 +25,9 @@ from FORWARD_MATRIX at import: the relation table DEPENDENT_SIGNS (a least-squar
 solution, rounded to the nearest half) and the strategies' CHSH values, whose
 signs pick the strategies sigma_minus sums.  An index is read by indexing a
 table: STRATEGY_OUTCOMES[i] and PROB_EVENTS[i], or their labels
-STRATEGY_PATTERNS[i] ('+++-') and PROB_LABELS[i] ('a1+b1+'); strategy_index
-and prob_index go the other way.
+STRATEGY_PATTERNS[i] ('+++-') and PROB_LABELS[i] ('a1+b1+');
+STRATEGY_OUTCOMES.index((a1, b1, a2, b2)) and PROB_EVENTS.index((j, k, m, n))
+go the other way.
 
 Everything here is a pure function of immutable values.  Measure vectors and
 probability sets are plain length-16 float arrays in the canonical orders
@@ -103,33 +104,8 @@ PROB_EVENTS = tuple((j, k, m, n) for j, k in SETTING_PAIRS for m, n in _OUTCOME_
 STRATEGY_PATTERNS = tuple("".join(map(outcome_char, o)) for o in STRATEGY_OUTCOMES)
 PROB_LABELS = tuple(f"a{j}{outcome_char(m)}b{k}{outcome_char(n)}" for j, k, m, n in PROB_EVENTS)
 
-_STRATEGY_POSITION = {outcomes: i for i, outcomes in enumerate(STRATEGY_OUTCOMES)}
-_PROB_POSITION = {event: i for i, event in enumerate(PROB_EVENTS)}
-
-
-def _position(table: dict, key: tuple, outcomes: tuple) -> int:
-    """table[key], or ValueError naming the first of outcomes not +1 or -1."""
-    try:
-        return table[key]
-    except (KeyError, TypeError):
-        bad = [o for o in outcomes if o not in OUTCOMES] or outcomes
-        raise ValueError(f"outcome must be +1 or -1, got {bad[0]!r}") from None
-
-
-def strategy_index(a1: int, b1: int, a2: int, b2: int) -> int:
-    """Position of the strategy with the given outcomes in STRATEGY_OUTCOMES."""
-    return _position(_STRATEGY_POSITION, (a1, b1, a2, b2), (a1, b1, a2, b2))
-
-
-def prob_index(j: int, k: int, m: int, n: int) -> int:
-    """Position of the event p(a_j = m, b_k = n) in PROB_EVENTS."""
-    if j not in (1, 2) or k not in (1, 2):
-        raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
-    return _position(_PROB_POSITION, (j, k, m, n), (m, n))
-
-
-#: prob_index(j, k, m, n) on axes (j, k, m, n), outcomes in OUTCOMES order:
-#: PROB_EVENTS is row-major on them.
+#: PROB_EVENTS.index((j, k, m, n)) on axes (j, k, m, n), outcomes in OUTCOMES
+#: order: PROB_EVENTS is row-major on them.
 _PROB_INDEX = np.arange(16).reshape(2, 2, 2, 2)
 
 #: 0/1 matrix mapping a measure vector to its 16 joint probabilities: entry
@@ -155,9 +131,14 @@ def _embedding(strategies, coordinates) -> np.ndarray:
     return _half_integer_solve(basis.T, F.T).T
 
 
+def _is_integer(i) -> bool:
+    """Whether i is an int or a numpy integer; a bool is not."""
+    return type(i) is int or isinstance(i, np.integer)
+
+
 def _index(i, n: int, name: str):
-    """i if it is an int or a numpy integer in 0..n-1 (a bool is not), else ValueError."""
-    if (type(i) is int or isinstance(i, np.integer)) and 0 <= i < n:
+    """i if it is an integer (_is_integer) in 0..n-1, else ValueError."""
+    if _is_integer(i) and 0 <= i < n:
         return i
     raise ValueError(f"{name} must be an integer in 0..{n - 1}, got {i!r}")
 
@@ -440,11 +421,12 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     """Correlation coefficient of setting pair (a_j, b_k):
     p(+,+) + p(-,-) - p(+,-) - p(-,+).
 
-    Requires the block to be normalized within eps.
+    j and k are integers (_is_integer) equal to 1 or 2.  Requires the block
+    to be normalized within eps.
     """
     p = _vector16(p, "probability set")
     _check_eps(eps)
-    if (j, k) not in SETTING_PAIRS:
+    if not (_is_integer(j) and _is_integer(k) and (j, k) in SETTING_PAIRS):
         raise ValueError(f"setting indices must be 1 or 2, got j={j}, k={k}")
     pp, pm, mp, mm = p.reshape(4, 4)[SETTING_PAIRS.index((j, k))].tolist()
     total = 0.0 + pp + pm + mp + mm           # numpy's summation order, no warning

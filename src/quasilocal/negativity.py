@@ -40,7 +40,6 @@ from .model import (
     _shaped16,
     _total_negativity,
     chsh,
-    chsh_report,
 )
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
@@ -58,17 +57,6 @@ _WITNESS = np.round(64.0 * (
     np.linalg.pinv(FORWARD_MATRIX * (_STRATEGY_CHSH > 0)[:, None, :])
     @ (_BOX_EMBEDDING - FORWARD_MATRIX @ _PR_MODELS * _MU) + _PR_MODELS * _MU)) / 64.0
 _WITNESS.setflags(write=False)
-
-
-def _bound(max_abs_delta: float) -> float:
-    return max((max_abs_delta - 2.0) / 4.0, 0.0)    # NaN first: max(nan, 0.0) is nan
-
-
-def chsh_lower_bound(p, eps: float = DEFAULT_EPS) -> float:
-    """Largest closed-form negativity bound over the 8 CHSH variants:
-    max(0, (|delta_v| - 2) / 4), or NaN when a CHSH sum is NaN, as
-    ChshReport.max_abs_delta is."""
-    return _bound(chsh_report(p, eps).max_abs_delta)
 
 
 #: (a1, a2, the (b1, b2) column in q's order, _OUTCOME_PAIRS) of each strategy, in
@@ -118,8 +106,8 @@ class NegativityResult:
     to max(0, (|delta| - 2) / 4) up to rounding.  It lies in the solution
     family: the witness is also solve(p, witness[FREE_INDICES]).  lower_bound
     is that closed form and feasible is max |delta| <= 2 + eps, both taken on
-    p_hat (see min_negativity), so they may differ in the last bits from
-    chsh_lower_bound(p) and from chsh_report(p).any_violation.
+    p_hat (see min_negativity), so they may differ in the last bits from the
+    same quantities taken on p by chsh_report(p).
     """
     min_negativity: float
     witness: np.ndarray
@@ -155,6 +143,6 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     return NegativityResult(
         min_negativity=_total_negativity(witness),
         witness=witness,
-        lower_bound=_bound(max_abs_delta),
+        lower_bound=max((max_abs_delta - 2.0) / 4.0, 0.0),     # NaN first: max(nan, 0.0) is nan
         feasible=max_abs_delta <= 2.0 + eps,
     )

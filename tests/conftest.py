@@ -1,7 +1,7 @@
 import functools
 
 import numpy as np
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "default",
@@ -11,6 +11,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+#: tests/mutants.py's profile: a failing example is reported as found, not
+#: shrunk and explained first.  Both phases run only after a test has
+#: failed, so no verdict changes.
+settings.register_profile(
+    "mutants",
+    settings.get_profile("default"),
+    phases=[phase for phase in settings.get_profile("default").phases
+            if phase not in (Phase.shrink, Phase.explain)],
+)
 
 #: A box with entries near the float maximum: at eps 1e300 its relation
 #: product DEPENDENT_SIGNS @ p_ind and its CHSH product overflow to +-inf and NaN.

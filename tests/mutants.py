@@ -5,9 +5,11 @@
 A mutant is one textual replacement in one file of src/quasilocal.  For each,
 the runner copies src/ to a temporary directory, replaces the old text, which
 must occur exactly once, and runs pytest with RuntimeWarning as an error and
-PYTHONPATH pointing at the copy; tests/conftest.py derandomizes Hypothesis, so
-a verdict does not depend on a random draw.  It runs the mutant's killer, the
-test file or test function named beside it, first, with -x.  The mutant is
+PYTHONPATH pointing at the copy.  tests/conftest.py derandomizes Hypothesis, so
+a verdict does not depend on a random draw, and its "mutants" profile, which
+the runner selects, skips the shrink and explain phases: they run only once a
+test has already failed.  It runs the mutant's killer, the test file or test
+function named beside it, first, with -x.  The mutant is
 killed when pytest reports a failure or an error (exit 1 or 2).  When the
 killer passes, the runner runs the whole of tests/ with -x and reports the
 killer as stale: the hint saves time and never decides a verdict.  The suite
@@ -113,17 +115,15 @@ MUTANTS = (
     Mutant("quantum.py", "t = math.atan2(s2, s1)", "t = math.atan2(s1, s2)",
            "maximize_chsh splits the b directions at the wrong angle",
            "tests/test_quantum.py::test_maximize_degenerate_blocks"),
-    Mutant("cli.py", 'EXIT_USAGE, "--perfect-correlation takes --m16, not --free"',
-           'EXIT_DOMAIN, "--perfect-correlation takes --m16, not --free"',
-           "--perfect-correlation with --free exits 1, not 2",
-           "tests/test_cli.py::test_usage_and_parse_errors_name_their_cause"),
-    Mutant("cli.py", 'flag = "--m16" if args.perfect_correlation else "--free"',
+    Mutant("cli.py", "family = solve.add_mutually_exclusive_group()", "family = solve",
+           "solve takes --free with --perfect-correlation and reads its input before failing",
+           "tests/test_cli.py::"
+           "test_free_and_perfect_correlation_exclude_each_other_before_any_input_is_read"),
+    Mutant("cli.py",
+           'flag = "--free" if args.perfect_correlation is None else "--perfect-correlation"',
            'flag = "--free"',
-           "an overflow at --m16 names --free",
+           "an overflow at --perfect-correlation names --free",
            "tests/test_cli.py::test_weights_whose_total_negativity_overflows_are_usage_errors"),
-    Mutant("cli.py", "if args.m16 is not None:", "if False:",
-           "--m16 without --perfect-correlation is ignored",
-           "tests/test_cli.py::test_perfect_correlation_defaults_m16_to_zero"),
     Mutant("cli.py", 'if not (action.option_strings and arg_strings == ["--"]):', "if True:",
            "--eps=-- reaches the flag as [] before Python 3.13",
            "tests/test_cli.py::test_a_double_dash_flag_value_is_a_usage_error"),
@@ -136,9 +136,9 @@ MUTANTS = (
     Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) > 1.0:",
            "forward stops warning on measures that sum to 0.5",
            "tests/test_cli.py::test_forward_warns_on_measures_that_do_not_sum_to_1"),
-    Mutant("model.py", "if (type(i) is int or isinstance(i, np.integer)) and",
-           "if isinstance(i, (int, np.integer)) and",
-           "a bool passes as an index: deterministic_box(True) gives strategy 1's box",
+    Mutant("model.py", "return type(i) is int or isinstance(i, np.integer)",
+           "return isinstance(i, (int, np.integer))",
+           "a bool passes as an integer: deterministic_box(True) gives strategy 1's box",
            "tests/test_model.py::test_deterministic_box_rejects_anything_but_a_strategy_index"),
     Mutant("cli.py", "*args, allow_abbrev=False, **kwargs", "*args, allow_abbrev=True, **kwargs",
            "a unique prefix of a long option is read as the option",
@@ -199,7 +199,7 @@ def suite_fails(mutant: Mutant | None, target: str = "tests") -> bool:
                    HYPOTHESIS_STORAGE_DIRECTORY=str(Path(tmp) / "hypothesis"))
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "-W", "error::RuntimeWarning", target],
+             "-W", "error::RuntimeWarning", "--hypothesis-profile=mutants", target],
             cwd=ROOT, env=env, capture_output=True, text=True)
     if done.returncode not in (0, 1, 2):
         raise SystemExit(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")

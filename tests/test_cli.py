@@ -102,15 +102,16 @@ def test_an_unnormalized_state_is_a_domain_failure(run, mode, state, norm_sq):
 
 @pytest.mark.parametrize("argv, flag", [
     (["solve", "--free", "nan", "0", "0", "0", "0", "0", "0"], "--free"),
-    (["solve", "--perfect-correlation", "--m16", "nan"], "--m16"),
+    (["solve", "--perfect-correlation", "nan"], "--perfect-correlation"),
     (["qm", "--state", "singlet", "--angles", "inf", "0", "0", "0"], "--angles"),
     (["qm", "--state", "nan,0,0,0", "--maximize"], "--state"),
     # argparse took a leading -inf or -nan for an option name: "expected N argument(s)"
     (["solve", "--free", "0", "0", "0", "0", "0", "0", "-inf"], "--free"),
-    (["solve", "--perfect-correlation", "--m16", "-inf"], "--m16"),
+    (["solve", "--perfect-correlation", "-inf"], "--perfect-correlation"),
     (["qm", "--state", "singlet", "--angles", "-Infinity", "0", "0", "0"], "--angles"),
     (["qm", "--state", "-NaN,0,0,0", "--maximize"], "--state"),
-], ids=["free", "m16", "angles", "state", "free-neg-inf", "m16-neg-inf",
+], ids=["free", "perfect-correlation", "angles", "state", "free-neg-inf",
+        "perfect-correlation-neg-inf",
         "angles-neg-infinity", "state-neg-nan"])
 def test_non_finite_numbers_are_usage_errors(run, argv, flag):
     code, out, err = run(argv, box_object_text(ql.pr_box()))
@@ -125,13 +126,13 @@ R = "7.071067811865476e-1"
 @pytest.mark.parametrize("argv, spelled_out", [
     (["solve", "--free", "0", "0", "0", "-1e-3", "0", "0", "0"],
      ["solve", "--free", "0", "0", "0", "-0.001", "0", "0", "0"]),
-    (["solve", "--perfect-correlation", "--m16", "-2.5e-1"],
-     ["solve", "--perfect-correlation", "--m16", "-0.25"]),
+    (["solve", "--perfect-correlation", "-2.5e-1"],
+     ["solve", "--perfect-correlation", "-0.25"]),
     (["qm", "--state", "singlet", "--angles", "0", "90", "-4.5e1", "135"],
      ["qm", "--state", "singlet", "--angles", "0", "90", "-45", "135"]),
     (["qm", "--state", f"-{R},0,0,-{R}", "--maximize"],
      ["qm", f"--state=-{R},0,0,-{R}", "--maximize"]),
-], ids=["free", "m16", "angles", "state"])
+], ids=["free", "perfect-correlation", "angles", "state"])
 def test_negative_numbers_in_scientific_notation_are_values(run, argv, spelled_out):
     code, out, err = run(argv, box_object_text(ql.pr_box()))
     assert (code, err) == (0, "")
@@ -270,8 +271,6 @@ NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
 
 
 @pytest.mark.parametrize("argv, stdin, message", [
-    (["solve", "--perfect-correlation", *NO_FREE], {"probabilities": UNIFORM},
-     "error: --perfect-correlation takes --m16, not --free\n"),
     (["validate"], {"probabilities": {**UNIFORM, "A1+B1+": 0.25}},
      "parse error: duplicate probability label 'a1+b1+'\n"),
     (["forward"], {"probabilities": UNIFORM},
@@ -282,7 +281,7 @@ NO_FREE = ["--free", "0", "0", "0", "0", "0", "0", "0"]
     (["forward"], {"measures": {"+++": 1}}, "parse error: bad pattern '+++'\n"),
     (["forward"], {"measures": {"++x+": 1}}, "parse error: bad pattern '++x+'\n"),
     (["forward"], "+++ 1\n", "parse error: line 1: bad pattern '+++'\n"),
-], ids=["perfect-correlation-and-free", "json-label-twice", "json-measures-missing",
+], ids=["json-label-twice", "json-measures-missing",
         "json-pattern-twice", "json-pattern-of-3", "json-bad-pattern", "text-pattern-of-3"])
 def test_usage_and_parse_errors_name_their_cause(run, argv, stdin, message):
     code, out, err = run(argv, stdin if isinstance(stdin, str) else json.dumps(stdin))
@@ -304,8 +303,9 @@ def test_solve_has_no_second_input_or_output_channel(run, tmp_path, flag):
 @pytest.mark.parametrize("argv, message", [
     (["validate", "--eps=--"], "argument --eps: invalid float value: '--'"),
     (["validate", "--format=--"], "argument --format: invalid choice: '--'"),
-    (["solve", "--perfect-correlation", "--m16=--"], "argument --m16: invalid float value: '--'"),
-], ids=["eps", "format", "m16"])
+    (["solve", "--perfect-correlation=--"],
+     "argument --perfect-correlation: invalid float value: '--'"),
+], ids=["eps", "format", "perfect-correlation"])
 def test_a_double_dash_flag_value_is_a_usage_error(run, argv, message):
     # before Python 3.13 argparse dropped the '--' and handed the flag [],
     # which its type never saw: --eps died in np.isfinite with a traceback
@@ -316,7 +316,7 @@ def test_a_double_dash_flag_value_is_a_usage_error(run, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--e", "1e-3"],
-    ["solve", "--perf"],
+    ["solve", "--perf", "0"],
     ["solve", "--fre", "0.5", "0", "0", "0", "0", "0", "0"],
     ["qm", "--st", "singlet", "--max"],
 ], ids=["eps", "perfect-correlation", "free", "state-maximize"])
@@ -337,10 +337,11 @@ def test_an_unreadable_input_is_a_usage_error(run, tmp_path):
 
 
 def test_an_m16_that_is_not_a_number_is_a_usage_error(run):
-    code, out, err = run(["solve", "--perfect-correlation", "--m16", "abc"])
+    code, out, err = run(["solve", "--perfect-correlation", "abc"])
     assert (code, out) == (2, "")
     assert err.startswith("usage: quasilocal solve ")
-    assert err.endswith("\nquasilocal solve: error: argument --m16: invalid float value: 'abc'\n")
+    assert err.endswith("\nquasilocal solve: error: "
+                        "argument --perfect-correlation: invalid float value: 'abc'\n")
 
 
 def test_forward_warns_on_measures_that_do_not_sum_to_1(run):
@@ -369,11 +370,11 @@ def test_free_weights_whose_solution_overflows_are_usage_errors(run):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("flag", ["--m16", "--free"])
+@pytest.mark.parametrize("flag", ["--perfect-correlation", "--free"])
 def test_weights_whose_total_negativity_overflows_are_usage_errors(run, flag, fmt):
     # exited 0 after a numpy overflow warning, reporting a total negativity of
     # inf, which the JSON report wrote as Infinity, not JSON
-    argv = {"--m16": ["--perfect-correlation", "--m16", "1e308"],
+    argv = {"--perfect-correlation": ["--perfect-correlation", "1e308"],
             "--free": ["--free", "-1e308", "0", "0", "0", "0", "0", "0"]}[flag]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -439,15 +440,44 @@ def test_forward_of_overflowing_weights_is_a_domain_failure(run, fmt):
     assert err == "error: the forward image is not finite: the weights overflow\n"
 
 
-def test_perfect_correlation_defaults_m16_to_zero(run):
-    code, out, _ = run(["solve", "--perfect-correlation", "--format", "json"],
+def test_perfect_correlation_takes_m16_as_its_value(run):
+    code, out, _ = run(["solve", "--perfect-correlation", "0.25", "--format", "json"],
                        box_object_text(ql.pr_box()))
     assert code == 0
     m = ql.parse_measures(out)
-    assert np.array_equal(m, ql.perfect_correlation_solution(ql.pr_box(), 0.0))
-    code, _, err = run(["solve", "--m16", "0"], box_object_text(ql.pr_box()))
-    assert code == 2
-    assert "--m16 is only meaningful with --perfect-correlation" in err
+    assert np.array_equal(m, ql.perfect_correlation_solution(ql.pr_box(), 0.25))
+    # no default value, and no second flag for it
+    code, out, err = run(["solve", "--perfect-correlation"], box_object_text(ql.pr_box()))
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --perfect-correlation: expected one argument\n")
+    code, out, err = run(["solve", "--m16", "0"], box_object_text(ql.pr_box()))
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --m16\n")
+
+
+class UnreadableStdin(io.StringIO):
+    def read(self, *args):
+        pytest.fail("standard input was read")
+
+
+@pytest.mark.parametrize("input_path", [None, str(fixture_path("broken-parse.box"))],
+                         ids=["stdin", "broken-parse"])
+@pytest.mark.parametrize("first, second", [
+    (["--perfect-correlation", "0"], NO_FREE),
+    (NO_FREE, ["--perfect-correlation", "0"]),
+], ids=["perfect-correlation-first", "free-first"])
+def test_free_and_perfect_correlation_exclude_each_other_before_any_input_is_read(
+        monkeypatch, capsys, first, second, input_path):
+    # exited 2 only after the box was read: a malformed box gave its parse error
+    monkeypatch.setattr(sys, "stdin", UnreadableStdin())
+    argv = ["solve", *first, *second] + ([] if input_path is None else [input_path])
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err.startswith("usage: quasilocal solve ")
+    assert err.endswith(f"quasilocal solve: error: argument {second[0]}: "
+                        f"not allowed with argument {first[0]}\n")
 
 
 def test_solve_range_checks_at_the_given_eps(run):

@@ -1,13 +1,14 @@
 """In-process fuzz of the command line, with every warning an error.
 
 Hypothesis draws box and measure documents (text and JSON) with magnitudes
-across the float range and malformed tokens, values of --eps, --free, --m16
-and qm's flags, and the removed solve flags --out and --free-file.  The
-oracle: `cli.main` returns 0, 1 or 2, or argparse raises SystemExit(2);
-nothing else is raised and nothing is warned; a usage or parse failure writes
-nothing to stdout; JSON stdout parses without NaN or Infinity; and a document
-on stdout reads back to the same floats.  `pytest --hypothesis-show-statistics`
-prints the share of each exit code per command.
+across the float range and malformed tokens, values of --eps, --free,
+--perfect-correlation and qm's flags, and the removed solve flags --out and
+--free-file.  The oracle: `cli.main` returns 0, 1 or 2, or argparse raises
+SystemExit(2); nothing else is raised and nothing is warned; a usage or parse
+failure writes nothing to stdout; JSON stdout parses without NaN or Infinity;
+and a document on stdout reads back to the same floats.
+`pytest --hypothesis-show-statistics` prints the share of each exit code per
+command.
 """
 
 import contextlib
@@ -160,13 +161,14 @@ def test_box_commands_exit_0_1_or_2_without_a_warning(command, box, fmt, eps):
     check(argv, box, fmt)
 
 
-#: solve's flags: --free, --perfect-correlation with or without --m16, and
-#: the two combinations it rejects.
+#: solve's flags: --free, --perfect-correlation with its value, and the
+#: combinations the parser rejects: --perfect-correlation without a value,
+#: the removed --m16, and --free with --perfect-correlation.
 SOLVE_FLAGS = st.one_of(
     tokens(7).map(lambda t: ["--free", *t]),
-    tokens(1).map(lambda t: ["--perfect-correlation", "--m16", *t]),
+    tokens(1).map(lambda t: ["--perfect-correlation", *t]),
     st.sampled_from([[], ["--perfect-correlation"], ["--m16", "0"],
-                     ["--perfect-correlation", "--free", *"0000000"]]))
+                     ["--perfect-correlation", "0", "--free", *"0000000"]]))
 
 
 @settings(max_examples=150)

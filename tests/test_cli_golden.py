@@ -44,7 +44,7 @@ def _cases() -> dict[str, tuple[list[str], list[str] | None]]:
                 ["solve", name, "--free", "0.125", "0", "-0.25", "0", "0", "0.5", "-0.0625",
                  "--format", fmt], None)
             cases[f"solve --perfect-correlation {name} {fmt}"] = (
-                ["solve", name, "--perfect-correlation", "--m16", "0.25", "--format", fmt], None)
+                ["solve", name, "--perfect-correlation", "0.25", "--format", fmt], None)
     for label, state in (("singlet", "singlet"), ("i-bell", I_BELL)):
         for fmt in FORMATS:
             cases[f"qm {label} --maximize {fmt}"] = (

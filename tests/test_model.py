@@ -61,7 +61,7 @@ def test_probability_layout_matches_table():
     assert model.PROB_EVENTS == tuple(event for event, _ in PROB_TABLE)
     assert ql.PROB_LABELS == tuple(label for _, label in PROB_TABLE)
     for i, (event, label) in enumerate(PROB_TABLE):
-        assert ql.prob_index(*event) == i
+        assert ql.PROB_EVENTS.index(event) == i
         j, k, m, n = event
         position = (j - 1, k - 1, model.OUTCOMES.index(m), model.OUTCOMES.index(n))
         assert model._PROB_INDEX[position] == i
@@ -70,26 +70,26 @@ def test_probability_layout_matches_table():
 
 def test_pattern_index_roundtrip():
     for i, pattern in enumerate(STRATEGY_TABLE):
-        assert ql.strategy_index(*(ql.PLUS if c == "+" else ql.MINUS for c in pattern)) == i
+        assert ql.STRATEGY_OUTCOMES.index(tuple(ql.PLUS if c == "+" else ql.MINUS
+                                                 for c in pattern)) == i
         assert ql.STRATEGY_PATTERNS[i] == pattern
-        assert ql.strategy_index(*ql.STRATEGY_OUTCOMES[i]) == i
 
 
 def test_strategy_index_formula():
     # index = 8*bit(a1) + 4*bit(b1) + 2*bit(a2) + bit(b2), with + -> 0
-    assert ql.strategy_index(+1, +1, +1, +1) == 0
-    assert ql.strategy_index(+1, +1, +1, -1) == 1
-    assert ql.strategy_index(+1, -1, +1, +1) == 4
-    assert ql.strategy_index(-1, +1, +1, +1) == 8
-    assert ql.strategy_index(-1, -1, -1, -1) == 15
+    assert ql.STRATEGY_OUTCOMES.index((+1, +1, +1, +1)) == 0
+    assert ql.STRATEGY_OUTCOMES.index((+1, +1, +1, -1)) == 1
+    assert ql.STRATEGY_OUTCOMES.index((+1, -1, +1, +1)) == 4
+    assert ql.STRATEGY_OUTCOMES.index((-1, +1, +1, +1)) == 8
+    assert ql.STRATEGY_OUTCOMES.index((-1, -1, -1, -1)) == 15
 
 
 def test_prob_index_layout():
-    assert ql.prob_index(1, 1, +1, +1) == 0   # p1
-    assert ql.prob_index(1, 2, +1, +1) == 4   # p5
-    assert ql.prob_index(2, 1, +1, +1) == 8   # p9
-    assert ql.prob_index(2, 2, +1, +1) == 12  # p13
-    assert ql.prob_index(1, 1, -1, +1) == 2   # p3
+    assert ql.PROB_EVENTS.index((1, 1, +1, +1)) == 0   # p1
+    assert ql.PROB_EVENTS.index((1, 2, +1, +1)) == 4   # p5
+    assert ql.PROB_EVENTS.index((2, 1, +1, +1)) == 8   # p9
+    assert ql.PROB_EVENTS.index((2, 2, +1, +1)) == 12  # p13
+    assert ql.PROB_EVENTS.index((1, 1, -1, +1)) == 2   # p3
     assert ql.PROB_LABELS[0] == "a1+b1+"
     assert ql.PROB_LABELS[15] == "a2-b2-"
 
@@ -102,16 +102,6 @@ def test_forward_matrix_matches_joint_terms():
 
 
 def test_invalid_encoding_inputs():
-    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 0$"):
-        ql.strategy_index(0, 1, 1, 1)
-    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got \[1\]$"):
-        ql.strategy_index(1, 1, [1], 1)
-    with pytest.raises(ValueError, match=r"^setting indices must be 1 or 2, got j=3, k=1$"):
-        ql.prob_index(3, 1, 1, 1)
-    with pytest.raises(ValueError, match=r"^setting indices must be 1 or 2, got j=1, k=0$"):
-        ql.prob_index(1, 0, 0, 1)
-    with pytest.raises(ValueError, match=r"^outcome must be \+1 or -1, got 2$"):
-        ql.prob_index(1, 2, 1, 2)
     with pytest.raises(ValueError, match=r"^line 1: bad pattern '\+\+\+'$"):
         ql.parse_measures("+++ 1\n")
 
@@ -146,7 +136,7 @@ def test_forward_block_sums_equal_total(weights):
     p = ql.forward_map(m)
     total = m.sum()
     for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        start = ql.prob_index(j, k, 1, 1)
+        start = ql.PROB_EVENTS.index((j, k, 1, 1))
         assert abs(p[start:start + 4].sum() - total) < 1e-12 * max(1.0, abs(total))
 
 
@@ -187,22 +177,23 @@ def test_no_signaling_of_any_model_image(rng=np.random.default_rng(11)):
 def test_no_signaling_pr_box():
     # independent hand check first: every single-party marginal equals 1/2
     p = ql.pr_box()
+    index = ql.PROB_EVENTS.index
     for j in (1, 2):
         for m in (1, -1):
             for k in (1, 2):
-                marginal = p[ql.prob_index(j, k, m, 1)] + p[ql.prob_index(j, k, m, -1)]
+                marginal = p[index((j, k, m, 1))] + p[index((j, k, m, -1))]
                 assert marginal == pytest.approx(0.5)
     assert ql.check_consistency(p)["no_signaling"] == []
 
 
 def test_no_signaling_detects_signaling_box():
     p = np.zeros(16)
-    p[ql.prob_index(1, 1, 1, 1)] = 1.0                     # block (a1,b1) = (1,0,0,0)
-    p[ql.prob_index(1, 2, 1, 1)] = 0.5                     # block (a1,b2) = (.5,.5,0,0)
-    p[ql.prob_index(1, 2, 1, -1)] = 0.5
-    p[ql.prob_index(2, 1, 1, 1)] = 1.0                     # block (a2,b1) = (1,0,0,0)
-    p[ql.prob_index(2, 2, -1, 1)] = 0.5                    # block (a2,b2) = (0,0,.5,.5)
-    p[ql.prob_index(2, 2, -1, -1)] = 0.5
+    p[ql.PROB_EVENTS.index((1, 1, 1, 1))] = 1.0         # block (a1,b1) = (1,0,0,0)
+    p[ql.PROB_EVENTS.index((1, 2, 1, 1))] = 0.5         # block (a1,b2) = (.5,.5,0,0)
+    p[ql.PROB_EVENTS.index((1, 2, 1, -1))] = 0.5
+    p[ql.PROB_EVENTS.index((2, 1, 1, 1))] = 1.0         # block (a2,b1) = (1,0,0,0)
+    p[ql.PROB_EVENTS.index((2, 2, -1, 1))] = 0.5        # block (a2,b2) = (0,0,.5,.5)
+    p[ql.PROB_EVENTS.index((2, 2, -1, -1))] = 0.5
     bad = ql.check_consistency(p)["no_signaling"]
     assert bad, "constructed signaling box must be flagged"
     # the A marginal for a2 = +1 is 1 under b1 but 0 under b2
@@ -279,7 +270,6 @@ def test_check_consistency_rejects_bad_eps(eps):
         "correlation": lambda e: ql.correlation(unnormalized, 1, 1, e),
         "chsh": lambda e: ql.chsh(unnormalized, eps=e),
         "chsh_report": lambda e: ql.chsh_report(unnormalized, e),
-        "chsh_lower_bound": lambda e: ql.chsh_lower_bound(unnormalized, e),
         "solve": lambda e: ql.solve(signalling, eps=e),
         "perfect_correlation_solution":
             lambda e: ql.perfect_correlation_solution(ql.pr_box(), 0.0, e),
@@ -334,16 +324,17 @@ def reference_check_range(p, eps):
 
 def reference_check_no_signaling(p, eps):
     out = []
+    index = ql.PROB_EVENTS.index
     for j in (1, 2):
         for m in (1, -1):
-            lhs = float(p[ql.prob_index(j, 1, m, 1)] + p[ql.prob_index(j, 1, m, -1)])
-            rhs = float(p[ql.prob_index(j, 2, m, 1)] + p[ql.prob_index(j, 2, m, -1)])
+            lhs = float(p[index((j, 1, m, 1))] + p[index((j, 1, m, -1))])
+            rhs = float(p[index((j, 2, m, 1))] + p[index((j, 2, m, -1))])
             if abs(lhs - rhs) > eps:
                 out.append(ql.MarginalViolation("A", j, m, lhs, rhs))
     for k in (1, 2):
         for n in (1, -1):
-            lhs = float(p[ql.prob_index(1, k, 1, n)] + p[ql.prob_index(1, k, -1, n)])
-            rhs = float(p[ql.prob_index(2, k, 1, n)] + p[ql.prob_index(2, k, -1, n)])
+            lhs = float(p[index((1, k, 1, n))] + p[index((1, k, -1, n))])
+            rhs = float(p[index((2, k, 1, n))] + p[index((2, k, -1, n))])
             if abs(lhs - rhs) > eps:
                 out.append(ql.MarginalViolation("B", k, n, lhs, rhs))
     return out
@@ -397,15 +388,19 @@ def test_checks_give_the_reference_violation_lists(seed, size, eps):
 
 def test_correlation_values():
     perfect = np.zeros(16)
-    perfect[ql.prob_index(1, 1, 1, 1)] = 1.0
+    perfect[ql.PROB_EVENTS.index((1, 1, 1, 1))] = 1.0
     perfect[[4, 8, 12]] = [1.0, 1.0, 1.0]  # keep the other blocks normalized too
     assert ql.correlation(perfect, 1, 1) == pytest.approx(1.0)
     assert ql.correlation(ql.uniform_box(), 1, 1) == pytest.approx(0.0)
     # hand evaluation on the extremal box: ((2+r2) + (2+r2) - (2-r2) - (2-r2)) / 8
     assert ql.correlation(ql.tsirelson_box(), 1, 1) == pytest.approx(RT2 / 2, abs=1e-12)
+    # numpy integers are settings too
+    assert (ql.correlation(ql.tsirelson_box(), np.int64(2), np.int8(2))
+            == ql.correlation(ql.tsirelson_box(), 2, 2))
 
 
-@pytest.mark.parametrize("j, k", [(0, 1), (1, 3), (3, 1)])
+# a bool or a float is not a setting, though True == 1 and 1.0 == 1
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 3), (3, 1), (True, 1), (1, True), (1.0, 2)])
 def test_correlation_rejects_a_setting_pair_outside_the_layout(j, k):
     with pytest.raises(ValueError, match=f"^setting indices must be 1 or 2, got j={j}, k={k}$"):
         ql.correlation(ql.uniform_box(), j, k)
@@ -439,7 +434,7 @@ def test_chsh_sum_form_agrees_with_correlation_form():
     for _ in range(200):
         p = rng.uniform(0.0, 1.0, 16)
         for j, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            s = ql.prob_index(j, k, 1, 1)
+            s = ql.PROB_EVENTS.index((j, k, 1, 1))
             p[s:s + 4] /= p[s:s + 4].sum()
         reduced = 2.0 * (p[list(ql.INDEPENDENT_INDICES)].sum() - 2.0)
         assert ql.chsh(p) == pytest.approx(reduced, abs=1e-9)
@@ -500,7 +495,6 @@ def test_chsh_matrix_matches_the_per_variant_loop(values):
     assert np.abs(np.array(ql.chsh_report(p).deltas) - loop).max() <= tol
     assert np.abs(np.array([ql.chsh(p, v) for v in range(8)]) - loop).max() <= tol
     assert abs(ql.chsh_report(p).max_abs_delta - np.abs(loop).max()) <= tol
-    assert abs(ql.chsh_lower_bound(p) - max(0.0, (np.abs(loop).max() - 2) / 4)) <= tol
 
 
 def test_each_variant_negates_its_own_pair():
@@ -542,7 +536,6 @@ REQUIRE_UNNORMALIZED = (
     pytest.param(ql.chsh_report, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_report"),
     pytest.param(lambda p: ql.chsh_report(p).max_abs_delta, UNNORMALIZED, CHSH_UNNORMALIZED,
                  id="max_abs_chsh"),
-    pytest.param(ql.chsh_lower_bound, UNNORMALIZED, CHSH_UNNORMALIZED, id="chsh_lower_bound"),
     pytest.param(ql.require_consistent, UNNORMALIZED, REQUIRE_UNNORMALIZED,
                  id="require_consistent"),
     *(pytest.param(evaluate, p, error, id=f"{evaluate.__name__}-{kind}")

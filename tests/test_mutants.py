@@ -3,6 +3,7 @@
 import ast
 
 import pytest
+from hypothesis import Phase, settings
 
 from mutants import MUTANTS, PACKAGE, ROOT, verdict
 
@@ -34,3 +35,11 @@ def test_a_stale_killer_still_ends_in_a_kill():
     assert runs == [mutant.killer, "tests"]
     assert verdict(mutant, lambda mutant, target: target == mutant.killer) == "killed"
     assert verdict(mutant, lambda mutant, target: False) == "SURVIVED"
+
+
+def test_the_mutants_profile_skips_only_the_phases_after_a_failure():
+    default, mutants = settings.get_profile("default"), settings.get_profile("mutants")
+    assert set(default.phases) - set(mutants.phases) == {Phase.shrink, Phase.explain}
+    assert set(mutants.phases) < set(default.phases)
+    for name in ("deadline", "derandomize", "max_examples", "suppress_health_check"):
+        assert getattr(mutants, name) == getattr(default, name)

@@ -192,20 +192,13 @@ def test_feasible_agrees_with_the_chsh_report(excess, violated):
 # min_negativity and the CHSH bound
 # ---------------------------------------------------------------------------
 
-def test_chsh_lower_bound_values():
-    assert ql.chsh_lower_bound(ql.uniform_box()) == 0.0
-    assert ql.chsh_lower_bound(ql.tsirelson_box()) == pytest.approx((RT2 - 1) / 2, abs=1e-12)
-    assert ql.chsh_lower_bound(ql.pr_box()) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_chsh_lower_bound_is_nan_when_the_chsh_maximum_is():
-    # normalized within 1e300, with CHSH sums +-inf and NaN, NaN not first;
-    # max(0.0, nan) is 0.0, a bound claiming no negativity is needed
+def test_max_abs_delta_is_nan_when_a_chsh_sum_is():
+    # normalized within 1e300, with CHSH sums +-inf and NaN, NaN not first:
+    # a max that skipped the NaN would give a bound of its own, not NaN
     p = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
          0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(ql.chsh_report(p, 1e300).max_abs_delta)
-        assert np.isnan(ql.chsh_lower_bound(p, 1e300))
 
 
 def test_min_negativity_uniform():

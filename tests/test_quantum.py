@@ -180,7 +180,7 @@ def test_one_correlation_tensor_per_state(monkeypatch):
 
 def born_entry(scenario, m, n):
     """The Born probability p(a1 = m, b1 = n) of a scenario."""
-    return ql.generate_probability_set(scenario)[ql.prob_index(1, 1, m, n)]
+    return ql.generate_probability_set(scenario)[ql.PROB_EVENTS.index((1, 1, m, n))]
 
 
 def test_born_product_state_eigenvalue():
@@ -234,7 +234,7 @@ def test_generate_matches_kron_oracle():
             for k, db in ((1, scenario.b1), (2, scenario.b2)):
                 for m in (1, -1):
                     for n in (1, -1):
-                        expected[ql.prob_index(j, k, m, n)] = kron_born(
+                        expected[ql.PROB_EVENTS.index((j, k, m, n))] = kron_born(
                             scenario.state, da, m, db, n)
         assert np.allclose(p, expected, rtol=0.0, atol=1e-15)
 
@@ -337,9 +337,9 @@ def reference_flip_outcomes(p, party):
         for k in (1, 2):
             for m in (1, -1):
                 for n in (1, -1):
-                    src = (ql.prob_index(j, k, -m, n) if party == "A"
-                           else ql.prob_index(j, k, m, -n))
-                    out[ql.prob_index(j, k, m, n)] = p[src]
+                    src = (ql.PROB_EVENTS.index((j, k, -m, n)) if party == "A"
+                           else ql.PROB_EVENTS.index((j, k, m, -n)))
+                    out[ql.PROB_EVENTS.index((j, k, m, n))] = p[src]
     return out
 
 

@@ -337,7 +337,7 @@ def test_perfect_correlation_requires_zero_p2_p3():
 
 def test_perfect_correlation_rejects_p3_alone():
     # p2 = 0 but p3 = 1: a check of p2 alone returned a model missing the box by 1
-    p = ql.deterministic_box(ql.strategy_index(-1, 1, 1, 1))
+    p = ql.deterministic_box(ql.STRATEGY_OUTCOMES.index((-1, 1, 1, 1)))
     assert (p[1], p[2]) == (0.0, 1.0)
     with pytest.raises(ql.ConsistencyError) as err:
         ql.perfect_correlation_solution(p)
