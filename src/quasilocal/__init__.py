@@ -45,7 +45,6 @@ from .model import (
 )
 from .solver import (
     FREE_INDICES,
-    SOLVED_INDICES,
     perfect_correlation_solution,
     solve,
 )

@@ -137,16 +137,13 @@ def _negative_summary(m: np.ndarray, total: float) -> list[str]:
 def _cmd_solve(args) -> int:
     p = _load_box(args)
     flag = "--free" if args.perfect_correlation is None else "--perfect-correlation"
-
-    if args.perfect_correlation is None:
-        try:
-            m = solver.solve(p, args.free, args.eps)
-        except model.ConsistencyError:
-            raise
-        except ValueError as exc:       # finite free weights whose solution overflows
-            raise _Failure(EXIT_USAGE, f"argument {flag}: {exc}") from None
-    else:
-        m = solver.perfect_correlation_solution(p, args.perfect_correlation, args.eps)
+    try:
+        m = (solver.solve(p, args.free, args.eps) if args.perfect_correlation is None
+             else solver.perfect_correlation_solution(p, args.perfect_correlation, args.eps))
+    except model.ConsistencyError:
+        raise
+    except ValueError as exc:           # finite weights whose solution overflows
+        raise _Failure(EXIT_USAGE, f"argument {flag}: {exc}") from None
     total = model.total_negativity(m)
     if not math.isfinite(total):        # finite weights whose negative parts overflow
         raise _Failure(EXIT_USAGE,

@@ -123,14 +123,6 @@ def _half_integer_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.round(2.0 * np.linalg.lstsq(a, b, rcond=None)[0]) / 2.0 + 0.0
 
 
-def _embedding(strategies, coordinates) -> np.ndarray:
-    """E with p = E @ (sum(m), p[coordinates]) for every p = FORWARD_MATRIX @ m
-    with m supported on strategies."""
-    F = FORWARD_MATRIX[:, strategies]
-    basis = np.vstack([np.ones(F.shape[1]), F[list(coordinates)]])
-    return _half_integer_solve(basis.T, F.T).T
-
-
 def _is_integer(i) -> bool:
     """Whether i is an int or a numpy integer; a bool is not."""
     return type(i) is int or isinstance(i, np.integer)
@@ -234,8 +226,9 @@ DEPENDENT_INDICES = (1, 2, 5, 6, 9, 10, 12, 15)
 _INDEPENDENT = np.array(INDEPENDENT_INDICES)
 _DEPENDENT = np.array(DEPENDENT_INDICES)
 
-#: Maps (1, p_ind) to the full box, p_ind the entries at INDEPENDENT_INDICES.
-_BOX_EMBEDDING = _embedding(range(16), INDEPENDENT_INDICES)
+#: Maps (1, p_ind) to the full box: p = _BOX_EMBEDDING @ (sum(m), p_ind) for p = F @ m.
+_BOX_EMBEDDING = _half_integer_solve(
+    np.vstack([np.ones(16), FORWARD_MATRIX[_INDEPENDENT]]).T, FORWARD_MATRIX.T).T
 _BOX_EMBEDDING.setflags(write=False)
 
 #: Sign table expressing each dependent entry as

@@ -21,6 +21,7 @@ marginals (Fine, Phys. Rev. Lett. 48, 291 (1982)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,14 @@ from .model import (
     FORWARD_MATRIX,
     OUTCOMES,
     STRATEGY_OUTCOMES,
+    ConsistencyError,
     _BOX_EMBEDDING,
     _OUTCOME_PAIRS,
     _STRATEGY_CHSH,
     _box_from_independent,
     _consistent_box,
     _max_abs,
+    _product,
     _shaped16,
     _total_negativity,
     chsh,
@@ -107,7 +110,8 @@ class NegativityResult:
     family: the witness is also solve(p, witness[FREE_INDICES]).  lower_bound
     is that closed form and feasible is max |delta| <= 2 + eps, both taken on
     p_hat (see min_negativity), so they may differ in the last bits from the
-    same quantities taken on p by chsh_report(p).
+    same quantities taken on p by chsh_report(p).  witness and min_negativity
+    are finite: min_negativity refuses a box whose witness overflows.
     """
     min_negativity: float
     witness: np.ndarray
@@ -125,6 +129,8 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     p_hat - F @ w of Fine's gluing (rounding, or an entry of p_hat below 0) is
     removed by its minimum-norm preimage.  The returned minimum is recomputed
     from the witness, so the witness and the reported value always agree.
+    A witness or minimum that overflows, on a box near the float maximum at
+    a huge eps, raises ConsistencyError.
     """
     # p_hat from p's record, whose scan has formed p_ind and DEPENDENT_SIGNS @ p_ind
     box = _consistent_box(_shaped16(p), eps)
@@ -134,14 +140,18 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.
     deltas = [chsh(p_hat, v, eps) for v in range(8)]
     v = deltas.index(max(deltas))
-    if deltas[v] > 2.0:
-        witness = _WITNESS[v] @ np.concatenate(([1.0], box.independent))
+    if deltas[v] > 2.0:     # x = (1, p_ind), so sum |x| <= 1 + sum |p|
+        witness = _product(_WITNESS[v], np.concatenate(([1.0], box.independent)), 1.0 + box.size)
     else:
         witness = _fine_model(p_hat)
-        witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+        with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
+            witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+    negativity = _total_negativity(witness)
+    if not (math.isfinite(negativity) and all(map(math.isfinite, witness.tolist()))):
+        raise ConsistencyError(f"the witness model of this box is not finite (eps = {eps:g})")
     max_abs_delta = _max_abs(deltas)
     return NegativityResult(
-        min_negativity=_total_negativity(witness),
+        min_negativity=negativity,
         witness=witness,
         lower_bound=max((max_abs_delta - 2.0) / 4.0, 0.0),     # NaN first: max(nan, 0.0) is nan
         feasible=max_abs_delta <= 2.0 + eps,

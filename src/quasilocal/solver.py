@@ -8,16 +8,14 @@ weights, always sums to 1, and always reproduces the input box; its weight
 on the strategies with CHSH value -2 under each variant (model.sigma_minus)
 is pinned by the box alone.  solve is its one entry point.
 
-The family is the preimage of the box under FORWARD_MATRIX, derived from it
-at import: the 9 solved columns of F have rank 9, so solving them against the
-box embedding (1, p_ind) -> p (model.box_from_independent) and the free
-columns gives one constant matrix from (1, p_ind, free) to the solved
-weights, rounded to the nearest half.
-
-When one setting pair is perfectly correlated (p2 = p3 = 0) the 8 strategies
-that would produce a disagreeing outcome there can be dropped, leaving a
-one-parameter family in m16, derived the same way in the face's own
-coordinates (p4, p8, p9, p12, p14, p15), where its coefficients are unique.
+Each family is one constant matrix, derived from FORWARD_MATRIX at import:
+the weight sum, the 8 independent entries and the 7 free weights are 16
+linear functions that fix m, so the inverse of their 16 rows, rounded to
+the nearest half, takes (1, p_ind, free) to all 16 weights.  When one
+setting pair is perfectly correlated (p2 = p3 = 0) the 8 strategies that
+would produce a disagreeing outcome there can be dropped: pinned at zero
+with m16, they leave a one-parameter family in m16, derived the same way in
+the face's own coordinates (p4, p8, p9, p12, p14, p15).
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ import numpy as np
 from .model import (
     DEFAULT_EPS,
     FORWARD_MATRIX,
+    INDEPENDENT_INDICES,
     ConsistencyError,
-    _BOX_EMBEDDING,
     _INDEPENDENT,
-    _embedding,
     _half_integer_solve,
     _product,
     require_consistent,
@@ -41,28 +38,29 @@ from .model import (
 #: 0-based strategy indices of the free weights (m2, m3, m7, m10, m14, m15, m16),
 #: in the order solve takes them.
 FREE_INDICES = (1, 2, 6, 9, 13, 14, 15)
-#: 0-based strategy indices of the dependent weights (m1, m4, m5, m6, m8, m9, m11, m12, m13).
-SOLVED_INDICES = (0, 3, 4, 5, 7, 8, 10, 11, 12)
 
-_FREE = np.array(FREE_INDICES)
-_SOLVED = np.array(SOLVED_INDICES)
 
-#: Solved weights = _FAMILY @ (1, p_ind, free).
-_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _SOLVED],
-                              np.hstack([_BOX_EMBEDDING, -FORWARD_MATRIX[:, _FREE]]))
-#: Takes (solved weights, free weights) to strategy order.
-_STRATEGY_ORDER = np.array([(SOLVED_INDICES + FREE_INDICES).index(s) for s in range(16)])
-_NO_FREE = np.zeros(7)
+def _family(coordinates, pinned) -> np.ndarray:
+    """The inverse of the 16 rows (ones, F[coordinates], I[pinned]), rounded to the
+    nearest half: m = _family(...) @ (sum(m), p[coordinates], m[pinned]) for p = F @ m."""
+    rows = np.vstack([np.ones(16), FORWARD_MATRIX[list(coordinates)], np.eye(16)[list(pinned)]])
+    return _half_integer_solve(rows, np.eye(16))
 
-#: The strategies that agree on (a1, b1), the only ones p2 = p3 = 0 allows.
-#: m16 is the free weight of that face and (p4, p8, p9, p12, p14, p15) are
-#: its coordinates: the other face weights = _FACE_FAMILY @ (1, coordinates, m16).
-_AGREE = np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0) == 0)
-_M16 = FREE_INDICES[-1]
-_FACE_SOLVED = _AGREE[_AGREE != _M16]
+
+#: All 16 weights = _SOLUTION @ (1, p_ind, free).
+_SOLUTION = _family(INDEPENDENT_INDICES, FREE_INDICES)
+#: All 16 weights on the face = _FACE_SOLUTION @ (1, coordinates, m16), exact zeros off it.
 _FACE_COORDINATES = np.array([3, 7, 8, 11, 13, 14])
-_FACE_FAMILY = _half_integer_solve(FORWARD_MATRIX[:, _FACE_SOLVED], np.column_stack(
-    [_embedding(_AGREE, _FACE_COORDINATES), -FORWARD_MATRIX[:, _M16]]))
+_FACE_SOLUTION = _family(_FACE_COORDINATES,
+                         [15, *np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))])[:, :8]
+
+
+def _solution(family: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """family @ x, or ValueError unless every weight is finite."""
+    m = _product(family, x, sum(map(abs, x.tolist())))
+    if not all(map(math.isfinite, m.tolist())):
+        raise ValueError("the solution at these free weights is not finite")
+    return m
 
 
 def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -79,16 +77,13 @@ def solve(p, free=None, eps: float = DEFAULT_EPS) -> np.ndarray:
     7 finite entries and the result is finite, and ConsistencyError if p
     fails a check at eps.
     """
-    free = _NO_FREE if free is None else np.asarray(free, dtype=float)
+    free = np.zeros(7) if free is None else np.asarray(free, dtype=float)
     if free.shape != (7,):
         raise ValueError(f"expected 7 free weights, got shape {free.shape}")
     if not all(map(math.isfinite, free.tolist())):
         raise ValueError("free weights contain non-finite entries")
     x = np.concatenate(([1.0], require_consistent(p, eps)[_INDEPENDENT], free))
-    solved = _product(_FAMILY, x, sum(map(abs, x.tolist())))
-    if not all(map(math.isfinite, solved.tolist())):
-        raise ValueError("the solution at these free weights is not finite")
-    return np.concatenate((solved, free))[_STRATEGY_ORDER]
+    return _solution(_SOLUTION, x)
 
 
 def perfect_correlation_solution(p, m16: float = 0.0,
@@ -97,7 +92,8 @@ def perfect_correlation_solution(p, m16: float = 0.0,
 
     The 8 strategies predicting disagreeing (a1, b1) outcomes are given zero
     weight (m5 .. m12 = 0) and the remaining 7 weights follow from the box and
-    the chosen m16.  Requires p consistent and p2, p3 both zero within eps.
+    the chosen m16.  Requires p consistent and p2, p3 both zero within eps;
+    raises ValueError unless m16 and the result are finite.
 
     The pair sum m4 + m13 always equals 1 - p8 - p9 - p15, so whenever
     p8 + p9 + p15 > 1 (canonical CHSH above 2) one of the two is negative.
@@ -109,7 +105,4 @@ def perfect_correlation_solution(p, m16: float = 0.0,
             f"perfect correlation requires p2 = p3 = 0, got p2 = {p2!r}, p3 = {p3!r}")
     if not math.isfinite(m16):
         raise ValueError(f"m16 must be finite, got {m16!r}")
-    m = np.zeros(16)
-    m[_FACE_SOLVED] = _FACE_FAMILY @ np.concatenate(([1.0], p[_FACE_COORDINATES], [m16]))
-    m[_M16] = m16
-    return m
+    return _solution(_FACE_SOLUTION, np.concatenate(([1.0], p[_FACE_COORDINATES], [m16])))

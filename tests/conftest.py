@@ -21,10 +21,23 @@ settings.register_profile(
             if phase not in (Phase.shrink, Phase.explain)],
 )
 
-#: A box with entries near the float maximum: at eps 1e300 its relation
-#: product DEPENDENT_SIGNS @ p_ind and its CHSH product overflow to +-inf and NaN.
+#: A box with entries near the float maximum, normalized within eps = 1e300: its
+#: relation product DEPENDENT_SIGNS @ p_ind and its CHSH product overflow to +-inf
+#: and NaN, the CHSH sums with NaN not first.
 OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
                0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
+
+#: F @ m for m1 = 1e307, m13 = 1 and m16 = -1e307: consistent at eps = 1.7e308 and
+#: on the face p2 = p3 = 0, where the face family's product overflows at m16 = 1.7e308.
+OVERFLOWING_FACE = [1e307, 0.0, 0.0, -1e307, 1e307, 0.0, 1.0, -1e307,
+                    1e307, 1.0, 0.0, -1e307, 1e307, 0.0, 0.0, -1e307]
+
+#: Consistent at eps = 1.7e308, every CHSH sum 0: Fine's model of it overflows.
+OVERFLOWING_LOCAL = [7e307, 1.0, 0.0, -7e307, 7e307, 0.0, 0.0, -7e307,
+                     0.0, -7e307, 7e307, 1.0, 0.0, -7e307, 7e307, 0.0]
+
+#: Consistent at eps = 1.7e308, its CHSH sums NaN: Fine's model of it overflows.
+OVERFLOWING_NAN_CHSH = [0.0, -7e307, 7e307, 0.0] * 2 + [1.0, -7e307, 7e307, 0.0] * 2
 
 
 def minus_strategies(variant=0):

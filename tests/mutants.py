@@ -173,6 +173,18 @@ MUTANTS = (
     Mutant("cli.py", "if abs(total - 1.0) > args.eps:", "if abs(total - 1.0) >= args.eps:",
            "forward --eps 0 warns on measures that sum to exactly 1",
            "tests/test_cli.py::test_forward_at_eps_0_does_not_warn_on_measures_that_sum_to_1"),
+    Mutant("solver.py", "if not all(map(math.isfinite, m.tolist())):", "if False:",
+           "a family product that overflows returns inf weights, and solve dies with a traceback",
+           "tests/test_cli.py::test_free_weights_whose_solution_overflows_are_usage_errors"),
+    Mutant("negativity.py",
+           "if not (math.isfinite(negativity) and all(map(math.isfinite, witness.tolist()))):",
+           "if False:",
+           "a witness that overflows is returned as 16 NaN weights with min negativity 0",
+           "tests/test_cli.py::test_a_witness_that_overflows_is_a_domain_failure"),
+    Mutant("solver.py", "np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))",
+           "np.flatnonzero(FORWARD_MATRIX[[0, 3]].sum(axis=0))",
+           "the face pins the 8 strategies that agree on (a1, b1), not the 8 that disagree",
+           "tests/test_solver.py::test_perfect_correlation_deterministic"),
 )
 
 

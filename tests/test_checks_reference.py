@@ -35,7 +35,7 @@ from quasilocal.model import (
     RelationViolation,
     _check_eps,
 )
-from conftest import minus_strategies
+from conftest import OVERFLOWING, minus_strategies
 
 # ---------------------------------------------------------------------------
 # Reference: numpy masks over the whole vector
@@ -249,11 +249,6 @@ def test_checks_match_the_numpy_reference(case):
         ref_check_consistency, values, eps)
     assert outcome(uncached(model.require_consistent), values, eps) == outcome(
         ref_require_consistent, values, eps)
-
-
-#: Normalized within eps = 1e300, with CHSH sums +-inf and NaN, NaN not first.
-OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
-               0.25, 0.0, -1.7e308, 1.7e308, 0.0, 0.25, 0.0, 0.25]
 
 
 @given(boxes())

@@ -16,7 +16,8 @@ import quasilocal as ql
 from quasilocal import cli
 from quasilocal.fileio import (box_object, fixture_path, format_box, format_measures,
                                measures_object, parse_box)
-from conftest import OVERFLOWING, boxes_consistent_at_eps_0
+from conftest import (OVERFLOWING, OVERFLOWING_FACE, OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH,
+                      boxes_consistent_at_eps_0)
 
 
 @pytest.fixture
@@ -358,15 +359,31 @@ def test_forward_at_eps_0_does_not_warn_on_measures_that_sum_to_1(run):
     assert (code, out, err) == (0, format_box(ql.deterministic_box(0)), "")
 
 
-def test_free_weights_whose_solution_overflows_are_usage_errors(run):
+@pytest.mark.parametrize("argv, box", [
+    (["--free", "1.7e308", "1.7e308", "0", "0", "0", "0", "0"], ql.pr_box().tolist()),
+    (["--perfect-correlation", "1.7e308", "--eps", "1.7e308"], OVERFLOWING_FACE),
+], ids=["free", "perfect-correlation"])
+def test_free_weights_whose_solution_overflows_are_usage_errors(run, argv, box):
     # finite weights overflowed in the family's product: solve returned inf
-    # weights and total_negativity died on them with a traceback
+    # weights and total_negativity died on them with a traceback, and the face
+    # family's product warned and then died in total_negativity
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(["solve", "--free", "1.7e308", "1.7e308", "0", "0", "0", "0", "0"],
-                             box_object_text(ql.pr_box()))
+        code, out, err = run(["solve", *argv], box_object_text(box))
     assert (code, out) == (2, "")
-    assert err == "error: argument --free: the solution at these free weights is not finite\n"
+    assert err == f"error: argument {argv[0]}: the solution at these free weights is not finite\n"
+
+
+@pytest.mark.parametrize("box", [OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH],
+                         ids=["local", "nan-chsh"])
+def test_a_witness_that_overflows_is_a_domain_failure(run, box):
+    # Fine's model of these consistent boxes overflowed in the repair product:
+    # negativity printed 16 nan weights and exited 0, after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["negativity", "--eps", "1.7e308"], box_object_text(box))
+    assert (code, out) == (1, "")
+    assert err == "error: the witness model of this box is not finite (eps = 1.7e+308)\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

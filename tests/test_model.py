@@ -782,10 +782,10 @@ def test_gates_on_an_overflowing_box_warn_nothing_and_match_the_helpers():
 def test_products_outside_np_errstate_cannot_overflow():
     # _product skips the guard while sum |x| < _UNGUARDED_SIZE, which bounds every
     # partial sum only for matrices with entries of at most 1 in magnitude
-    from quasilocal import solver
+    from quasilocal import negativity, solver
 
     for matrix in (model.DEPENDENT_SIGNS, model.CHSH_MATRIX, model.FORWARD_MATRIX,
-                   solver._FAMILY):
+                   solver._SOLUTION, solver._FACE_SOLUTION, negativity._WITNESS):
         assert np.abs(matrix).max() <= 1.0
     below = np.full(16, np.nextafter(model._UNGUARDED_SIZE / 16, 0.0))
     size = float(below.sum())

@@ -2,15 +2,17 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import model, solver
-from conftest import (extremal_measures, minus_strategies, random_consistent_box,
+from conftest import (OVERFLOWING_FACE, OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH,
+                      extremal_measures, minus_strategies, random_consistent_box,
                       random_nonnegative_measures)
 
 RT2 = np.sqrt(2.0)
@@ -91,20 +93,25 @@ def test_perfect_correlation_solution_matches_the_hand_formulas(seed, m16):
 
 
 def test_family_matrices_are_exact_half_integer_preimages():
+    # each family is the inverse of the 16 rows (sum, coordinates, pinned
+    # weights); checked here against the preimage of the box embedding under
+    # the solved columns of F, a second derivation
     F = ql.FORWARD_MATRIX
-    free, solved = list(ql.FREE_INDICES), list(ql.SOLVED_INDICES)
+    free = list(ql.FREE_INDICES)
+    solved = [s for s in range(16) if s not in free]
     pinv = np.linalg.pinv(F[:, solved])
     assert np.linalg.matrix_rank(F[:, solved]) == 9
-    assert np.abs(pinv @ model._BOX_EMBEDDING - solver._FAMILY[:, :9]).max() < 1e-12
-    assert np.abs(-pinv @ F[:, free] - solver._FAMILY[:, 9:]).max() < 1e-12
-    face = list(solver._FACE_SOLVED)
-    assert face == [0, 1, 2, 3, 12, 13, 14]
-    agree = face + [15]
+    assert np.abs(pinv @ model._BOX_EMBEDDING - solver._SOLUTION[solved, :9]).max() < 1e-12
+    assert np.abs(-pinv @ F[:, free] - solver._SOLUTION[solved, 9:]).max() < 1e-12
+    assert np.array_equal(solver._SOLUTION[free], np.eye(16)[9:])
+    agree, face = [0, 1, 2, 3, 12, 13, 14, 15], [0, 1, 2, 3, 12, 13, 14]
     coordinates = np.vstack([np.ones(8), F[np.ix_([3, 7, 8, 11, 13, 14], agree)]])
     embedding = (np.linalg.pinv(coordinates.T) @ F[:, agree].T).T
     face_pinv = np.linalg.pinv(F[:, face])
-    assert np.abs(face_pinv @ embedding - solver._FACE_FAMILY[:, :7]).max() < 1e-12
-    assert np.abs(-face_pinv @ F[:, 15] - solver._FACE_FAMILY[:, 7]).max() < 1e-12
+    assert np.abs(face_pinv @ embedding - solver._FACE_SOLUTION[face, :7]).max() < 1e-12
+    assert np.abs(-face_pinv @ F[:, 15] - solver._FACE_SOLUTION[face, 7]).max() < 1e-12
+    assert np.array_equal(solver._FACE_SOLUTION[15], np.eye(8)[7])
+    assert np.array_equal(solver._FACE_SOLUTION[4:12], np.zeros((8, 8)))    # off the face
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +295,7 @@ def test_the_family_reproduces_the_box_and_pins_sigma_minus_exactly():
     # The family as one 16x16 matrix: the weights in strategy order are
     # family @ (1, p_ind, free).  Every entry is a multiple of 1/2, so the
     # products are exact: each identity holds for every member of every box.
-    family = np.zeros((16, 16))
-    family[list(ql.SOLVED_INDICES)] = solver._FAMILY
-    family[list(ql.FREE_INDICES), 9:] = np.eye(7)
+    family = solver._SOLUTION
     assert np.array_equal(ql.FORWARD_MATRIX @ family,
                           np.hstack([model._BOX_EMBEDDING, np.zeros((16, 7))]))
     # sigma_v- = (2 - delta_v) / 4 in every variant, with no free weight in it
@@ -385,3 +390,54 @@ def test_perfect_correlation_matches_general_solution():
         special = ql.perfect_correlation_solution(p, m16)
         implied = [special[1], special[2], 0.0, 0.0, special[13], special[14], special[15]]
         assert np.allclose(special, ql.solve(p, implied), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Boxes near the float maximum
+# ---------------------------------------------------------------------------
+
+AGREE = [0, 1, 2, 3, 12, 13, 14, 15]      # the strategies of the face p2 = p3 = 0
+
+
+def signed_powers(top):
+    """0 or +-10^e, e in [0, top], and in [top - 0.5, top] half the time."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0, 0.0]),
+                     st.one_of(st.floats(0.0, top), st.floats(top - 0.5, top)))
+
+
+@st.composite
+def huge_boxes(draw):
+    """F @ m for m = e_s + sum_i s_i (e_a - e_b), two terms with |s_i| up to
+    10^307.9, so m stays finite; on the face p2 = p3 = 0 half the time."""
+    strategies = st.sampled_from(AGREE if draw(st.booleans()) else range(16))
+    m = [0.0] * 16
+    m[draw(strategies)] = 1.0
+    for _ in range(2):
+        s, a, b = draw(signed_powers(307.9)), draw(strategies), draw(strategies)
+        m[a] += s
+        m[b] -= s
+    return ql.forward_map(m)
+
+
+@given(huge_boxes(), st.sampled_from([1e300, 1e307, 1.7e308]),
+       st.lists(signed_powers(308.0), min_size=7, max_size=7), signed_powers(308.23))
+@example(np.array(OVERFLOWING_FACE), 1.7e308, [0.0] * 7, 1.7e308)
+@example(np.array(OVERFLOWING_LOCAL), 1.7e308, [0.0] * 7, 0.0)
+@example(np.array(OVERFLOWING_NAN_CHSH), 1.7e308, [0.0] * 7, 0.0)
+def test_models_of_huge_boxes_are_finite_or_refused(p, eps, free, m16):
+    # the face family's product and the witness's repair product overflowed
+    # with a numpy warning, and returned inf and NaN weights
+    def witness_and_negativity():
+        result = ql.min_negativity(p, eps)
+        return np.append(result.witness, result.min_negativity)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model_of in (lambda: ql.solve(p, free, eps),
+                         lambda: ql.perfect_correlation_solution(p, m16, eps),
+                         witness_and_negativity):
+            try:
+                m = model_of()
+            except ValueError:          # ConsistencyError too
+                continue
+            assert np.isfinite(m).all()
