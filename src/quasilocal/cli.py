@@ -26,7 +26,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +79,7 @@ def _cmd_validate(args) -> int:
         _print_json({
             "consistent": consistent,
             "eps": args.eps,
-            "checks": {name: [{**asdict(v), "description": v.describe()} for v in vs]
+            "checks": {name: [{**v._asdict(), "description": v.describe()} for v in vs]
                        for name, vs in checks.items()},
         })
     else:

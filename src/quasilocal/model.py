@@ -29,11 +29,12 @@ STRATEGY_PATTERNS[i] ('+++-') and PROB_LABELS[i] ('a1+b1+');
 STRATEGY_OUTCOMES.index((a1, b1, a2, b2)) and PROB_EVENTS.index((j, k, m, n))
 go the other way.
 
-Everything here is a pure function of immutable values.  Measure vectors and
-probability sets are plain length-16 float arrays in the canonical orders
-defined below; weights may be negative and probabilities produced from
-negative weights may leave [0, 1].  No function clamps or normalizes its
-input silently.
+Everything here is a pure function of immutable values.  The result records
+(the four violation types and ChshReport) are typing.NamedTuples: immutable,
+compared and hashed by field.  Measure vectors and probability sets are plain
+length-16 float arrays in the canonical orders defined below; weights may be
+negative and probabilities produced from negative weights may leave [0, 1].
+No function clamps or normalizes its input silently.
 
 Each public function coerces and validates its input once.  The gates
 check_consistency, require_consistent, chsh and chsh_report coerce by shape
@@ -63,7 +64,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,8 +169,7 @@ def forward_map(m) -> np.ndarray:
 # Consistency checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeViolation:
+class RangeViolation(NamedTuple):
     """Probability entry outside [0, 1]."""
     index: int          # 0-based canonical index
     value: float
@@ -178,8 +178,7 @@ class RangeViolation:
         return f"p{self.index + 1} ({PROB_LABELS[self.index]}) = {self.value!r} outside [0, 1]"
 
 
-@dataclass(frozen=True)
-class BlockViolation:
+class BlockViolation(NamedTuple):
     """Setting-pair block whose four probabilities do not sum to 1."""
     j: int
     k: int
@@ -189,8 +188,7 @@ class BlockViolation:
         return f"block (a{self.j},b{self.k}) sums to {self.total!r}, expected 1"
 
 
-@dataclass(frozen=True)
-class MarginalViolation:
+class MarginalViolation(NamedTuple):
     """One party's outcome marginal differs across the other party's settings."""
     party: str          # "A" or "B"
     setting: int        # the fixed party's setting index (1 or 2)
@@ -205,8 +203,7 @@ class MarginalViolation:
                 f"{self.marginal_1!r} vs {self.marginal_2!r}")
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(NamedTuple):
     """Dependent probability entry inconsistent with the 8 independent ones."""
     index: int          # 0-based canonical index of the dependent entry
     expected: float
@@ -446,8 +443,7 @@ def _max_abs(values) -> float:
     return math.nan if math.isnan(sum(magnitudes)) else max(magnitudes)
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """All 8 CHSH sums for a probability set, with violation flags.
 
     deltas[v] is the sum of variant v, row v of CHSH_MATRIX @ p;

@@ -22,7 +22,7 @@ marginals (Fine, Phys. Rev. Lett. 48, 291 (1982)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,7 @@ def _fine_model(box: np.ndarray) -> np.ndarray:
     return np.array([t1[i][b] * cond[j][b] for i, j, b in _FINE_TERMS])
 
 
-@dataclass(frozen=True)
-class NegativityResult:
+class NegativityResult(NamedTuple):
     """Least total negativity of any signed local model of one box.
 
     min_negativity is the total negativity of witness, a measure vector that
@@ -144,8 +143,11 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
         witness = _product(_WITNESS[v], np.concatenate(([1.0], box.independent)), 1.0 + box.size)
     else:
         witness = _fine_model(p_hat)
-        with np.errstate(over="ignore", invalid="ignore"):      # an overflow is refused below
+        if box.size < 1e300:    # Fine's terms stay within 1e3 * size: no np.errstate
             witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+                witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
     negativity = _total_negativity(witness)
     if not (math.isfinite(negativity) and all(map(math.isfinite, witness.tolist()))):
         raise ConsistencyError(f"the witness model of this box is not finite (eps = {eps:g})")

@@ -13,14 +13,18 @@ Paulis (I, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
 cached on the state.  The projector onto outcome m along a is (I + m a.sigma)/2,
 so a box is one product A R B^T / 4 with each party's outcome matrix, rows
 (1, m d_j), and maximize_chsh maximizes the x-z block R[(x, z), (x, z)].
+
+The records are typing.NamedTuples, immutable and compared by field.
+TwoQubitState and MeasurementDirection subclass one to validate in __new__;
+the cached R is a state's only attribute outside its fields.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +44,12 @@ _OUTCOME_SIGNS = np.array([(1.0, m, m, m) for _ in range(4) for m in OUTCOMES])
 _CANONICAL = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+class TwoQubitState(NamedTuple("TwoQubitState", [("amplitudes", tuple)])):
     """Pure two-qubit state, amplitudes in basis order |++>, |+->, |-+>, |-->
     (z-basis product states, first slot party A).  Must have unit norm."""
-    amplitudes: tuple[complex, complex, complex, complex]
 
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
+    def __new__(cls, amplitudes):
+        amps = tuple(complex(a) for a in amplitudes)
         if len(amps) != 4:
             raise ValueError(f"expected 4 amplitudes, got {len(amps)}")
         if not all(cmath.isfinite(a) for a in amps):
@@ -58,7 +60,12 @@ class TwoQubitState:
             norm_sq = math.inf
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"state is not normalized: |amplitudes|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amps)
+        return super().__new__(cls, amps)
+    _make = classmethod(lambda cls, fields: cls(*fields))     # so _replace validates too
+
+    def __setattr__(self, name, value=None):    # the cached R alone enters __dict__
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
 
     @cached_property
     def correlation_tensor(self) -> np.ndarray:
@@ -73,21 +80,21 @@ class TwoQubitState:
         return tensor
 
 
-@dataclass(frozen=True)
-class MeasurementDirection:
+class MeasurementDirection(NamedTuple("MeasurementDirection",
+                                      [("x", float), ("y", float), ("z", float)])):
     """Unit Bloch vector along which a spin component is measured."""
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+    def __new__(cls, x, y, z):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("direction contains non-finite components")
         # Python floats square to inf without the warning of a numpy scalar
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        norm_sq = x * x + y * y + z * z
+        fx, fy, fz = float(x), float(y), float(z)
+        norm_sq = fx * fx + fy * fy + fz * fz
         if abs(norm_sq - 1.0) > _UNIT_EPS:
             raise ValueError(f"direction is not a unit vector: |n|^2 = {norm_sq!r}")
+        return super().__new__(cls, x, y, z)
+    _make = classmethod(lambda cls, fields: cls(*fields))     # so _replace validates too
 
     @classmethod
     def from_xz_angle(cls, degrees: float) -> "MeasurementDirection":
@@ -96,8 +103,7 @@ class MeasurementDirection:
         return cls(math.sin(rad), 0.0, math.cos(rad))
 
 
-@dataclass(frozen=True)
-class QubitScenario:
+class QubitScenario(NamedTuple):
     """A state and the four measurement directions of a 2x2x2 experiment."""
     state: TwoQubitState
     a1: MeasurementDirection
@@ -141,8 +147,7 @@ def flip_outcomes(p, party: str) -> np.ndarray:
     return np.flip(p.reshape(2, 2, 2, 2), axis).flatten()
 
 
-@dataclass(frozen=True)
-class ChshSearchResult:
+class ChshSearchResult(NamedTuple):
     """Largest |CHSH| over measurement directions in the x-z plane.
 
     directions holds (a1, a2, b1, b2); angles_deg the matching x-z plane

@@ -185,6 +185,19 @@ MUTANTS = (
            "np.flatnonzero(FORWARD_MATRIX[[0, 3]].sum(axis=0))",
            "the face pins the 8 strategies that agree on (a1, b1), not the 8 that disagree",
            "tests/test_solver.py::test_perfect_correlation_deterministic"),
+    Mutant("quantum.py",
+           "    def __setattr__(self, name, value=None):    # the cached R alone enters __dict__\n"
+           '        raise AttributeError(f"cannot assign to field {name!r}")\n'
+           "    __delattr__ = __setattr__\n", "",
+           "a state takes new attributes, and its cached correlation tensor can be replaced",
+           "tests/test_records.py::test_records_are_immutable_values"),
+    Mutant("quantum.py", "    __slots__ = ()\n", "",
+           "a measurement direction gets a __dict__ and takes new attributes",
+           "tests/test_records.py::test_records_are_immutable_values"),
+    Mutant("quantum.py", "if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):",
+           "if False:",
+           "a NaN direction passes as a unit vector, as |n|^2 - 1 = NaN is not above the tolerance",
+           "tests/test_quantum.py::test_direction_validation_messages"),
 )
 
 

@@ -14,7 +14,6 @@ numpy's reduce does.
 import math
 import struct
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 from hypothesis import example, given
@@ -150,7 +149,8 @@ def uncached(gate):
 
 def key(value):
     """A comparable form that tells -0.0 from 0.0, matches NaN with NaN and
-    records Python types, so a numpy scalar never equals a float."""
+    records Python types, so a numpy scalar never equals a float and a record
+    (a NamedTuple) never equals a plain tuple."""
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, float):
@@ -159,8 +159,6 @@ def key(value):
         return (type(value), tuple(key(v) for v in value))
     if isinstance(value, dict):
         return (dict, tuple((k, key(v)) for k, v in value.items()))
-    if hasattr(value, "__dataclass_fields__"):
-        return (type(value), key(astuple(value)))
     return (type(value), value)
 
 

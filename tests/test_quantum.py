@@ -8,11 +8,12 @@ directly, which the production path never does.
 import cmath
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import quasilocal as ql
@@ -62,6 +63,13 @@ def random_state(rng):
 
 def random_scenario(rng):
     return ql.QubitScenario(random_state(rng), *(random_direction(rng) for _ in range(4)))
+
+
+def unit_vectors(n):
+    """A unit vector in R^n: a draw from [-1, 1]^n of norm at least 1/2, normalized."""
+    return (st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+            .filter(lambda v: math.hypot(*v) >= 0.5)
+            .map(lambda v: np.array(v) / math.hypot(*v)))
 
 
 Z = ql.MeasurementDirection(0.0, 0.0, 1.0)
@@ -117,6 +125,60 @@ def test_direction_validation():
     d = ql.MeasurementDirection.from_xz_angle(90.0)
     assert d.x == pytest.approx(1.0) and d.z == pytest.approx(0.0, abs=1e-15)
     assert ql.MeasurementDirection.from_xz_angle(0.0).z == 1.0
+
+
+#: Real and imaginary parts at the edges of the float range, each with either sign.
+SPECIAL_PARTS = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                          st.sampled_from([0.0, 5e-324, 1e-200, 1e154, 1e308, 1.7e308,
+                                           math.nan, math.inf]))
+
+
+@st.composite
+def unit_or_special(draw, n):
+    """n floats: a unit vector with up to two entries replaced by SPECIAL_PARTS values."""
+    vector = draw(unit_vectors(n)).tolist()
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        vector[i] = draw(SPECIAL_PARTS)
+    return vector
+
+
+STATE_MESSAGE = (r"^(amplitudes contain non-finite values"
+                 r"|state is not normalized: \|amplitudes\|\^2 = \S+)$")
+DIRECTION_MESSAGE = (r"^(direction contains non-finite components"
+                     r"|direction is not a unit vector: \|n\|\^2 = \S+)$")
+
+
+def assert_finite_chain(state, directions=None):
+    """maximize_chsh, generate_probability_set and min_negativity return finite values."""
+    best = ql.maximize_chsh(state)
+    assert math.isfinite(best.best_delta) and all(map(math.isfinite, best.angles_deg))
+    p = ql.generate_probability_set(ql.QubitScenario(state, *(directions or best.directions)))
+    result = ql.min_negativity(p)
+    assert np.isfinite(p).all() and np.isfinite(result.witness).all()
+    assert math.isfinite(result.min_negativity) and math.isfinite(result.lower_bound)
+
+
+@given(unit_or_special(8), unit_or_special(3), st.sampled_from([float, np.float64]))
+@example([1.7e308, -1.7e308] + [0.0] * 6, [1e154, 0.0, 0.0], np.float64)
+@example([1.0, 5e-324, -0.0, 1e-200] + [0.0] * 4, [-0.0, 5e-324, 1.0], np.float64)
+def test_states_and_directions_at_the_float_edges_are_finite_or_refused(parts, components,
+                                                                       kind):
+    # both validating constructors refuse with one of their own messages, a
+    # record they accept carries the qm path to finite numbers, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = ql.TwoQubitState([complex(parts[i], parts[i + 1]) for i in range(0, 8, 2)])
+        except ValueError as exc:
+            assert re.match(STATE_MESSAGE, str(exc)), exc
+            state = ql.singlet()
+        assert_finite_chain(state)
+        try:
+            direction = ql.MeasurementDirection(*map(kind, components))
+        except ValueError as exc:
+            assert re.match(DIRECTION_MESSAGE, str(exc)), exc
+        else:
+            assert_finite_chain(state, [direction, Z, direction, Z])
 
 
 def test_singlet_is_normalized():
@@ -272,13 +334,6 @@ def test_singlet_correlation_law():
         for (j, k), (da, db) in pairs.items():
             cos_angle = da.x * db.x + da.y * db.y + da.z * db.z
             assert ql.correlation(p, j, k) == pytest.approx(-cos_angle, abs=1e-9)
-
-
-def unit_vectors(n):
-    """A unit vector in R^n: a draw from [-1, 1]^n of norm at least 1/2, normalized."""
-    return (st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
-            .filter(lambda v: math.hypot(*v) >= 0.5)
-            .map(lambda v: np.array(v) / math.hypot(*v)))
 
 
 def su2(q):
