@@ -15,14 +15,16 @@ report to a machine-readable object.  The tolerance is 1e-9 unless --eps
 gives another.  Each flag value is checked by its argparse type, and each
 combination of flags by argparse (solve's --free and --perfect-correlation
 M16 exclude each other), as the command line is parsed, so a bad one is a
-usage error (exit 2) before any input is read.
+usage error (exit 2) before any input is read.  A call imports only what its
+subcommand runs: validate, chsh and forward load fileio and model; solve adds
+solver, negativity adds negativity and solver, qm adds quantum, and reading a
+JSON document or writing --format json adds json.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import re
 import sys
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, model, negativity, quantum, solver
+from . import fileio, model
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -58,6 +60,8 @@ def _load_box(args) -> np.ndarray:
 
 
 def _print_json(obj) -> None:
+    import json
+
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError:          # NaN or +-inf, which JSON has no literal for
@@ -134,6 +138,8 @@ def _negative_summary(m: np.ndarray, total: float) -> list[str]:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     p = _load_box(args)
     flag = "--free" if args.perfect_correlation is None else "--perfect-correlation"
     try:
@@ -179,6 +185,8 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
+    from . import negativity, solver
+
     result = negativity.min_negativity(_load_box(args), args.eps)
     witness = result.witness.tolist()
     free = {f"m{i + 1}": witness[i] for i in solver.FREE_INDICES}
@@ -204,6 +212,8 @@ def _cmd_negativity(args) -> int:
 
 
 def _cmd_qm(args) -> int:
+    from . import quantum
+
     try:
         state = quantum.TwoQubitState(args.state)
     except ValueError as exc:           # amplitudes whose squared norm is not 1
@@ -285,6 +295,8 @@ def _tolerance(text: str) -> float:
 def _amplitudes(text: str) -> tuple[complex, ...]:
     """argparse type of --state: 'singlet', or 4 comma-separated finite complex
     amplitudes.  Their norm is checked by quantum.TwoQubitState."""
+    from . import quantum
+
     if text.strip().lower() == "singlet":
         return quantum.singlet().amplitudes
     tokens = text.split(",")

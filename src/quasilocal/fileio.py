@@ -33,7 +33,6 @@ a message about a text line starts 'line N: ':
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -102,6 +101,8 @@ class _Object(dict):
 def _parse(text: str, kind: _Kind) -> np.ndarray:
     """The 16 values of a document of this kind, text or JSON, in canonical order."""
     if text.lstrip().startswith("{"):
+        import json
+
         try:    # text that starts with '{' loads as a dict or raises
             table = json.loads(text, object_pairs_hook=_Object).get(kind.key)
         except ValueError as exc:       # JSONDecodeError, or an integer literal over 4300 digits

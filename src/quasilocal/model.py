@@ -158,7 +158,8 @@ def forward_map(m) -> np.ndarray:
     """Joint probabilities induced by a measure vector.
 
     Total function: the input need not be normalized and the output is not
-    clamped, so entries may fall outside [0, 1] when weights are negative.
+    clamped, so entries may fall outside [0, 1] when weights are negative, and
+    overflow to +-inf or NaN when their magnitudes sum past the float maximum.
     Each block of four outputs sums to the total weight exactly.
     """
     m = _vector16(m, "measure vector")
@@ -260,6 +261,7 @@ def box_from_independent(independent) -> np.ndarray:
 
     Only the shape and finiteness of the input are checked: whether the
     result is a valid box is decided by require_consistent at the caller's eps.
+    An entry overflows to +-inf or NaN only when the input's magnitudes sum past the float maximum.
     """
     ind = np.asarray(independent, dtype=float)
     if ind.shape != (8,):
@@ -358,7 +360,7 @@ def check_consistency(p, eps: float = DEFAULT_EPS) -> dict[str, list]:
     inconsistent with the independent ones beyond eps.  "derived_relations"
     is empty exactly when "normalization" and "no_signaling" both are: its 8
     relations span the same affine constraints as those two conditions
-    combined.
+    combined.  A violation's sums overflow only when p's magnitudes sum past the float maximum.
     """
     _check_eps(eps)
     return {name: list(vs) for name, vs in _box(_shaped16(p).tobytes(), eps).violations()}
@@ -412,7 +414,8 @@ def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:
     p(+,+) + p(-,-) - p(+,-) - p(-,+).
 
     j and k are integers (_is_integer) equal to 1 or 2.  Requires the block
-    to be normalized within eps.
+    to be normalized within eps.  The result overflows to +-inf only when the
+    block's magnitudes sum past the float maximum.
     """
     p = _vector16(p, "probability set")
     _check_eps(eps)
@@ -433,6 +436,7 @@ def chsh(p, v: int = 0, eps: float = DEFAULT_EPS) -> float:
     Requires every block normalized within eps, and then v an integer in
     0..7 (ValueError).  For any probability set passing that check, the
     canonical variant 0 equals 2 * (p1 + p4 + p5 + p8 + p9 + p12 + p14 + p15 - 2).
+    It overflows to +-inf or NaN only when p's magnitudes sum past the float maximum.
     """
     return _box(_shaped16(p).tobytes(), eps).deltas()[_index(v, 8, "variant")]
 
@@ -463,6 +467,7 @@ class ChshReport(NamedTuple):
 
 
 def chsh_report(p, eps: float = DEFAULT_EPS) -> ChshReport:
+    """The 8 CHSH sums, as chsh gives them: +-inf or NaN only past the float maximum."""
     deltas = _box(_shaped16(p).tobytes(), eps).deltas()
     return ChshReport(deltas, _max_abs(deltas), eps)
 
@@ -475,7 +480,8 @@ def sigma_minus(m) -> tuple[float, ...]:
     """The weight of m on the 8 strategies with CHSH value -2 under each
     variant, aligned with CHSH_VARIANTS.
 
-    Total function, like forward_map.  For any m, CHSH_MATRIX @ forward_map(m)
+    Total function, like forward_map, and like it finite unless m's magnitudes
+    sum past the float maximum.  For any m, CHSH_MATRIX @ forward_map(m)
     is 2 * sum(m) - 4 * sigma_minus(m) row by row, so a normalized m whose box
     violates variant v (CHSH sum above 2) has sigma_minus(m)[v] < 0: some
     weight is negative.  The converse fails: m may carry negative weight and
@@ -490,7 +496,7 @@ def _total_negativity(m: np.ndarray) -> float:
 
 
 def total_negativity(m) -> float:
-    """Sum of the magnitudes of the negative weights."""
+    """Sum of the magnitudes of the negative weights; +inf when they sum past the float maximum."""
     return _total_negativity(_vector16(m, "measure vector"))
 
 

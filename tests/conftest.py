@@ -1,7 +1,9 @@
 import functools
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, Phase, settings
+from hypothesis import strategies as st
 
 settings.register_profile(
     "default",
@@ -20,6 +22,11 @@ settings.register_profile(
     phases=[phase for phase in settings.get_profile("default").phases
             if phase not in (Phase.shrink, Phase.explain)],
 )
+
+#: Parts at the edges of the float range, each with either sign.
+SPECIAL_PARTS = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                          st.sampled_from([0.0, 5e-324, 1e-200, 1e154, 1e308, 1.7e308,
+                                           math.nan, math.inf]))
 
 #: A box with entries near the float maximum, normalized within eps = 1e300: its
 #: relation product DEPENDENT_SIGNS @ p_ind and its CHSH product overflow to +-inf

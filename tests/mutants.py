@@ -198,6 +198,28 @@ MUTANTS = (
            "if False:",
            "a NaN direction passes as a unit vector, as |n|^2 - 1 = NaN is not above the tolerance",
            "tests/test_quantum.py::test_direction_validation_messages"),
+    Mutant("cli.py", "from . import fileio, model\n", "from . import fileio, model, quantum\n",
+           "every call loads quantum, which only qm runs",
+           "tests/test_imports.py::test_each_subcommand_loads_only_what_it_runs"),
+    Mutant("cli.py", "from . import fileio, model\n", "from . import fileio, model, negativity\n",
+           "every call loads negativity and solver, which only negativity runs",
+           "tests/test_imports.py::test_each_subcommand_loads_only_what_it_runs"),
+    Mutant("cli.py", "from . import fileio, model\n", "from . import fileio, model, solver\n",
+           "every call loads solver, which only solve and negativity run",
+           "tests/test_imports.py::test_each_subcommand_loads_only_what_it_runs"),
+    Mutant("cli.py", "import cmath\n", "import cmath\nimport json\n",
+           "every call loads json, which only a --format json report needs",
+           "tests/test_imports.py::test_each_subcommand_loads_only_what_it_runs"),
+    Mutant("fileio.py", "import itertools\n", "import itertools\nimport json\n",
+           "every call loads json, which only a JSON document needs",
+           "tests/test_imports.py::test_each_subcommand_loads_only_what_it_runs"),
+    Mutant("__init__.py", "package.update((n, values[n]) for n in names)",
+           "package.update((n, values[n]) for n in names if n == name)",
+           "the first read binds only the name read, so each later name calls __getattr__",
+           "tests/test_imports.py::test_the_first_read_of_a_public_name_binds_them_all"),
+    Mutant("__init__.py", '    package.pop("__getattr__", None)\n', "",
+           "the package keeps __getattr__, and CPython never specializes a read of its names",
+           "tests/test_imports.py::test_the_first_read_of_a_public_name_binds_them_all"),
 )
 
 

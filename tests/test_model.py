@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import model
-from conftest import (OVERFLOWING, extremal_measures, minus_strategies, random_consistent_box,
+from conftest import (OVERFLOWING, SPECIAL_PARTS, extremal_measures, minus_strategies, random_consistent_box,
                       random_nonnegative_measures, random_signed_measures)
 from test_checks_reference import ref_check_consistency
 
@@ -834,3 +835,70 @@ def test_a_pipeline_makes_two_records_scans_once_and_forms_one_chsh_product_per_
     assert [m is model.DEPENDENT_SIGNS for m in products] == [True, False, False]
     assert all(m is model.CHSH_MATRIX for m in products[1:])
     assert model._box(p_hat.tobytes(), ql.DEFAULT_EPS)._violations is None
+
+
+# ---------------------------------------------------------------------------
+# The gates and the total maps at the edges of the float range
+# ---------------------------------------------------------------------------
+
+#: What the docstring of a function that may return a non-finite value says.
+OVERFLOW_NOTE = "past the float maximum"
+
+
+@st.composite
+def edge_vectors(draw, bases):
+    """One of bases with up to three entries replaced by SPECIAL_PARTS values."""
+    vector = list(draw(st.sampled_from(bases)))
+    for i in draw(st.lists(st.integers(0, len(vector) - 1), max_size=3)):
+        vector[i] = draw(SPECIAL_PARTS)
+    return vector
+
+
+def floats_in(value) -> list:
+    """Every float a result holds, through arrays, dicts, lists, tuples and records."""
+    if isinstance(value, np.ndarray):
+        return value.ravel().tolist()
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in floats_in(v)]
+    return [value] if isinstance(value, float) else []
+
+
+def magnitudes_overflow(values) -> bool:
+    """Whether the magnitudes of values sum past the float maximum (each is
+    divided by 16 first, exactly, so that the sum itself cannot overflow)."""
+    return sum(abs(v) / 16.0 for v in values) > sys.float_info.max / 16.0
+
+
+BOX_BASES = [ql.uniform_box().tolist(), ql.pr_box().tolist(), ql.tsirelson_box().tolist(),
+             ql.deterministic_box(5).tolist(), OVERFLOWING]
+MEASURE_BASES = [extremal_measures().tolist(), [1.0 / 16] * 16, [1.0] + [0.0] * 15]
+
+
+@given(edge_vectors(BOX_BASES), edge_vectors(MEASURE_BASES),
+       st.sampled_from([0, 1e-9, 1e300, 1.7e308, math.nan, math.inf, -0.0, None, "1e-9"]),
+       st.integers(-1, 8), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (0, 1), (2, 3)]))
+def test_gates_and_total_maps_at_the_float_edges_are_finite_or_refused(p, m, eps, v, jk):
+    # each returns finite values, except where its docstring says otherwise,
+    # or raises ValueError (ConsistencyError too), or TypeError for an eps
+    # that is not a number; nothing warns
+    ind = [p[i] for i in ql.INDEPENDENT_INDICES]
+    calls = [(ql.check_consistency, (p, eps), p), (ql.require_consistent, (p, eps), p),
+             (ql.chsh, (p, v, eps), p), (ql.chsh_report, (p, eps), p),
+             (ql.correlation, (p, *jk, eps), p), (ql.forward_map, (m,), m),
+             (ql.box_from_independent, (ind,), ind), (ql.total_negativity, (m,), m),
+             (ql.sigma_minus, (m,), m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for function, args, values in calls:
+            try:
+                result = function(*args)
+            except TypeError:
+                assert not isinstance(eps, (int, float)), function.__name__
+                continue
+            except ValueError:
+                continue
+            if not all(map(math.isfinite, floats_in(result))):
+                assert magnitudes_overflow(values), (function.__name__, values)
+                assert OVERFLOW_NOTE in " ".join(function.__doc__.split()), function.__name__

@@ -20,6 +20,7 @@ import quasilocal as ql
 from quasilocal import quantum
 from quasilocal.fileio import format_value
 from quasilocal.quantum import _xz_angle
+from conftest import SPECIAL_PARTS
 
 RT2 = np.sqrt(2.0)
 
@@ -125,12 +126,6 @@ def test_direction_validation():
     d = ql.MeasurementDirection.from_xz_angle(90.0)
     assert d.x == pytest.approx(1.0) and d.z == pytest.approx(0.0, abs=1e-15)
     assert ql.MeasurementDirection.from_xz_angle(0.0).z == 1.0
-
-
-#: Real and imaginary parts at the edges of the float range, each with either sign.
-SPECIAL_PARTS = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
-                          st.sampled_from([0.0, 5e-324, 1e-200, 1e154, 1e308, 1.7e308,
-                                           math.nan, math.inf]))
 
 
 @st.composite
