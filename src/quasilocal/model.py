@@ -22,7 +22,7 @@ outcomes (a1, b1, a2, b2) of each strategy, and PROB_EVENTS, the event
 (j, k, m, n) of each probability.  Every index, label and permutation is
 read off them, FORWARD_MATRIX too, and every other constant map is derived
 from FORWARD_MATRIX at import: the relation table DEPENDENT_SIGNS (a least-squares
-solution, rounded to the nearest half) and the strategies' CHSH values, whose
+solution, rounded by _exact) and the strategies' CHSH values, whose
 signs pick the strategies sigma_minus sums.  An index is read by indexing a
 table: STRATEGY_OUTCOMES[i] and PROB_EVENTS[i], or their labels
 STRATEGY_PATTERNS[i] ('+++-') and PROB_LABELS[i] ('a1+b1+');
@@ -117,11 +117,11 @@ FORWARD_MATRIX = np.array([[float(s[0::2][j - 1] == m and s[1::2][k - 1] == n)
 FORWARD_MATRIX.setflags(write=False)
 
 
-def _half_integer_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solution x of a @ x = b, rounded to the nearest half
-    (every relation of this system has half-integer coefficients); + 0.0
+def _exact(x: np.ndarray) -> np.ndarray:
+    """x rounded to the nearest 1/16, as every derived constant map is: the relations
+    and solution families are half-integer, the witness multiples of 1/16.  + 0.0
     turns the -0.0 that rounding leaves into 0.0."""
-    return np.round(2.0 * np.linalg.lstsq(a, b, rcond=None)[0]) / 2.0 + 0.0
+    return np.round(16.0 * x) / 16.0 + 0.0
 
 
 def _is_integer(i) -> bool:
@@ -225,8 +225,8 @@ _INDEPENDENT = np.array(INDEPENDENT_INDICES)
 _DEPENDENT = np.array(DEPENDENT_INDICES)
 
 #: Maps (1, p_ind) to the full box: p = _BOX_EMBEDDING @ (sum(m), p_ind) for p = F @ m.
-_BOX_EMBEDDING = _half_integer_solve(
-    np.vstack([np.ones(16), FORWARD_MATRIX[_INDEPENDENT]]).T, FORWARD_MATRIX.T).T
+_BOX_EMBEDDING = _exact(np.linalg.lstsq(np.vstack([np.ones(16), FORWARD_MATRIX[_INDEPENDENT]]).T,
+                                         FORWARD_MATRIX.T, rcond=None)[0].T)
 _BOX_EMBEDDING.setflags(write=False)
 
 #: Sign table expressing each dependent entry as
@@ -401,12 +401,8 @@ CHSH_MATRIX = np.array([[(-sign if (j, k) == pair else sign) * m * n for j, k, m
                         for pair, sign in CHSH_VARIANTS], dtype=float)
 CHSH_MATRIX.setflags(write=False)
 
-#: Row v holds each strategy's CHSH value (+-2) under variant v.
-_STRATEGY_CHSH = CHSH_MATRIX @ FORWARD_MATRIX
-_STRATEGY_CHSH.setflags(write=False)
-
-#: Row v lists the strategies whose CHSH value under variant v is -2.
-_MINUS_STRATEGIES = tuple(np.flatnonzero(row < 0).tolist() for row in _STRATEGY_CHSH)
+#: Row v lists the strategies whose CHSH value (+-2) under variant v is -2.
+_MINUS_STRATEGIES = tuple(np.flatnonzero(row < 0).tolist() for row in CHSH_MATRIX @ FORWARD_MATRIX)
 
 
 def correlation(p, j: int, k: int, eps: float = DEFAULT_EPS) -> float:

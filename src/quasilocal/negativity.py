@@ -6,17 +6,19 @@ model of p does better.  The bound holds for every model: a variant sum of
 delta forces one of its two complementary 8-strategy sums below zero by
 (|delta| - 2) / 4, and the negative weights must cover that deficit.
 
-The witness attaining it is one constant matrix per variant.  Let v be the
-variant with the largest signed sum delta_v and mu = (delta_v - 2) / 2.  A
-nonlocal box (mu > 0) is p = mu * PR_v + (1 - mu) * L, where PR_v is the PR
-box of variant v and L a local box on the facet CHSH_v = 2 (Barrett et al.,
-Phys. Rev. A 71, 022101 (2005)).  PR_v has the model (1 + C_v) / 16, where
-C_v(s) = +-2 is the variant's value on strategy s, with negativity exactly
-1/2.  The facet is a simplex with the 8 strategies of C_v = +2 as vertices,
-so L has one model, nonnegative, and the mixture of the two carries mu / 2,
-the bound.  Being linear in x = (1, p_ind), it is _WITNESS[v] @ x.  A local
-box (mu = 0) gets a nonnegative model glued from two three-variable
-marginals (Fine, Phys. Rev. Lett. 48, 291 (1982)).
+The witness attaining it is a member of solve's family, one constant matrix
+per variant.  Let v be the variant with the largest signed sum delta_v, and
+N_v the 8 strategies s whose value C_v(s) under it is -2, not +2.  Every
+model of p puts sigma_minus = (2 - delta_v) / 4 on N_v (model.sigma_minus);
+the witness spreads it evenly, so its weights on N_v carry exactly the bound
+when delta_v > 2.  It is solver._family with "equal weight on N_v" as its 7
+constraints, applied to x = (1, p_ind): _WITNESS[v] @ x.  Being affine in the
+box, it is nonnegative on the other 8 strategies wherever delta_v >= 2: that
+cap is a simplex (Barrett et al., Phys. Rev. A 71, 022101 (2005)), and at its
+9 vertices the witness is the model (1 + C_v) / 16 of variant v's PR box and
+the 8 deterministic strategies with C_v = +2.  A local box (delta_v <= 2)
+gets a nonnegative model glued from two three-variable marginals (Fine,
+Phys. Rev. Lett. 48, 291 (1982)).
 """
 
 from __future__ import annotations
@@ -27,15 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    CHSH_MATRIX,
     DEFAULT_EPS,
     FORWARD_MATRIX,
+    INDEPENDENT_INDICES,
     OUTCOMES,
     STRATEGY_OUTCOMES,
     ConsistencyError,
-    _BOX_EMBEDDING,
+    _MINUS_STRATEGIES,
     _OUTCOME_PAIRS,
-    _STRATEGY_CHSH,
     _box_from_independent,
     _consistent_box,
     _max_abs,
@@ -44,21 +45,15 @@ from .model import (
     _total_negativity,
     chsh,
 )
+from .solver import _family
 
 #: Minimum-norm inverse of the forward map on no-signalling boxes.
 _FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
 
-#: Column v: the model (1 + C_v) / 16 of variant v's PR box; multiples of 1/16, exact.
-_PR_MODELS = (1.0 + _STRATEGY_CHSH)[:, :, None] / 16.0
-
-#: Row v: mu = (delta_v - 2) / 2 of variant v, linear in x = (1, p_ind).
-_MU = (CHSH_MATRIX @ _BOX_EMBEDDING - 2.0 * np.eye(1, 9))[:, None, :] / 2.0
-#: _WITNESS[v] @ x = mu * PR_v's model + the unique model of p_hat - mu * PR_v on
-#: the facet: the pseudo-inverse of F's 8 C_v = +2 columns (rank 8) maps it there.
-#: Each entry is a multiple of 1/64 up to 1.8e-15, so rounding makes it exact.
-_WITNESS = np.round(64.0 * (
-    np.linalg.pinv(FORWARD_MATRIX * (_STRATEGY_CHSH > 0)[:, None, :])
-    @ (_BOX_EMBEDDING - FORWARD_MATRIX @ _PR_MODELS * _MU) + _PR_MODELS * _MU)) / 64.0
+#: _WITNESS[v] @ (1, p_ind) is the family member with equal weight on N_v, the
+#: strategies with C_v = -2: its constraints are m[N_v[k]] - m[N_v[0]] = 0.
+_MINUS = np.eye(16)[list(_MINUS_STRATEGIES)]
+_WITNESS = _family(INDEPENDENT_INDICES, _MINUS[:, 1:] - _MINUS[:, :1])[..., :9]
 _WITNESS.setflags(write=False)
 
 
@@ -104,7 +99,7 @@ class NegativityResult(NamedTuple):
     """Least total negativity of any signed local model of one box.
 
     min_negativity is the total negativity of witness, a measure vector that
-    reproduces the box: the PR/local mixture of the module docstring, equal
+    reproduces the box: the family member of the module docstring, equal
     to max(0, (|delta| - 2) / 4) up to rounding.  It lies in the solution
     family: the witness is also solve(p, witness[FREE_INDICES]).  lower_bound
     is that closed form and feasible is max |delta| <= 2 + eps, both taken on

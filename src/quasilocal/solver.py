@@ -9,13 +9,13 @@ on the strategies with CHSH value -2 under each variant (model.sigma_minus)
 is pinned by the box alone.  solve is its one entry point.
 
 Each family is one constant matrix, derived from FORWARD_MATRIX at import:
-the weight sum, the 8 independent entries and the 7 free weights are 16
-linear functions that fix m, so the inverse of their 16 rows, rounded to
-the nearest half, takes (1, p_ind, free) to all 16 weights.  When one
-setting pair is perfectly correlated (p2 = p3 = 0) the 8 strategies that
-would produce a disagreeing outcome there can be dropped: pinned at zero
-with m16, they leave a one-parameter family in m16, derived the same way in
-the face's own coordinates (p4, p8, p9, p12, p14, p15).
+the weight sum, the 8 independent entries and 7 constraints, here the free
+weights, are 16 linear functions that fix m, so the inverse of their rows
+(_family) takes (1, p_ind, free) to all 16 weights.  When one setting pair
+is perfectly correlated (p2 = p3 = 0) the 8 strategies that would produce a
+disagreeing outcome there can be dropped: pinned at zero with m16, they
+leave a one-parameter family in m16, derived the same way in the face's own
+coordinates (p4, p8, p9, p12, p14, p15).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .model import (
     INDEPENDENT_INDICES,
     ConsistencyError,
     _INDEPENDENT,
-    _half_integer_solve,
+    _exact,
     _product,
     require_consistent,
 )
@@ -40,19 +40,21 @@ from .model import (
 FREE_INDICES = (1, 2, 6, 9, 13, 14, 15)
 
 
-def _family(coordinates, pinned) -> np.ndarray:
-    """The inverse of the 16 rows (ones, F[coordinates], I[pinned]), rounded to the
-    nearest half: m = _family(...) @ (sum(m), p[coordinates], m[pinned]) for p = F @ m."""
-    rows = np.vstack([np.ones(16), FORWARD_MATRIX[list(coordinates)], np.eye(16)[list(pinned)]])
-    return _half_integer_solve(rows, np.eye(16))
+def _family(coordinates, constraints: np.ndarray) -> np.ndarray:
+    """The inverse of the 16 rows (ones, F[coordinates], constraints), rounded by _exact:
+    m = _family(...) @ (sum(m), p[coordinates], constraints @ m) for p = F @ m.  A stack
+    of constraint blocks, shape (..., k, 16), gives a stack of inverses."""
+    head = np.vstack([np.ones(16), FORWARD_MATRIX[list(coordinates)]])
+    head = np.broadcast_to(head, (*constraints.shape[:-2], *head.shape))
+    return _exact(np.linalg.inv(np.concatenate([head, constraints], axis=-2)))
 
 
 #: All 16 weights = _SOLUTION @ (1, p_ind, free).
-_SOLUTION = _family(INDEPENDENT_INDICES, FREE_INDICES)
+_SOLUTION = _family(INDEPENDENT_INDICES, np.eye(16)[list(FREE_INDICES)])
 #: All 16 weights on the face = _FACE_SOLUTION @ (1, coordinates, m16), exact zeros off it.
 _FACE_COORDINATES = np.array([3, 7, 8, 11, 13, 14])
-_FACE_SOLUTION = _family(_FACE_COORDINATES,
-                         [15, *np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))])[:, :8]
+_FACE_SOLUTION = _family(_FACE_COORDINATES, np.eye(16)[
+    [15, *np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))]])[:, :8]
 
 
 def _solution(family: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -68,7 +68,8 @@ MUTANTS = (
     Mutant("model.py", "np.flatnonzero(row < 0)", "np.flatnonzero(row > 0)",
            "sigma_minus sums the strategies with CHSH value +2",
            "tests/test_model.py::test_sigma_minus_rows_are_the_chsh_minus_2_strategies"),
-    Mutant("model.py", "for row in _STRATEGY_CHSH)", "for row in _STRATEGY_CHSH[[0] * 8])",
+    Mutant("model.py", "for row in CHSH_MATRIX @ FORWARD_MATRIX)",
+           "for row in (CHSH_MATRIX @ FORWARD_MATRIX)[[0] * 8])",
            "sigma_minus repeats the canonical variant's row for all 8",
            "tests/test_model.py::test_sigma_minus_rows_are_the_chsh_minus_2_strategies"),
     Mutant("model.py", "if not abs((m1 := v[a] + v[b] + 0.0) - (m2 := v[c] + v[d] + 0.0)) <= eps",
@@ -149,18 +150,21 @@ MUTANTS = (
     Mutant("cli.py", "if not cmath.isfinite(amplitude):", "if False:",
            "--state nan,0,0,0 passes the parser and exits 1, not 2",
            "tests/test_cli.py::test_a_bad_flag_value_is_an_argparse_usage_error"),
-    Mutant("negativity.py", "np.round(64.0 *", "np.round(8.0 *",
-           "witness entries rounded to 1/8 miss the odd multiples of 1/16",
+    Mutant("model.py", "np.round(16.0 * x) / 16.0", "np.round(8.0 * x) / 8.0",
+           "constant maps rounded to 1/8 miss the witness's odd multiples of 1/16",
+           "tests/test_exact_derivation.py::test_witness_is_the_exact_equal_weight_member"),
+    Mutant("model.py", "/ 16.0 + 0.0", "/ 16.0",
+           "the rounded constant maps keep the -0.0 that rounding leaves",
+           "tests/test_exact_derivation.py::test_forward_map_and_box_embedding_are_exact"),
+    Mutant("negativity.py", "_MINUS[:, 1:] - _MINUS[:, :1]", "_MINUS[:, 1:]",
+           "the witness pins 7 of N_v at zero and puts the whole deficit on one strategy",
            "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
-    Mutant("negativity.py", "(_STRATEGY_CHSH > 0)", "(_STRATEGY_CHSH < 0)",
-           "the witness puts the local rest on the C_v = -2 strategies, off the facet",
+    Mutant("negativity.py", "np.eye(16)[list(_MINUS_STRATEGIES)]",
+           "np.eye(16)[list(_MINUS_STRATEGIES[4:] + _MINUS_STRATEGIES[:4])]",
+           "the witness spreads its weight evenly over the C_v = +2 strategies, not the -2 ones",
            "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
-    Mutant("negativity.py", "- 2.0 * np.eye(1, 9))", "+ 2.0 * np.eye(1, 9))",
-           "mu is (delta_v + 2) / 2, so the witness mixes in too much of the PR box",
-           "tests/test_negativity.py::test_the_witness_matrices_satisfy_the_theorem_exactly"),
-    Mutant("model.py", "np.round(2.0 * np.linalg.lstsq(a, b, rcond=None)[0]) / 2.0",
-           "np.round(np.linalg.lstsq(a, b, rcond=None)[0])",
-           "the relation table rounds to integers, losing every dependent entry's 1/2",
+    Mutant("model.py", "FORWARD_MATRIX[_INDEPENDENT]]).T,", "FORWARD_MATRIX[_DEPENDENT]]).T,",
+           "the box embedding is solved in the dependent entries, not the independent ones",
            "tests/test_model.py::test_box_embedding_is_an_exact_half_integer_least_squares_solution"),
     Mutant("model.py", 'return abs(self.deltas[_index(v, 8, "variant")]) > 2.0 + self.eps',
            'return abs(self.deltas[_index(v, 8, "variant")]) >= 2.0 + self.eps',
@@ -182,9 +186,9 @@ MUTANTS = (
            "a witness that overflows is returned as 16 NaN weights with min negativity 0",
            "tests/test_cli.py::test_a_witness_that_overflows_is_a_domain_failure"),
     Mutant("solver.py", "np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))",
-           "np.flatnonzero(FORWARD_MATRIX[[0, 3]].sum(axis=0))",
-           "the face pins the 8 strategies that agree on (a1, b1), not the 8 that disagree",
-           "tests/test_solver.py::test_perfect_correlation_deterministic"),
+           "np.flatnonzero(FORWARD_MATRIX[[5, 6]].sum(axis=0))",
+           "the face pins the 8 strategies that disagree on (a1, b2), not on (a1, b1)",
+           "tests/test_solver.py::test_perfect_correlation_matches_general_solution"),
     Mutant("quantum.py",
            "    def __setattr__(self, name, value=None):    # the cached R alone enters __dict__\n"
            '        raise AttributeError(f"cannot assign to field {name!r}")\n'

@@ -8,10 +8,12 @@ affine expansion is read off solve.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import quasilocal as ql
-from quasilocal import model, negativity
+from quasilocal import model, negativity, solver
 from conftest import boxes_consistent_at_eps_0, random_consistent_box, random_mixture_box
 
 RT2 = np.sqrt(2.0)
@@ -119,11 +121,13 @@ def test_the_witness_matrices_satisfy_the_theorem_exactly():
     assert np.array_equal(16.0 * W, np.round(16.0 * W))
     for v in range(8):
         minus, plus = STRATEGY_CHSH[v] < 0, STRATEGY_CHSH[v] > 0
+        # mu_v @ (1, p_ind) = (delta_v - 2) / 2, exact: both matrices are half-integer
+        mu = (ql.CHSH_MATRIX[v] @ model._BOX_EMBEDDING - 2.0 * np.eye(9)[0]) / 2.0
         assert np.array_equal(F @ W[v], model._BOX_EMBEDDING)
-        assert np.array_equal(W[v][minus], np.repeat(-negativity._MU[v] / 16.0, 8, axis=0))
+        assert np.array_equal(W[v][minus], np.repeat(-mu[None] / 16.0, 8, axis=0))
         for vertex in (F @ PR_MODELS[v], *F.T[plus]):
             x = np.concatenate(([1.0], vertex[list(ql.INDEPENDENT_INDICES)]))
-            assert negativity._MU[v] @ x == (ql.CHSH_MATRIX[v] @ vertex - 2.0) / 2.0
+            assert mu @ x == (ql.CHSH_MATRIX[v] @ vertex - 2.0) / 2.0
             witness = W[v] @ x
             assert np.array_equal(F @ witness, vertex)
             assert (witness[plus] >= 0.0).all()
@@ -303,17 +307,82 @@ def singlet_face_box(rng):
     return ql.flip_outcomes(p, "A")
 
 
+def face_min_negativity(p):
+    """Least total negativity on the perfect-correlation face.  The face is
+    w(m16) = w0 + m16 d, so its total negativity is piecewise linear and
+    convex in m16 and least at one of the breakpoints -w0_i / d_i."""
+    w0 = ql.perfect_correlation_solution(p, 0.0)
+    d = ql.perfect_correlation_solution(p, 1.0) - w0
+    return min(ql.total_negativity(ql.perfect_correlation_solution(p, t))
+               for t in -w0[d != 0.0] / d[d != 0.0])
+
+
 def test_han_face_holds_an_optimal_model():
     # Han, Hwang & Koh, Phys. Lett. A 221, 283 (1996): on these boxes the
-    # perfect-correlation face reaches the least negativity of any model.  The
-    # face is w(m16) = w0 + m16 d, so its total negativity is piecewise linear
-    # and convex in m16 and least at one of the breakpoints -w0_i / d_i.
+    # perfect-correlation face reaches the least negativity of any model
     rng = np.random.default_rng(61)
     for _ in range(200):
         p = singlet_face_box(rng)
-        w0 = ql.perfect_correlation_solution(p, 0.0)
-        d = ql.perfect_correlation_solution(p, 1.0) - w0
-        breakpoints = -w0[d != 0.0] / d[d != 0.0]
-        face_min = min(ql.total_negativity(ql.perfect_correlation_solution(p, t))
-                       for t in breakpoints)
-        assert face_min == pytest.approx(ql.min_negativity(p).min_negativity, abs=1e-12)
+        assert face_min_negativity(p) == pytest.approx(
+            ql.min_negativity(p).min_negativity, abs=1e-12)
+
+
+#: The 12 no-signalling vertices with p2 = p3 = 0: the 8 deterministic boxes
+#: with a1 = b1 and the 4 PR boxes perfectly correlated on (a1, b1).
+FACE_VERTICES = VERTICES[(VERTICES[:, 1] == 0.0) & (VERTICES[:, 2] == 0.0)]
+assert len(FACE_VERTICES) == 12
+
+
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=12, max_size=12)
+       .filter(lambda w: sum(w) > 0.0))
+def test_the_perfect_correlation_face_loses_no_negativity(weights):
+    p = np.array(weights) / sum(weights) @ FACE_VERTICES
+    assert abs(face_min_negativity(p) - ql.min_negativity(p).min_negativity) <= 1e-12
+
+
+#: Row v: the 8 members of solve's family that pin all of N_v but one strategy k
+#: at 0, so that all the negativity sits on m_k, as matrices applied to (1, p_ind).
+SINGLE_NEGATIVE = solver._family(ql.INDEPENDENT_INDICES, np.eye(16)[[
+    [[s for s in minus if s != k] for k in minus] for minus in model._MINUS_STRATEGIES]])[..., :9]
+
+
+def test_the_witness_is_the_centroid_of_the_single_negative_members():
+    assert np.array_equal(SINGLE_NEGATIVE.mean(axis=1), negativity._WITNESS)
+
+
+@st.composite
+def cap_boxes(draw):
+    """A box in the cap delta_v >= 2 of a random variant v: lam * PR_v plus a
+    mixture of the 8 deterministic boxes with C_v = +2.  lam and each nonzero
+    weight are at least 1e-3, well above the tolerances to which linprog
+    solves, so that a barycentric coordinate below 0 by 1e-12 is the model's."""
+    v = draw(st.integers(0, 7))
+    lam = draw(st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                                     min_size=8, max_size=8).filter(lambda w: sum(w) > 0.0)))
+    facet = F[:, STRATEGY_CHSH[v] > 0] @ (weights / weights.sum())
+    return lam * (F @ PR_MODELS[v]) + (1.0 - lam) * facet
+
+
+@given(cap_boxes(), st.integers(0, 2 ** 32 - 1))
+def test_every_optimal_model_is_in_the_simplex_of_single_negative_members(p, seed):
+    """The models of least negativity form a 7-simplex whose vertices are the
+    single-negative members.  A random objective over the optimal models,
+    (f, t) with t >= -m(f), t >= 0 and sum(t) the minimum, lands in it, with
+    barycentric coordinates m_k / M_k[k] >= 0 that rebuild the optimum."""
+    v = int(np.argmax(ql.CHSH_MATRIX @ p))
+    x = np.concatenate(([1.0], p[list(ql.INDEPENDENT_INDICES)]))
+    minus = model._MINUS_STRATEGIES[v]
+    vertices = SINGLE_NEGATIVE[v] @ x
+    base, coeffs = solver._SOLUTION[:, :9] @ x, solver._SOLUTION[:, 9:]
+    result = linprog(
+        c=np.concatenate([np.random.default_rng(seed).normal(size=7), np.zeros(16)]),
+        A_ub=np.hstack([-coeffs, -np.eye(16)]), b_ub=base,
+        A_eq=np.concatenate([np.zeros(7), np.ones(16)])[None],
+        b_eq=[ql.min_negativity(p).min_negativity],
+        bounds=[(None, None)] * 7 + [(0, None)] * 16, method="highs")
+    assert result.status == 0, result.message
+    m = base + coeffs @ result.x[:7]
+    barycentric = m[minus] / vertices[range(8), minus]
+    assert barycentric.min() >= -1e-12
+    assert np.abs(barycentric @ vertices - m).max() <= 1e-12
