@@ -89,6 +89,12 @@ class ConsistencyError(ValueError):
 # Outcome / strategy / probability encodings
 # ---------------------------------------------------------------------------
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x made read-only: a module's table written in place would change every later result."""
+    x.setflags(write=False)
+    return x
+
+
 def outcome_char(outcome: int) -> str:
     return "+" if outcome == PLUS else "-"
 
@@ -107,14 +113,13 @@ PROB_LABELS = tuple(f"a{j}{outcome_char(m)}b{k}{outcome_char(n)}" for j, k, m, n
 
 #: PROB_EVENTS.index((j, k, m, n)) on axes (j, k, m, n), outcomes in OUTCOMES
 #: order: PROB_EVENTS is row-major on them.
-_PROB_INDEX = np.arange(16).reshape(2, 2, 2, 2)
+_PROB_INDEX = _frozen(np.arange(16).reshape(2, 2, 2, 2))
 
 #: 0/1 matrix mapping a measure vector to its 16 joint probabilities: entry
 #: (i, s) is 1 when strategy s gives event i.  Each block of four rows
 #: partitions the strategies, so every block sum of the image is the total weight.
-FORWARD_MATRIX = np.array([[float(s[0::2][j - 1] == m and s[1::2][k - 1] == n)
-                            for s in STRATEGY_OUTCOMES] for j, k, m, n in PROB_EVENTS])
-FORWARD_MATRIX.setflags(write=False)
+FORWARD_MATRIX = _frozen(np.array([[float(s[0::2][j - 1] == m and s[1::2][k - 1] == n)
+                                     for s in STRATEGY_OUTCOMES] for j, k, m, n in PROB_EVENTS]))
 
 
 def _exact(x: np.ndarray) -> np.ndarray:
@@ -221,19 +226,17 @@ class RelationViolation(NamedTuple):
 INDEPENDENT_INDICES = (0, 3, 4, 7, 8, 11, 13, 14)
 DEPENDENT_INDICES = (1, 2, 5, 6, 9, 10, 12, 15)
 
-_INDEPENDENT = np.array(INDEPENDENT_INDICES)
-_DEPENDENT = np.array(DEPENDENT_INDICES)
+_INDEPENDENT = _frozen(np.array(INDEPENDENT_INDICES))
+_DEPENDENT = _frozen(np.array(DEPENDENT_INDICES))
 
 #: Maps (1, p_ind) to the full box: p = _BOX_EMBEDDING @ (sum(m), p_ind) for p = F @ m.
-_BOX_EMBEDDING = _exact(np.linalg.lstsq(np.vstack([np.ones(16), FORWARD_MATRIX[_INDEPENDENT]]).T,
-                                         FORWARD_MATRIX.T, rcond=None)[0].T)
-_BOX_EMBEDDING.setflags(write=False)
+_BOX_EMBEDDING = _frozen(_exact(np.linalg.lstsq(
+    np.vstack([np.ones(16), FORWARD_MATRIX[_INDEPENDENT]]).T, FORWARD_MATRIX.T, rcond=None)[0].T))
 
 #: Sign table expressing each dependent entry as
 #: p_dep = (1 + sum_i sign_i * p_ind_i) / 2.
 #: Rows follow DEPENDENT_INDICES, columns follow INDEPENDENT_INDICES.
-DEPENDENT_SIGNS = 2.0 * _BOX_EMBEDDING[_DEPENDENT, 1:]
-DEPENDENT_SIGNS.setflags(write=False)
+DEPENDENT_SIGNS = _frozen(2.0 * _BOX_EMBEDDING[_DEPENDENT, 1:])
 
 #: The 8 marginal equalities, A's then B's: the MarginalViolation label
 #: (party, setting, outcome), and the indices (i1, i2, j1, j2) of the two
@@ -282,8 +285,8 @@ def _sum(values: list) -> float:
     return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-#: Every constant matrix multiplied here has entries of at most 1 in magnitude,
-#: so no partial sum of its product with x overflows while sum |x| stays below this.
+#: Every constant matrix multiplied here has entries below 2 in magnitude, so no partial
+#: sum of its product with x overflows while sum |x| stays below this.
 _UNGUARDED_SIZE = 0.5 * sys.float_info.max
 
 
@@ -397,9 +400,9 @@ CHSH_VARIANTS = tuple((pair, sign) for sign in (1, -1)
 #: CHSH sums as one linear map: row v of CHSH_MATRIX @ p is the sum of
 #: variant v for a normalized probability set p.  Each block of four columns
 #: is one setting pair's correlation, the sum of m * n * p(m, n).
-CHSH_MATRIX = np.array([[(-sign if (j, k) == pair else sign) * m * n for j, k, m, n in PROB_EVENTS]
-                        for pair, sign in CHSH_VARIANTS], dtype=float)
-CHSH_MATRIX.setflags(write=False)
+CHSH_MATRIX = _frozen(np.array([[(-sign if (j, k) == pair else sign) * m * n
+                                  for j, k, m, n in PROB_EVENTS]
+                                 for pair, sign in CHSH_VARIANTS], dtype=float))
 
 #: Row v lists the strategies whose CHSH value (+-2) under variant v is -2.
 _MINUS_STRATEGIES = tuple(np.flatnonzero(row < 0).tolist() for row in CHSH_MATRIX @ FORWARD_MATRIX)

@@ -6,19 +6,26 @@ model of p does better.  The bound holds for every model: a variant sum of
 delta forces one of its two complementary 8-strategy sums below zero by
 (|delta| - 2) / 4, and the negative weights must cover that deficit.
 
-The witness attaining it is a member of solve's family, one constant matrix
-per variant.  Let v be the variant with the largest signed sum delta_v, and
-N_v the 8 strategies s whose value C_v(s) under it is -2, not +2.  Every
-model of p puts sigma_minus = (2 - delta_v) / 4 on N_v (model.sigma_minus);
-the witness spreads it evenly, so its weights on N_v carry exactly the bound
-when delta_v > 2.  It is solver._family with "equal weight on N_v" as its 7
-constraints, applied to x = (1, p_ind): _WITNESS[v] @ x.  Being affine in the
-box, it is nonnegative on the other 8 strategies wherever delta_v >= 2: that
-cap is a simplex (Barrett et al., Phys. Rev. A 71, 022101 (2005)), and at its
-9 vertices the witness is the model (1 + C_v) / 16 of variant v's PR box and
-the 8 deterministic strategies with C_v = +2.  A local box (delta_v <= 2)
-gets a nonnegative model glued from two three-variable marginals (Fine,
-Phys. Rev. Lett. 48, 291 (1982)).
+The witness attaining it is a member of solve's family, solver._family with
+7 constraints on the weights: a constant matrix, picked by the box, applied
+to x = (1, p_ind).  Let v be the variant with the largest signed sum delta_v,
+and N_v the 8 strategies s whose value C_v(s) under it is -2, not +2.  Every
+model of p puts sigma_minus = (2 - delta_v) / 4 on N_v (model.sigma_minus).
+When delta_v > 2 the witness _WITNESS[v] spreads it evenly (equal weight on
+N_v), so its weights on N_v carry exactly the bound.  Affine in the box, it
+is nonnegative on the other 8 wherever delta_v >= 2: that cap is a simplex
+(Barrett et al., Phys. Rev. A 71, 022101 (2005)), and at its 9 vertices the
+witness is the model (1 + C_v) / 16 of variant v's PR box and the 8
+deterministic strategies with C_v = +2.
+
+A local box (delta_v <= 2) lies in the local polytope, the hull of the 16
+deterministic boxes, which the regular triangulation that lifts strategy s
+to height 2^s cuts into 64 simplices, _CELL_MASKS (De Loera, Rambau & Santos,
+Triangulations, Springer 2010).  A box in cell k is a convex mixture of its 9
+deterministic boxes, so _MODELS[k], the member with the other 7 weights at 0,
+is nonnegative there.  The lifted heights span a convex function of the box,
+the largest of the cells' planes _LOCATOR[k] = heights @ _MODELS[k], so the
+cell that holds x is the argmax of _LOCATOR @ x.
 """
 
 from __future__ import annotations
@@ -30,15 +37,12 @@ import numpy as np
 
 from .model import (
     DEFAULT_EPS,
-    FORWARD_MATRIX,
     INDEPENDENT_INDICES,
-    OUTCOMES,
-    STRATEGY_OUTCOMES,
     ConsistencyError,
     _MINUS_STRATEGIES,
-    _OUTCOME_PAIRS,
     _box_from_independent,
     _consistent_box,
+    _frozen,
     _max_abs,
     _product,
     _shaped16,
@@ -47,52 +51,24 @@ from .model import (
 )
 from .solver import _family
 
-#: Minimum-norm inverse of the forward map on no-signalling boxes.
-_FORWARD_PINV = np.linalg.pinv(FORWARD_MATRIX)
-
 #: _WITNESS[v] @ (1, p_ind) is the family member with equal weight on N_v, the
 #: strategies with C_v = -2: its constraints are m[N_v[k]] - m[N_v[0]] = 0.
-_MINUS = np.eye(16)[list(_MINUS_STRATEGIES)]
-_WITNESS = _family(INDEPENDENT_INDICES, _MINUS[:, 1:] - _MINUS[:, :1])[..., :9]
-_WITNESS.setflags(write=False)
+_MINUS = _frozen(np.eye(16)[list(_MINUS_STRATEGIES)])
+_WITNESS = _frozen(_family(INDEPENDENT_INDICES, _MINUS[:, 1:] - _MINUS[:, :1])[..., :9])
 
-
-#: (a1, a2, the (b1, b2) column in q's order, _OUTCOME_PAIRS) of each strategy, in
-#: strategy order, a1 and a2 as positions in OUTCOMES: m = T_1[a1][b1, b2] * P(A2 = a2 | b1, b2).
-_FINE_TERMS = tuple((OUTCOMES.index(a1), OUTCOMES.index(a2), _OUTCOME_PAIRS.index((b1, b2)))
-                    for a1, b1, a2, b2 in STRATEGY_OUTCOMES)
-
-
-def _fine_model(box: np.ndarray) -> np.ndarray:
-    """Fine's nonnegative model of a local box.
-
-    The joint law of (B1, B2) is q(b1, b2), and each A_j is glued to it
-    through a three-variable table T_j(a_j, b1, b2) with the box's (A_j, B1)
-    and (A_j, B2) marginals; then m = T_1 * T_2 / q.  The one free entry of
-    q and of each T_j sits at the midpoint of its feasible interval; the
-    intervals are non-empty exactly when every CHSH sum of the box is at
-    most 2, and then T_2 / q = P(A2 | B1, B2) lies in [0, 1].  It is clipped
-    there (and set to 0 where q = 0), because rounding in q near 0 would
-    otherwise turn into weights of order 1.
-    """
-    p = box.tolist()
-    b1, b2 = p[0] + p[2], p[4] + p[6]                   # P(B1+), P(B2+)
-    # (P(A_j+, B1+), P(A_j+, B2+), P(A_j+)) for j = 1, 2
-    (u1, w1, a1), (u2, w2, a2) = uwa = ((p[0], p[4], p[0] + p[1]), (p[8], p[12], p[8] + p[9]))
-    x = 0.5 * (max(0.0, b1 + b2 - 1.0, u1 + w1 - a1, u2 + w2 - a2,
-                   a1 + b1 + b2 - 1.0 - u1 - w1, a2 + b1 + b2 - 1.0 - u2 - w2)
-               + min(b1, b2, b1 + w1 - u1, b1 + w2 - u2, b2 + u1 - w1, b2 + u2 - w2))
-    q = (x, b1 - x, b2 - x, 1.0 - b1 - b2 + x)         # (b1, b2) = ++, +-, -+, --
-    plus = []                                           # T_j(+, b1, b2), q's order
-    for u, w, a in uwa:
-        t = 0.5 * (max(0.0, u + w - a, u - b1 + x, w - b2 + x)
-                   + min(u, w, x, q[3] - a + u + w))
-        plus.append((t, u - t, w - t, a - u - w + t))
-    t1 = (plus[0], [qk - tk for qk, tk in zip(q, plus[0])])          # T_1[a1][b1, b2]
-    a2_plus = [min(1.0, max(0.0, tk / qk)) if qk != 0.0 else 0.0
-               for qk, tk in zip(q, plus[1])]
-    cond = (a2_plus, [1.0 - c for c in a2_plus])                    # P(A2 = a2 | b1, b2)
-    return np.array([t1[i][b] * cond[j][b] for i, j, b in _FINE_TERMS])
+#: The 64 cells of the local polytope by heights 2^s, bit s set for each of a cell's 9 strategies.
+_CELL_MASKS = (
+    0x135F, 0x137E, 0x13DB, 0x13FA, 0x176E, 0x177C, 0x17EA, 0x17F8, 0x1B5D, 0x1BD9, 0x1E7C,
+    0x1EF8, 0x1F5C, 0x1FB8, 0x1FD8, 0x325F, 0x327E, 0x32DB, 0x32FA, 0x366E, 0x36EA, 0x3A5D,
+    0x3A7C, 0x3AD9, 0x3AF8, 0x3E6C, 0x3E74, 0x3EE8, 0x534F, 0x53CB, 0x574E, 0x57CA, 0x57E2,
+    0x5B4D, 0x5BC9, 0x5F4C, 0x5FC8, 0x724F, 0x72CB, 0x746E, 0x74EA, 0x764E, 0x76CA, 0x76E2,
+    0x7A4D, 0x7AC9, 0x7E4C, 0x7EC8, 0x9BD1, 0xB85D, 0xB8D9, 0xBAD1, 0xD38B, 0xDB89, 0xDBC1,
+    0xE24F, 0xE2CB, 0xEA4D, 0xEAC9, 0xF28B, 0xF84D, 0xF8C9, 0xFA89, 0xFAC1)
+#: _MODELS[k] @ x is the family member with the 7 strategies off cell k at 0, and _LOCATOR[k]
+#: @ x cell k's plane at heights 2^s scaled by 2^-20: finite for every finite x = (1, p_ind).
+_MODELS = _frozen(_family(INDEPENDENT_INDICES, np.eye(16)[
+    [[s for s in range(16) if not mask >> s & 1] for mask in _CELL_MASKS]])[..., :9])
+_LOCATOR = _frozen(2.0 ** (np.arange(16) - 20) @ _MODELS)
 
 
 class NegativityResult(NamedTuple):
@@ -116,13 +92,12 @@ class NegativityResult(NamedTuple):
 def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     """Minimize total negativity over all measure vectors reproducing p.
 
-    Requires p consistent within eps: the construction holds only on the
-    no-signalling polytope, so ConsistencyError is raised otherwise.  The
-    witness reproduces p_hat, the box rebuilt from p's 8 independent
-    entries, so it is off p by at most eps; for a local box the residual
-    p_hat - F @ w of Fine's gluing (rounding, or an entry of p_hat below 0) is
-    removed by its minimum-norm preimage.  The returned minimum is recomputed
-    from the witness, so the witness and the reported value always agree.
+    Requires p consistent within eps (ConsistencyError otherwise): the
+    construction holds only on the no-signalling polytope.  The witness
+    reproduces p_hat, the box rebuilt from p's 8 independent entries, so it
+    is off p by at most eps; where p_hat leaves the local polytope by
+    rounding or by an entry below 0 within eps, a local box's witness has
+    weights below 0 by as much.  The minimum is recomputed from the witness.
     A witness or minimum that overflows, on a box near the float maximum at
     a huge eps, raises ConsistencyError.
     """
@@ -134,15 +109,9 @@ def min_negativity(p, eps: float = DEFAULT_EPS) -> NegativityResult:
     # (perfbench/tests) counts the 8 calls, so one product waits on re-pinning it.
     deltas = [chsh(p_hat, v, eps) for v in range(8)]
     v = deltas.index(max(deltas))
-    if deltas[v] > 2.0:     # x = (1, p_ind), so sum |x| <= 1 + sum |p|
-        witness = _product(_WITNESS[v], np.concatenate(([1.0], box.independent)), 1.0 + box.size)
-    else:
-        witness = _fine_model(p_hat)
-        if box.size < 1e300:    # Fine's terms stay within 1e3 * size: no np.errstate
-            witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-                witness = witness + _FORWARD_PINV @ (p_hat - FORWARD_MATRIX @ witness)
+    x = np.concatenate(([1.0], box.independent))    # sum |x| <= 1 + sum |p|
+    model = _WITNESS[v] if deltas[v] > 2.0 else _MODELS[int(np.argmax(_LOCATOR @ x))]
+    witness = _product(model, x, 1.0 + box.size)
     negativity = _total_negativity(witness)
     if not (math.isfinite(negativity) and all(map(math.isfinite, witness.tolist()))):
         raise ConsistencyError(f"the witness model of this box is not finite (eps = {eps:g})")

@@ -28,20 +28,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import OUTCOMES, _vector16
+from .model import OUTCOMES, _frozen, _vector16
 
 _UNIT_EPS = 1e-12
 
 #: The Pauli basis (I, sigma_x, sigma_y, sigma_z), shape (4, 2, 2).
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULIS = _frozen(np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                             [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]))
 #: sigma_mu (x) sigma_nu at row 4 mu + nu, as 4x4 matrices on the basis |ab> at 2a + b.
-_PAULI_PRODUCTS = np.einsum("mac,nbd->mnabcd", _PAULIS, _PAULIS).reshape(16, 4, 4)
+_PAULI_PRODUCTS = _frozen(np.einsum("mac,nbd->mnabcd", _PAULIS, _PAULIS).reshape(16, 4, 4))
 
 #: Signs of (1, m d) on the outcome matrices' rows (a1, m), (a2, m), (b1, m), (b2, m).
-_OUTCOME_SIGNS = np.array([(1.0, m, m, m) for _ in range(4) for m in OUTCOMES])
+_OUTCOME_SIGNS = _frozen(np.array([(1.0, m, m, m) for _ in range(4) for m in OUTCOMES]))
 #: Position in A @ R @ B^T, rows (j, m) and columns (k, n), of each canonical entry (j, k, m, n).
-_CANONICAL = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+_CANONICAL = _frozen(np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16))
 
 
 class TwoQubitState(NamedTuple("TwoQubitState", [("amplitudes", tuple)])):

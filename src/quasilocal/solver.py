@@ -31,6 +31,7 @@ from .model import (
     ConsistencyError,
     _INDEPENDENT,
     _exact,
+    _frozen,
     _product,
     require_consistent,
 )
@@ -50,11 +51,11 @@ def _family(coordinates, constraints: np.ndarray) -> np.ndarray:
 
 
 #: All 16 weights = _SOLUTION @ (1, p_ind, free).
-_SOLUTION = _family(INDEPENDENT_INDICES, np.eye(16)[list(FREE_INDICES)])
+_SOLUTION = _frozen(_family(INDEPENDENT_INDICES, np.eye(16)[list(FREE_INDICES)]))
 #: All 16 weights on the face = _FACE_SOLUTION @ (1, coordinates, m16), exact zeros off it.
-_FACE_COORDINATES = np.array([3, 7, 8, 11, 13, 14])
-_FACE_SOLUTION = _family(_FACE_COORDINATES, np.eye(16)[
-    [15, *np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))]])[:, :8]
+_FACE_COORDINATES = _frozen(np.array([3, 7, 8, 11, 13, 14]))
+_FACE_SOLUTION = _frozen(_family(_FACE_COORDINATES, np.eye(16)[
+    [15, *np.flatnonzero(FORWARD_MATRIX[[1, 2]].sum(axis=0))]])[:, :8])
 
 
 def _solution(family: np.ndarray, x: np.ndarray) -> np.ndarray:

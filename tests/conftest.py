@@ -39,11 +39,18 @@ OVERFLOWING = [-1.7e308, 0.0, 0.0, 1.7e308, 1.7e308, -1.7e308, 0.0, 0.25,
 OVERFLOWING_FACE = [1e307, 0.0, 0.0, -1e307, 1e307, 0.0, 1.0, -1e307,
                     1e307, 1.0, 0.0, -1e307, 1e307, 0.0, 0.0, -1e307]
 
-#: Consistent at eps = 1.7e308, every CHSH sum 0: Fine's model of it overflows.
-OVERFLOWING_LOCAL = [7e307, 1.0, 0.0, -7e307, 7e307, 0.0, 0.0, -7e307,
-                     0.0, -7e307, 7e307, 1.0, 0.0, -7e307, 7e307, 0.0]
+#: Consistent at eps = 1.7e308, every CHSH sum 0, its magnitudes summing past the
+#: float maximum: its witness is finite all the same.
+HUGE_LOCAL = [7e307, 1.0, 0.0, -7e307, 7e307, 0.0, 0.0, -7e307,
+              0.0, -7e307, 7e307, 1.0, 0.0, -7e307, 7e307, 0.0]
 
-#: Consistent at eps = 1.7e308, its CHSH sums NaN: Fine's model of it overflows.
+#: F @ m for m1 = 5e307, m13 = 1 and m16 = -5e307: consistent at eps = 1.7e308, every
+#: CHSH sum 0.  Its witness is finite, but its negative weights sum past the float maximum.
+OVERFLOWING_LOCAL = [5e307, 0.0, 0.0, -5e307, 5e307, 0.0, 1.0, -5e307,
+                     5e307, 1.0, 0.0, -5e307, 5e307, 0.0, 0.0, -5e307]
+
+#: Consistent at eps = 1.7e308, its CHSH sums NaN: the negative weights of its
+#: witness sum past the float maximum.
 OVERFLOWING_NAN_CHSH = [0.0, -7e307, 7e307, 0.0] * 2 + [1.0, -7e307, 7e307, 0.0] * 2
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import shlex
 import sys
 import warnings
@@ -16,8 +17,8 @@ import quasilocal as ql
 from quasilocal import cli
 from quasilocal.fileio import (box_object, fixture_path, format_box, format_measures,
                                measures_object, parse_box)
-from conftest import (OVERFLOWING, OVERFLOWING_FACE, OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH,
-                      boxes_consistent_at_eps_0)
+from conftest import (HUGE_LOCAL, OVERFLOWING, OVERFLOWING_FACE, OVERFLOWING_LOCAL,
+                      OVERFLOWING_NAN_CHSH, boxes_consistent_at_eps_0)
 
 
 @pytest.fixture
@@ -377,13 +378,26 @@ def test_free_weights_whose_solution_overflows_are_usage_errors(run, argv, box):
 @pytest.mark.parametrize("box", [OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH],
                          ids=["local", "nan-chsh"])
 def test_a_witness_that_overflows_is_a_domain_failure(run, box):
-    # Fine's model of these consistent boxes overflowed in the repair product:
-    # negativity printed 16 nan weights and exited 0, after a numpy warning
+    # a witness whose negative weights sum past the float maximum: a total
+    # negativity of inf would be printed as a minimum, and as Infinity in JSON
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(["negativity", "--eps", "1.7e308"], box_object_text(box))
     assert (code, out) == (1, "")
     assert err == "error: the witness model of this box is not finite (eps = 1.7e+308)\n"
+
+
+def test_a_box_whose_magnitudes_overflow_gets_a_finite_witness(run):
+    # Fine's model of this box overflowed in its repair product, so negativity
+    # refused it; the model of the cell that holds it is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["negativity", "--eps", "1.7e308", "--format", "json"],
+                             box_object_text(HUGE_LOCAL))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    witness = [report["witness"]["measures"][label] for label in ql.STRATEGY_PATTERNS]
+    assert all(map(math.isfinite, witness)) and math.isfinite(report["min_negativity"])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -782,7 +782,7 @@ def test_gates_on_an_overflowing_box_warn_nothing_and_match_the_helpers():
 
 def test_products_outside_np_errstate_cannot_overflow():
     # _product skips the guard while sum |x| < _UNGUARDED_SIZE, which bounds every
-    # partial sum only for matrices with entries of at most 1 in magnitude
+    # partial sum only for matrices with entries below 2 in magnitude; these reach 1
     from quasilocal import negativity, solver
 
     for matrix in (model.DEPENDENT_SIGNS, model.CHSH_MATRIX, model.FORWARD_MATRIX,
@@ -796,6 +796,32 @@ def test_products_outside_np_errstate_cannot_overflow():
         assert np.isfinite(model._product(model.CHSH_MATRIX, below, size)).all()
         aligned = 4 * below * model.CHSH_MATRIX[0]          # row 0's sum overflows
         assert np.isinf(model._product(model.CHSH_MATRIX, aligned, 4 * size)[0])
+
+
+def test_every_matrix_passed_to_product_has_entries_below_two(monkeypatch):
+    # the local models reach 1.5, past the "at most 1" that _product's note stated
+    from quasilocal import negativity, solver
+
+    matrices, product = [], model._product
+    for module in (model, solver, negativity):
+        monkeypatch.setattr(module, "_product",
+                            lambda matrix, *args: matrices.append(matrix) or product(matrix, *args))
+    rng = np.random.default_rng(73)
+    boxes = [ql.forward_map(m) for m in rng.dirichlet(np.full(16, 0.3), 400)]
+    boxes += [ql.forward_map((1.0 + model.CHSH_MATRIX[v] @ model.FORWARD_MATRIX) / 16.0)
+              for v in range(8)]
+    for p in boxes:
+        ql.min_negativity(p)
+        ql.solve(p)
+    ql.perfect_correlation_solution(ql.pr_box())
+    ql.box_from_independent(np.zeros(8))
+    for table in (model.FORWARD_MATRIX, model.DEPENDENT_SIGNS, model.CHSH_MATRIX,
+                  solver._SOLUTION, solver._FACE_SOLUTION, negativity._WITNESS, negativity._MODELS):
+        assert any(np.shares_memory(matrix, table) for matrix in matrices)
+    assert max(np.abs(matrix).max() for matrix in matrices) < 2.0
+    # the locator's product is finite for every finite x = (1, p_ind): 9 entries
+    # of at most the float maximum, each times less than 1 / 9
+    assert 9.0 * np.abs(negativity._LOCATOR).max() < 1.0
 
 
 def test_public_products_of_huge_finite_inputs_overflow_without_a_warning():

@@ -1,6 +1,7 @@
 """The mutation gate's table still applies: tests/mutants.py runs it."""
 
 import ast
+import subprocess
 
 import pytest
 from hypothesis import Phase, settings
@@ -43,3 +44,23 @@ def test_the_mutants_profile_skips_only_the_phases_after_a_failure():
     assert set(mutants.phases) < set(default.phases)
     for name in ("deadline", "derandomize", "max_examples", "suppress_health_check"):
         assert getattr(mutants, name) == getattr(default, name)
+
+
+@pytest.mark.parametrize("suite_code", [1, 4])
+def test_a_killer_that_cannot_run_leaves_the_verdict_to_the_whole_suite(monkeypatch, suite_code):
+    # a mutant that breaks the package's import makes pytest exit 4 on a killer
+    # that names a test function, as it cannot collect it: that ended the gate
+    mutant = MUTANTS[0]
+    runs = []
+
+    def run(argv, **kwargs):
+        runs.append(argv[-1])
+        return subprocess.CompletedProcess(argv, {"tests": suite_code}.get(argv[-1], 4), "", "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    if suite_code == 1:
+        assert verdict(mutant) == "killed, stale killer"
+    else:       # the whole suite must run: an exit it cannot read still ends the gate
+        with pytest.raises(SystemExit):
+            verdict(mutant)
+    assert runs == [mutant.killer, "tests"]

@@ -5,6 +5,7 @@ subclass one to validate in __new__; the state's cached correlation tensor is
 the only attribute outside the fields.
 """
 
+import importlib
 import math
 import os
 import subprocess
@@ -36,6 +37,16 @@ RECORDS = [
     (ql.ChshSearchResult, "best_delta directions angles_deg",
      lambda: ql.maximize_chsh(ql.singlet())),
 ]
+
+
+def test_no_module_holds_a_writable_array():
+    # solver._SOLUTION was writable: _SOLUTION[0, 0] = 9 silently changed every later solve
+    package = Path(ql.__file__).parent
+    for name in sorted(path.stem for path in package.glob("*.py") if path.stem != "__main__"):
+        module = importlib.import_module(f"quasilocal.{name}")
+        for attribute, value in vars(module).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, f"quasilocal.{name}.{attribute}"
 
 
 @pytest.mark.parametrize("record_type, fields, build", RECORDS, ids=[t.__name__ for t, *_ in RECORDS])

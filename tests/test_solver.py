@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import quasilocal as ql
 from quasilocal import model, solver
-from conftest import (OVERFLOWING_FACE, OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH,
+from conftest import (HUGE_LOCAL, OVERFLOWING_FACE, OVERFLOWING_LOCAL, OVERFLOWING_NAN_CHSH,
                       extremal_measures, minus_strategies, random_consistent_box,
                       random_nonnegative_measures)
 
@@ -422,11 +422,12 @@ def huge_boxes(draw):
 @given(huge_boxes(), st.sampled_from([1e300, 1e307, 1.7e308]),
        st.lists(signed_powers(308.0), min_size=7, max_size=7), signed_powers(308.23))
 @example(np.array(OVERFLOWING_FACE), 1.7e308, [0.0] * 7, 1.7e308)
+@example(np.array(HUGE_LOCAL), 1.7e308, [0.0] * 7, 0.0)
 @example(np.array(OVERFLOWING_LOCAL), 1.7e308, [0.0] * 7, 0.0)
 @example(np.array(OVERFLOWING_NAN_CHSH), 1.7e308, [0.0] * 7, 0.0)
 def test_models_of_huge_boxes_are_finite_or_refused(p, eps, free, m16):
-    # the face family's product and the witness's repair product overflowed
-    # with a numpy warning, and returned inf and NaN weights
+    # the face family's product and Fine's repair product of a local witness
+    # overflowed with a numpy warning, and returned inf and NaN weights
     def witness_and_negativity():
         result = ql.min_negativity(p, eps)
         return np.append(result.witness, result.min_negativity)
